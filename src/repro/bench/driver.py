@@ -24,7 +24,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.measurement import Measurement
-from repro.core.system import InstrumentedSystem, SystemUnderTune
+from repro.core.system import InstrumentedSystem, SystemUnderTune, SystemWrapper
 from repro.core.tuner import Budget
 from repro.core.workload import Workload
 from repro.exec.runner import ParallelRunner
@@ -35,29 +35,19 @@ __all__ = ["run_driver_benchmark", "DRIVER_BENCH_TUNERS"]
 _RUN_DELAY_S = 0.04
 
 
-class _SleepingSystem(SystemUnderTune):
+class _SleepingSystem(SystemWrapper):
     """Wrapper adding fixed wall-clock latency to every run.
 
-    Deliberately does *not* override :meth:`run_batch`: the inherited
-    serial loop means all concurrency comes from the
-    :class:`~repro.core.system.InstrumentedSystem` runner fan-out —
-    exactly the path the driver exercises.  ``time.sleep`` releases the
-    GIL, so a thread-mode runner overlaps the delays.
+    Deliberately does *not* override :meth:`run_batch` and defines no
+    vectorized kernel: the inherited serial loop means all concurrency
+    comes from the :class:`~repro.core.system.InstrumentedSystem` runner
+    fan-out — exactly the path the driver exercises.  ``time.sleep``
+    releases the GIL, so a thread-mode runner overlaps the delays.
     """
 
     def __init__(self, inner: SystemUnderTune, delay_s: float = _RUN_DELAY_S):
-        self.inner = inner
+        super().__init__(inner)
         self.delay_s = delay_s
-        self.name = inner.name
-        self.kind = inner.kind
-
-    @property
-    def config_space(self):
-        return self.inner.config_space
-
-    @property
-    def metric_names(self):
-        return self.inner.metric_names
 
     def run(self, workload: Workload, config) -> Measurement:
         time.sleep(self.delay_s)

@@ -42,9 +42,9 @@ VEC_BENCH_TUNERS = ("cem", "genetic")
 class _TimedSystem(InstrumentedSystem):
     """InstrumentedSystem that times evaluation wall-clock.
 
-    Only outermost entries accumulate (``run_batch`` replays through
-    ``run`` internally), so ``eval_wall_s`` is exactly the time spent
-    inside the system regardless of path.
+    Only outermost entries accumulate (``run_batch`` may replay through
+    ``run``), so ``eval_wall_s`` is exactly the time spent inside the
+    system regardless of path.
     """
 
     def __init__(self, *args, **kwargs):

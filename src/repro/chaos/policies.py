@@ -13,9 +13,9 @@ Determinism is the load-bearing property: every random decision for run
 ``index`` is drawn from a generator derived purely from
 ``(seed, index, policy-slot)``, never from a shared sequential stream.
 Serial and batched execution therefore inject *identical* fault
-sequences (the original ``FlakySystem`` drew from one shared RNG, so a
-batched path that computed inner measurements concurrently could not
-replay injection identically — see ``tests/test_chaos_policies.py``).
+sequences (one shared sequential RNG could not: a batched path that
+computes inner measurements concurrently would not replay injection
+identically — see ``tests/test_chaos_policies.py``).
 """
 
 from __future__ import annotations

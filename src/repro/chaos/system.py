@@ -1,7 +1,6 @@
 """The chaos wrapper: apply fault policies to a system under tune.
 
-:class:`ChaosSystem` generalizes the old single-policy ``FlakySystem``:
-it threads every run through an ordered list of
+:class:`ChaosSystem` threads every run through an ordered list of
 :class:`~repro.chaos.policies.FaultPolicy` objects.  Injection is
 keyed by a monotonically assigned *run index* and the system's seed, so
 the fault sequence is a pure function of the call sequence — batched
@@ -12,29 +11,22 @@ serial replay would.
 from __future__ import annotations
 
 import hashlib
-import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.chaos.policies import (
-    CONFIG_FAULT_KEY,
-    INJECTED_FAULT_KEY,
-    FaultContext,
-    FaultPolicy,
-)
+from repro.chaos.policies import FaultContext, FaultPolicy
 from repro.core.measurement import Measurement
-from repro.core.parameters import Configuration, ConfigurationSpace
-from repro.core.system import SystemUnderTune
+from repro.core.parameters import Configuration
+from repro.core.system import SystemUnderTune, SystemWrapper
 from repro.core.workload import Workload
-from repro.exceptions import FaultInjected
 from repro.obs.metrics import global_metrics
 from repro.obs.trace import event as obs_event
 
 __all__ = ["ChaosSystem"]
 
 
-class ChaosSystem(SystemUnderTune):
+class ChaosSystem(SystemWrapper):
     """Inject environmental and config-correlated faults into runs.
 
     Chaos systems are *unfingerprintable* (see
@@ -52,13 +44,10 @@ class ChaosSystem(SystemUnderTune):
             injection randomness derives from ``(that seed, run index,
             policy slot)``.  Mutually exclusive with ``seed``.
         seed: explicit injection seed (overrides ``rng``).
-        raise_faults: when True, :meth:`run` raises
-            :class:`~repro.exceptions.FaultInjected` for injected
-            failures instead of returning a failed measurement, so
-            callers can distinguish environmental faults from
-            config-caused simulator failures at the exception level.
-            :meth:`run_batch` always returns measurements (a batch is
-            atomic; one fault must not discard its siblings' results).
+
+    Injected failures come back as failed measurements marked
+    ``injected_fault``, never as exceptions: a batch is atomic, and one
+    fault must not discard its siblings' results.
 
     Attributes:
         fault_log: ``(run index, event)`` pairs for every injection —
@@ -76,17 +65,16 @@ class ChaosSystem(SystemUnderTune):
         policies: Sequence[FaultPolicy],
         rng: Optional[np.random.Generator] = None,
         seed: Optional[int] = None,
-        raise_faults: bool = False,
     ):
-        self.inner = inner
-        self.policies = list(policies)
+        policies = list(policies)
+        super().__init__(
+            inner, name=f"{inner.name}+chaos({len(policies)} policies)"
+        )
+        self.policies = policies
         if seed is None:
             source = rng if rng is not None else np.random.default_rng(0)
             seed = int(source.integers(0, 2**32))
         self.seed = int(seed)
-        self.raise_faults = raise_faults
-        self.name = f"{inner.name}+chaos({len(self.policies)} policies)"
-        self.kind = inner.kind
         self.fault_log: List[Tuple[int, str]] = []
         self.fault_counts: Dict[str, int] = {}
         self.injected_failures = 0
@@ -95,19 +83,10 @@ class ChaosSystem(SystemUnderTune):
             {} for _ in self.policies
         ]
 
-    # -- delegation --------------------------------------------------------
-    @property
-    def config_space(self) -> ConfigurationSpace:
-        return self.inner.config_space
-
-    @property
-    def metric_names(self) -> List[str]:
-        return self.inner.metric_names
-
     # -- injection ---------------------------------------------------------
     def _inject(
         self, index: int, workload: Workload, config: Configuration,
-        measurement: Measurement, raise_faults: bool,
+        measurement: Measurement,
     ) -> Measurement:
         was_ok = measurement.ok
         events: List[str] = []
@@ -128,21 +107,10 @@ class ChaosSystem(SystemUnderTune):
         if was_ok and measurement.failed:
             self.injected_failures += 1
             global_metrics().inc("chaos.injected_failures")
-            if raise_faults:
-                raise FaultInjected(
-                    "; ".join(events) or "injected failure",
-                    index=index, measurement=measurement,
-                )
         return measurement
 
     def run(self, workload: Workload, config: Configuration) -> Measurement:
-        self.check_workload(workload)
-        index = self._next_index
-        self._next_index += 1
-        measurement = self.inner.run(workload, config)
-        return self._inject(
-            index, workload, config, measurement, self.raise_faults
-        )
+        return self.run_batch(workload, [config])[0]
 
     def run_batch(
         self, workload: Workload, configs: Sequence[Configuration]
@@ -162,8 +130,7 @@ class ChaosSystem(SystemUnderTune):
         self._next_index += len(configs)
         inner_measurements = self.inner.run_batch(workload, configs)
         return [
-            self._inject(start + i, workload, config, measurement,
-                         raise_faults=False)
+            self._inject(start + i, workload, config, measurement)
             for i, (config, measurement) in enumerate(
                 zip(configs, inner_measurements)
             )

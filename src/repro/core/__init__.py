@@ -24,7 +24,12 @@ from repro.core.serialize import (
     to_jsonable,
 )
 from repro.core.session import TuningSession
-from repro.core.system import InstrumentedSystem, SubspaceSystem, SystemUnderTune
+from repro.core.system import (
+    InstrumentedSystem,
+    SubspaceSystem,
+    SystemUnderTune,
+    SystemWrapper,
+)
 from repro.core.tuner import (
     CATEGORIES,
     Budget,
@@ -71,6 +76,7 @@ __all__ = [
     "StreamResult",
     "StreamStep",
     "SystemUnderTune",
+    "SystemWrapper",
     "Tuner",
     "TuningHistory",
     "TuningResult",

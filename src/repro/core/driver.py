@@ -69,6 +69,7 @@ from repro.core.measurement import REAL, Observation, TuningHistory
 from repro.core.parameters import Configuration, ConfigurationSpace
 from repro.core.session import TuningSession
 from repro.core.tuner import Tuner
+from repro.exceptions import BudgetExhausted
 from repro.obs.metrics import global_metrics
 from repro.obs.trace import event as obs_event
 from repro.obs.trace import span as obs_span
@@ -407,16 +408,21 @@ class SearchDriver:
                             c.predicted_runtime_s,
                             tag=c.predict_tag or c.tag,
                         )
-                if (
-                    scheduler is not None
-                    and len(candidates) >= scheduler.min_batch
-                    and all(c.fidelity >= 1.0 for c in candidates)
-                ):
-                    results = self._execute_screened(
-                        strategy, session, candidates, scheduler
-                    )
-                else:
-                    results = self._execute(strategy, session, candidates)
+                try:
+                    if (
+                        scheduler is not None
+                        and len(candidates) >= scheduler.min_batch
+                        and all(c.fidelity >= 1.0 for c in candidates)
+                    ):
+                        results = self._execute_screened(
+                            strategy, session, candidates, scheduler
+                        )
+                    else:
+                        results = self._execute(strategy, session, candidates)
+                except BudgetExhausted:
+                    # A partial charge left less than this proposal's
+                    # first member costs: the search is over.
+                    break
                 strategy.tell(state, results)
             strategy.finish(state)
             return strategy.recommend(state)
@@ -429,25 +435,17 @@ class SearchDriver:
         candidates: List[Candidate],
     ) -> List[Observation]:
         """Run one proposal and return its final observations."""
-        if len(candidates) == 1:
-            # The sequential path: retries, backoff, and quarantine
-            # handling apply per the session's execution policy.
-            mark = len(session.history)
-            session.evaluate(
-                candidates[0].config,
-                tag=candidates[0].tag,
-                fidelity=candidates[0].fidelity,
-            )
-            return self._finals(session, mark, single=True)
         mixed = len({c.fidelity for c in candidates}) > 1
-        if mixed or (
+        if len(candidates) == 1 or mixed or (
             session.budget.max_experiment_time_s is not None
             and not strategy.atomic_batches
         ):
-            # A serial loop stops the moment the wall-clock cap is
-            # crossed; split the batch so the cap keeps that meaning.
-            # Mixed-fidelity asks also split: a session batch executes
-            # at one fidelity.
+            # The sequential path, where retries, backoff and quarantine
+            # handling apply per the session's execution policy.  A
+            # serial loop stops the moment the wall-clock cap is
+            # crossed, so a capped batch splits to keep that meaning;
+            # mixed-fidelity asks split because a session batch
+            # executes at one fidelity.
             finals: List[Observation] = []
             for c in candidates:
                 if not session.can_run():

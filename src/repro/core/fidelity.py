@@ -36,8 +36,8 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple, Union
 
 from repro.core.measurement import Measurement
-from repro.core.parameters import Configuration, ConfigurationSpace
-from repro.core.system import SystemUnderTune
+from repro.core.parameters import Configuration
+from repro.core.system import SystemUnderTune, SystemWrapper
 from repro.core.workload import Workload
 
 __all__ = [
@@ -159,7 +159,7 @@ def scale_measurement(
     )
 
 
-class FidelitySystem(SystemUnderTune):
+class FidelitySystem(SystemWrapper):
     """A fidelity-pinned view over another system.
 
     Every run executes the inner system (keeping its caches, counters,
@@ -181,19 +181,9 @@ class FidelitySystem(SystemUnderTune):
                 "FidelitySystem models sub-fidelity views; "
                 "use with_fidelity() which returns the system itself at 1.0"
             )
-        self.inner = inner
+        super().__init__(inner, name=f"{inner.name}@f{f:g}")
         self.fidelity = f
         self.amplitude = float(amplitude)
-        self.name = f"{inner.name}@f{f:g}"
-        self.kind = inner.kind
-
-    @property
-    def config_space(self) -> ConfigurationSpace:
-        return self.inner.config_space
-
-    @property
-    def metric_names(self) -> List[str]:
-        return self.inner.metric_names
 
     def execution_context(self) -> Tuple[str, ...]:
         return (f"fidelity={self.fidelity!r}",) + self.inner.execution_context()
@@ -216,16 +206,9 @@ class FidelitySystem(SystemUnderTune):
             for m, c in zip(self.inner.run_batch(workload, configs), configs)
         ]
 
-    def supports_vectorized(self) -> bool:
-        return self.inner.supports_vectorized()
-
     def run_batch_vectorized(
         self, workload: Workload, configs: Sequence[Configuration]
     ) -> List[Measurement]:
-        if not self.inner.supports_vectorized():
-            raise NotImplementedError(
-                f"{self.inner.name} offers no vectorized batch path"
-            )
         return [
             scale_measurement(m, self.fidelity, workload, c, self.amplitude)
             for m, c in zip(

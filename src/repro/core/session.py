@@ -18,15 +18,17 @@ no policy, behaviour is identical to the pre-resilience session.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from typing import Any, Dict, List, Optional, Sequence, TYPE_CHECKING
 
 import numpy as np
 
+from repro.core.fidelity import with_fidelity
 from repro.core.measurement import MODEL, REAL, Measurement, Observation, TuningHistory
 from repro.core.parameters import Configuration
 from repro.core.system import SystemUnderTune
 from repro.core.workload import Workload
-from repro.exceptions import BudgetExhausted, CircuitOpen, FaultInjected
+from repro.exceptions import BudgetExhausted, CircuitOpen
 from repro.exec.resilience import CircuitBreaker, ExecutionPolicy
 from repro.obs.metrics import global_metrics
 from repro.obs.trace import event as obs_event
@@ -86,7 +88,6 @@ class TuningSession:
         #: the first sub-fidelity evaluation.
         self.charged_runs = 0.0
         self.experiment_time_s = 0.0
-        self._fidelity_views: Dict[float, SystemUnderTune] = {}
         # -- resilience accounting ----------------------------------------
         self.failed_runs = 0
         self.retries = 0
@@ -118,13 +119,34 @@ class TuningSession:
             return False
         return True
 
-    def _charge(
+    def _affordable(self, n: int, fidelity: float) -> int:
+        """How many of ``n`` evaluations at ``fidelity`` the budget
+        affords, charged one after another.
+
+        The one affordability rule: a member runs only if
+        ``charged_runs + fidelity <= max_runs`` (with a 1e-9 tolerance),
+        so spend never exceeds the budget.  A crossed wall-clock cap
+        affords nothing.
+        """
+        if not self.can_run():
+            return 0
+        spent, count = self.charged_runs, 0
+        while count < n and spent + fidelity <= self.budget.max_runs + 1e-9:
+            spent += fidelity
+            count += 1
+        return count
+
+    def _account(
         self,
+        config: Configuration,
         measurement: Measurement,
-        extra_time_s: float = 0.0,
+        tag: str,
+        workload: Workload,
         fidelity: float = 1.0,
+        extra_time_s: float = 0.0,
     ) -> None:
-        """Account one real execution (plus optional retry backoff).
+        """Charge one real execution (plus optional retry backoff), count
+        it in the metrics and record it in the history.
 
         A fidelity-``f`` run charges ``f`` of a run — the whole point
         of low-fidelity screening is that a 10% run costs ~10% budget.
@@ -138,8 +160,11 @@ class TuningSession:
         """
         self.real_runs += 1
         self.charged_runs += fidelity
+        metrics = global_metrics()
+        metrics.inc("session.evaluations")
         if measurement.ok and math.isfinite(measurement.runtime_s):
             self.experiment_time_s += measurement.runtime_s
+            metrics.observe("session.runtime_s", measurement.runtime_s)
         else:
             elapsed = measurement.metric("elapsed_before_failure_s", 0.0)
             if not math.isfinite(elapsed) or elapsed < 0:
@@ -147,9 +172,14 @@ class TuningSession:
             self.experiment_time_s += elapsed
             self.wasted_time_s += elapsed
             self.failed_runs += 1
+            metrics.inc("session.failed_evaluations")
         if extra_time_s > 0:
             self.experiment_time_s += extra_time_s
             self.wasted_time_s += extra_time_s
+        self.history.record(Observation(
+            config, measurement, source=REAL, tag=tag,
+            workload=workload.name, fidelity=fidelity,
+        ))
 
     # -- resilient execution helpers ---------------------------------------
     @staticmethod
@@ -202,37 +232,6 @@ class TuningSession:
             runtime_s=math.inf, metrics=metrics, failed=True, cost_units=cost,
         )
 
-    def _run_once(
-        self,
-        workload: Workload,
-        config: Configuration,
-        system: Optional[SystemUnderTune] = None,
-    ) -> Measurement:
-        """One real execution, normalized through the resilience layer."""
-        target = self.system if system is None else system
-        try:
-            measurement = target.run(workload, config)
-        except FaultInjected as exc:
-            measurement = exc.measurement or Measurement.failure()
-        return self._enforce_deadline(self._sanitize(measurement))
-
-    def _fidelity_view(self, fidelity: float) -> SystemUnderTune:
-        """The session system pinned at ``fidelity`` (cached per level).
-
-        The view wraps *outside* the instrumented system, so noise
-        draws, run counters, and the evaluation cache all stay on the
-        one shared instance — cached inner values are
-        fidelity-independent, and the RNG advances exactly as a
-        full-fidelity run would.
-        """
-        view = self._fidelity_views.get(fidelity)
-        if view is None:
-            from repro.core.fidelity import with_fidelity
-
-            view = with_fidelity(self.system, fidelity)
-            self._fidelity_views[fidelity] = view
-        return view
-
     def _quarantined(
         self, config: Configuration, tag: str, fidelity: float = 1.0
     ) -> Measurement:
@@ -255,30 +254,127 @@ class TuningSession:
             metrics={"quarantined": 1.0, "elapsed_before_failure_s": 0.0},
             failed=True,
         )
-        self._charge(measurement, fidelity=fidelity)
-        self._obs_account(measurement)
-        self.history.record(Observation(
-            config, measurement, source=REAL,
-            tag=tag or "quarantined", workload=self.workload.name,
-            fidelity=fidelity,
-        ))
+        self._account(config, measurement, tag or "quarantined",
+                      self.workload, fidelity)
         return measurement
 
-    def _retryable(self, measurement: Measurement) -> bool:
-        """Only *environmental* failures are worth retrying."""
-        return (
-            measurement.failed
-            and measurement.metric("injected_fault", 0.0) > 0
-        )
+    # -- the evaluation pipeline -------------------------------------------
+    def _pipeline(
+        self,
+        configs: Sequence[Configuration],
+        labels: Sequence[str],
+        fidelity: float = 1.0,
+        workload: Optional[Workload] = None,
+        *,
+        batch_tag: Optional[str] = None,
+        breaker: bool = True,
+        retries: bool = False,
+        measured: Optional[Sequence[Measurement]] = None,
+    ) -> List[Measurement]:
+        """Execute one proposal and account each member — the one path
+        by which a run reaches the budget and the history.
 
-    def _obs_account(self, measurement: Measurement) -> None:
-        """Per-evaluation metric accounting (one call per charged run)."""
-        metrics = global_metrics()
-        metrics.inc("session.evaluations")
-        if measurement.ok and math.isfinite(measurement.runtime_s):
-            metrics.observe("session.runtime_s", measurement.runtime_s)
+        The proposal is cut to the members the budget affords
+        (:class:`~repro.exceptions.BudgetExhausted` when none fits).
+        Then: with ``breaker``, quarantined members are skipped; one
+        ``system.run_batch`` call executes the rest; and each member, in
+        order, is sanitized, deadline-checked, retried (``retries``),
+        charged, counted, and recorded to the history and the breaker.
+        ``measured`` instead supplies the results of runs made outside
+        the session: they are only sanitized and recorded, unbudgeted.
+        A batch (``batch_tag`` set) runs in a ``batch`` span with an
+        ``evaluation`` span per member, a single proposal in one
+        ``evaluation`` span, and ``measured`` results in none.
+        """
+        span_attrs = {} if workload is None else {"workload": workload.name}
+        workload = self.workload if workload is None else workload
+        configs = list(configs)
+        external = measured is not None
+        if not external:
+            configs = configs[: self._affordable(len(configs), fidelity)]
+            if not configs:
+                raise BudgetExhausted(
+                    f"budget spent: {self.charged_runs:g}/"
+                    f"{self.budget.max_runs} runs charged, "
+                    f"{self.experiment_time_s:.1f}s measured"
+                )
+        guard = self.breaker if breaker else None
+        skip = [guard is not None and guard.is_open(c) for c in configs]
+        to_run = [c for c, s in zip(configs, skip) if not s]
+        # A fidelity view wraps *outside* the instrumented system, so
+        # noise draws, run counters and the evaluation cache stay on the
+        # one shared instance.
+        system = (
+            self.system if fidelity >= 1.0
+            else with_fidelity(self.system, fidelity)
+        )
+        batch = batch_tag is not None
+        if batch:
+            outer_span = obs_span("batch", size=len(configs), tag=batch_tag)
+        elif to_run and not external:
+            outer_span = obs_span("evaluation", tag=labels[0], **span_attrs)
         else:
-            metrics.inc("session.failed_evaluations")
+            outer_span = nullcontext()
+        results: List[Measurement] = []
+        with outer_span as outer:
+            if not external:
+                measured = system.run_batch(workload, to_run) if to_run else []
+            executed = iter(measured)
+            for config, label, quarantined in zip(configs, labels, skip):
+                if quarantined:
+                    results.append(self._quarantined(config, label, fidelity))
+                    continue
+                member_span = (
+                    obs_span("evaluation", tag=label) if batch
+                    else nullcontext(outer)
+                )
+                with member_span as sp:
+                    measurement = self._sanitize(next(executed))
+                    if not external:
+                        measurement = self._enforce_deadline(measurement)
+                    attempt, settled = 0, True
+                    # Only environmental (injected) failures are worth
+                    # retrying; the failed attempt and its backoff both
+                    # cost budget, as clusters bill for crashes too.
+                    while (
+                        retries
+                        and measurement.failed
+                        and measurement.metric("injected_fault", 0.0) > 0
+                        and attempt < self.execution.max_retries
+                    ):
+                        backoff_s = self.execution.backoff_s(attempt)
+                        self.retries += 1
+                        global_metrics().inc("session.retries")
+                        obs_event("retry", attempt=attempt,
+                                  backoff_s=backoff_s)
+                        self._account(
+                            config, measurement,
+                            f"{label}+retry{attempt}" if label
+                            else f"retry{attempt}",
+                            workload, fidelity, extra_time_s=backoff_s,
+                        )
+                        attempt += 1
+                        settled = self._affordable(1, fidelity) > 0
+                        if not settled:
+                            break  # out of budget: the retry stays last
+                        measurement = self._enforce_deadline(self._sanitize(
+                            system.run_batch(workload, [config])[0]
+                        ))
+                    if settled:
+                        self._account(config, measurement, label, workload,
+                                      fidelity)
+                        if sp is not None:
+                            sp.set(ok=measurement.ok,
+                                   runtime_s=measurement.runtime_s)
+                            if retries:
+                                sp.set(attempts=attempt + 1)
+                    if guard is not None:
+                        guard.record(config, measurement)
+                results.append(measurement)
+            if batch and outer is not None:
+                outer.set(executed=len(to_run),
+                          quarantined=len(configs) - len(to_run))
+        return results
 
     # -- experiment execution ---------------------------------------------
     def evaluate(
@@ -286,67 +382,19 @@ class TuningSession:
     ) -> Measurement:
         """Run the session workload under ``config`` for real.
 
-        ``fidelity`` below 1.0 executes the cheap approximation
-        (:func:`repro.core.fidelity.with_fidelity`) and charges only
-        that fraction of a run; retries charge each attempt at the
-        run's fidelity.  The default 1.0 is byte-identical to the
-        pre-fidelity session.
+        The sequential proposal, and the only entry point that retries
+        environmental failures.  ``fidelity`` below 1.0 executes the
+        cheap approximation (:func:`repro.core.fidelity.with_fidelity`)
+        and charges only that fraction of a run, per attempt.  The
+        default 1.0 is byte-identical to the pre-fidelity session.
 
         Raises:
-            BudgetExhausted: before running, if no budget remains.
+            BudgetExhausted: before running, if the budget cannot
+                afford one run at ``fidelity``.
             CircuitOpen: when the config's region is quarantined and the
                 execution policy says ``on_quarantine="raise"``.
         """
-        if not self.can_run():
-            raise BudgetExhausted(
-                f"budget spent: {self.real_runs}/{self.budget.max_runs} runs, "
-                f"{self.experiment_time_s:.1f}s measured"
-            )
-        if self.breaker is not None and self.breaker.is_open(config):
-            return self._quarantined(config, tag, fidelity=fidelity)
-        system = None if fidelity >= 1.0 else self._fidelity_view(fidelity)
-        with obs_span("evaluation", tag=tag) as sp:
-            attempt = 0
-            while True:
-                measurement = self._run_once(self.workload, config, system=system)
-                if (
-                    not self._retryable(measurement)
-                    or attempt >= self.execution.max_retries
-                ):
-                    break
-                # Budget-charged retry: the failed attempt and its backoff
-                # both cost real budget — clusters bill for crashes too.
-                self.retries += 1
-                global_metrics().inc("session.retries")
-                obs_event("retry", attempt=attempt,
-                          backoff_s=self.execution.backoff_s(attempt))
-                self._charge(
-                    measurement, extra_time_s=self.execution.backoff_s(attempt),
-                    fidelity=fidelity,
-                )
-                self._obs_account(measurement)
-                self.history.record(Observation(
-                    config, measurement, source=REAL,
-                    tag=f"{tag}+retry{attempt}" if tag else f"retry{attempt}",
-                    workload=self.workload.name, fidelity=fidelity,
-                ))
-                attempt += 1
-                if not self.can_run():
-                    if self.breaker is not None:
-                        self.breaker.record(config, measurement)
-                    return measurement
-            self._charge(measurement, fidelity=fidelity)
-            self._obs_account(measurement)
-            if sp is not None:
-                sp.set(ok=measurement.ok, runtime_s=measurement.runtime_s,
-                       attempts=attempt + 1)
-            if self.breaker is not None:
-                self.breaker.record(config, measurement)
-            self.history.record(Observation(
-                config, measurement, source=REAL, tag=tag,
-                workload=self.workload.name, fidelity=fidelity,
-            ))
-            return measurement
+        return self._pipeline([config], [tag], fidelity, retries=True)[0]
 
     def evaluate_batch(
         self,
@@ -361,19 +409,12 @@ class TuningSession:
         commits to the whole batch *before* seeing any result, so the
         batch is charged to the budget atomically — every executed
         configuration counts, even when a wall-clock cap is crossed
-        mid-batch.  When fewer runs remain than the batch requests, the
-        batch is truncated to the remaining run budget (the partial
-        prefix executes and is charged); measurements come back in
-        ``configs`` order.
-
-        Execution goes through :meth:`SystemUnderTune.run_batch`, so an
-        :class:`~repro.core.system.InstrumentedSystem` with a runner
-        evaluates the batch concurrently with results identical to a
-        serial loop.  Deadline enforcement and circuit-breaker
-        bookkeeping apply per measurement; quarantined configurations
-        are skipped without executing (a batch is committed up front, so
-        there is no retry path here — retries are a sequential-proposal
-        feature).
+        mid-batch.  A batch the budget cannot fully afford is truncated
+        to its affordable prefix; measurements come back in ``configs``
+        order.  Execution goes through :meth:`SystemUnderTune.run_batch`
+        (vectorized or concurrent, with results identical to a serial
+        loop).  Deadlines and the circuit breaker apply per member;
+        there is no retry path, whatever the batch size.
 
         Args:
             configs: proposed configurations (independent experiments).
@@ -381,14 +422,12 @@ class TuningSession:
                 ``tags`` gives one per configuration.
             tags: optional per-configuration labels (same length as
                 ``configs``).
-            fidelity: evaluation fidelity for the whole batch; below
-                1.0 the batch executes the cheap approximation and each
-                member charges only that fraction of a run (the
-                truncation-to-budget rule scales accordingly).
+            fidelity: evaluation fidelity for the whole batch; each
+                member charges that fraction of a run.
 
         Raises:
-            BudgetExhausted: before running anything, if no budget
-                remains at all.
+            BudgetExhausted: before running anything, if the budget
+                cannot afford the first member.
             ValueError: when ``tags`` is given with the wrong length.
         """
         configs = list(configs)
@@ -398,78 +437,17 @@ class TuningSession:
             )
         if not configs:
             return []
-        if not self.can_run():
-            raise BudgetExhausted(
-                f"budget spent: {self.real_runs}/{self.budget.max_runs} runs, "
-                f"{self.experiment_time_s:.1f}s measured"
-            )
-        if fidelity >= 1.0:
-            system = self.system
-            batch = configs[: self.remaining_runs]
-        else:
-            system = self._fidelity_view(fidelity)
-            # Fidelity-weighted truncation: the affordable prefix is
-            # whatever the unspent charge covers at this fidelity
-            # (can_run() already guaranteed at least one evaluation).
-            affordable = int(
-                (self.budget.max_runs - self.charged_runs) / fidelity + 1e-9
-            )
-            batch = configs[: max(1, affordable)]
-        quarantined = [
-            self.breaker is not None and self.breaker.is_open(c)
-            for c in batch
-        ]
-        to_run = [c for c, q in zip(batch, quarantined) if not q]
-        with obs_span("batch", size=len(batch), tag=tag) as batch_sp:
-            executed = iter(system.run_batch(self.workload, to_run))
-            measurements: List[Measurement] = []
-            for i, (config, skip) in enumerate(zip(batch, quarantined)):
-                label = tags[i] if tags is not None else tag
-                if skip:
-                    measurements.append(
-                        self._quarantined(config, label, fidelity=fidelity)
-                    )
-                    continue
-                with obs_span("evaluation", tag=label) as sp:
-                    measurement = self._enforce_deadline(
-                        self._sanitize(next(executed))
-                    )
-                    self._charge(measurement, fidelity=fidelity)
-                    self._obs_account(measurement)
-                    if sp is not None:
-                        sp.set(ok=measurement.ok,
-                               runtime_s=measurement.runtime_s)
-                    if self.breaker is not None:
-                        self.breaker.record(config, measurement)
-                    self.history.record(Observation(
-                        config, measurement,
-                        source=REAL,
-                        tag=label,
-                        workload=self.workload.name,
-                        fidelity=fidelity,
-                    ))
-                    measurements.append(measurement)
-            if batch_sp is not None:
-                batch_sp.set(executed=len(to_run),
-                             quarantined=len(batch) - len(to_run))
-        return measurements
+        labels = list(tags) if tags is not None else [tag] * len(configs)
+        return self._pipeline(configs, labels, fidelity, batch_tag=tag)
 
     def evaluate_workload(
         self, workload: Workload, config: Configuration, tag: str = ""
     ) -> Measurement:
-        """Run an *alternate* workload (e.g., a probe query) on budget."""
-        if not self.can_run():
-            raise BudgetExhausted("budget spent")
-        with obs_span("evaluation", tag=tag, workload=workload.name) as sp:
-            measurement = self._run_once(workload, config)
-            self._charge(measurement)
-            self._obs_account(measurement)
-            if sp is not None:
-                sp.set(ok=measurement.ok, runtime_s=measurement.runtime_s)
-        self.history.record(Observation(
-            config, measurement, source=REAL, tag=tag, workload=workload.name,
-        ))
-        return measurement
+        """Run an *alternate* workload (e.g., a probe query) on budget;
+        the circuit breaker, which maps the session workload, is off."""
+        return self._pipeline(
+            [config], [tag], workload=workload, breaker=False
+        )[0]
 
     def record_external(
         self, config: Configuration, measurement: Measurement, tag: str = ""
@@ -480,13 +458,7 @@ class TuningSession:
         stream processing; charges budget without enforcing it (the
         stream length was already budget-derived).
         """
-        measurement = self._sanitize(measurement)
-        self._charge(measurement)
-        self._obs_account(measurement)
-        self.history.record(Observation(
-            config, measurement, source=REAL, tag=tag,
-            workload=self.workload.name,
-        ))
+        self._pipeline([config], [tag], breaker=False, measured=[measurement])
 
     def predict(self, config: Configuration, runtime_s: float, tag: str = "") -> None:
         """Record a model-based prediction (not charged to budget)."""
@@ -533,7 +505,7 @@ class TuningSession:
         self, config: Configuration, tag: str = ""
     ) -> Optional[Measurement]:
         """Like evaluate() but returns None instead of raising."""
-        if not self.can_run():
+        if not self._affordable(1, 1.0):
             return None
         return self.evaluate(config, tag=tag)
 

@@ -6,17 +6,17 @@ Every simulator (DBMS, Hadoop, Spark) implements
 workload under a configuration, returning a
 :class:`~repro.core.measurement.Measurement`.
 
-:class:`InstrumentedSystem` wraps any system to count real runs, cache
-repeat measurements, and inject measurement noise — the layer tuning
-sessions talk to.
+:class:`SystemWrapper` is the one base for systems that wrap another:
+:class:`InstrumentedSystem` (counting, evaluation cache, measurement
+noise — the layer tuning sessions talk to), :class:`SubspaceSystem`,
+the fidelity views and the chaos wrapper.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,7 +29,12 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.exec.cache import EvaluationCache
     from repro.exec.runner import ParallelRunner
 
-__all__ = ["SystemUnderTune", "InstrumentedSystem", "SubspaceSystem"]
+__all__ = [
+    "SystemUnderTune",
+    "SystemWrapper",
+    "InstrumentedSystem",
+    "SubspaceSystem",
+]
 
 
 class SystemUnderTune(ABC):
@@ -79,9 +84,7 @@ class SystemUnderTune(ABC):
         The capability protocol is structural: a system that defines
         ``run_batch_vectorized(workload, configs) -> List[Measurement]``
         (promising bit-identical results to a serial ``run()`` loop)
-        advertises it here.  Wrappers forward their inner system's
-        answer; wrappers that perturb execution (chaos injection) simply
-        don't define the method and stay on the scalar path.
+        advertises it here.  For wrappers see :class:`SystemWrapper`.
         """
         return callable(getattr(self, "run_batch_vectorized", None))
 
@@ -106,65 +109,21 @@ class SystemUnderTune(ABC):
             )
 
 
-class InstrumentedSystem(SystemUnderTune):
-    """Counting/caching/noise wrapper around a real simulator.
+class SystemWrapper(SystemUnderTune):
+    """Base for systems that wrap an ``inner`` system.
 
-    Args:
-        inner: the wrapped system.
-        noise: relative standard deviation of multiplicative measurement
-            noise (0 disables).  Real clusters show run-to-run variance;
-            tuners that assume noiseless observations (pure grid search)
-            degrade accordingly, which Table 1 experiments rely on.
-        cache: return cached measurements for repeated (workload,
-            config) pairs without charging a run.  Off by default: real
-            experiment-driven tuning repeats runs to average out noise.
-        rng: noise source; required when ``noise > 0``.
-        eval_cache: cross-session memoization of the *inner*
-            (deterministic, noise-free) measurement.  Unlike ``cache``,
-            a hit still counts as a run and still draws noise, so
-            results are byte-identical to a cold execution — only
-            wall-clock changes.
-        runner: when set, :meth:`run_batch` computes inner measurements
-            for a batch concurrently (noise is applied sequentially in
-            batch order afterwards, preserving determinism).
-        vectorize: prefer the inner system's ``run_batch_vectorized``
-            fast path for batches when it offers one.  ``None`` (the
-            default) consults the ``REPRO_VECTORIZE`` environment
-            variable (on unless set to ``"0"``).  Vectorized inner
-            results are bit-identical to serial ones, so this only
-            changes wall-clock, never measurements.
+    The wrapper takes its name, kind, knob catalog, metric names and
+    execution context from ``inner``; subclasses define :meth:`run` and
+    override only what they change.  The vectorized fast path is opt-in:
+    a wrapper offers it only when it defines ``run_batch_vectorized``
+    itself (bit-identical to its ``run`` loop) *and* ``inner`` offers
+    it, so a wrapper that perturbs each run (chaos) stays scalar.
     """
 
-    def __init__(
-        self,
-        inner: SystemUnderTune,
-        noise: float = 0.0,
-        cache: bool = False,
-        rng: Optional[np.random.Generator] = None,
-        eval_cache: Optional["EvaluationCache"] = None,
-        runner: Optional["ParallelRunner"] = None,
-        vectorize: Optional[bool] = None,
-    ):
-        if noise < 0:
-            raise ValueError("noise must be >= 0")
-        if noise > 0 and rng is None:
-            rng = np.random.default_rng(0)
+    def __init__(self, inner: SystemUnderTune, name: Optional[str] = None):
         self.inner = inner
-        self.noise = noise
-        self.cache_enabled = cache
-        self.rng = rng
-        self.eval_cache = eval_cache
-        self.runner = runner
-        if vectorize is None:
-            vectorize = os.environ.get("REPRO_VECTORIZE", "1") != "0"
-        self.vectorize = bool(vectorize)
-        self.name = inner.name
+        self.name = inner.name if name is None else name
         self.kind = inner.kind
-        self.run_count = 0
-        self.failure_count = 0
-        self.total_measured_s = 0.0
-        self._cache: Dict[Tuple[str, Configuration], Measurement] = {}
-        self._prefetched: Dict[Tuple[str, Configuration], Measurement] = {}
 
     @property
     def config_space(self) -> ConfigurationSpace:
@@ -177,25 +136,69 @@ class InstrumentedSystem(SystemUnderTune):
     def execution_context(self) -> Tuple[str, ...]:
         return self.inner.execution_context()
 
-    def _inner_run(self, workload: Workload, config: Configuration) -> Measurement:
-        """The deterministic inner measurement, via caches when possible."""
-        prefetched = self._prefetched.pop((workload.name, config), None)
-        if prefetched is not None:
-            return prefetched
-        if self.eval_cache is not None:
-            return self.eval_cache.run(self.inner, workload, config)
-        return self.inner.run(workload, config)
+    def supports_vectorized(self) -> bool:
+        return (
+            super().supports_vectorized()
+            and self.inner.supports_vectorized()
+        )
 
-    def run(self, workload: Workload, config: Configuration) -> Measurement:
-        self.check_workload(workload)
-        key = (workload.name, config)
-        if self.cache_enabled and key in self._cache:
-            return self._cache[key]
-        measurement = self._inner_run(workload, config)
+
+class InstrumentedSystem(SystemWrapper):
+    """Counting/caching/noise wrapper around a real simulator.
+
+    Args:
+        inner: the wrapped system.
+        noise: relative standard deviation of multiplicative measurement
+            noise (0 disables).  Real clusters show run-to-run variance;
+            tuners that assume noiseless observations (pure grid search)
+            degrade accordingly, which Table 1 experiments rely on.
+        rng: noise source; required when ``noise > 0``.
+        eval_cache: cross-session memoization of the *inner*
+            (deterministic, noise-free) measurement.  A hit still counts
+            as a run and still draws noise, so results are
+            byte-identical to a cold execution — only wall-clock
+            changes.
+        runner: when set, :meth:`run_batch` computes inner measurements
+            for a batch concurrently (noise is applied sequentially in
+            batch order afterwards, preserving determinism).
+        vectorize: prefer the inner system's ``run_batch_vectorized``
+            fast path for batches when it offers one (default on).
+            Vectorized inner results are bit-identical to serial ones,
+            so this only changes wall-clock, never measurements.
+    """
+
+    def __init__(
+        self,
+        inner: SystemUnderTune,
+        noise: float = 0.0,
+        rng: Optional[np.random.Generator] = None,
+        eval_cache: Optional["EvaluationCache"] = None,
+        runner: Optional["ParallelRunner"] = None,
+        vectorize: bool = True,
+    ):
+        if noise < 0:
+            raise ValueError("noise must be >= 0")
+        if noise > 0 and rng is None:
+            rng = np.random.default_rng(0)
+        super().__init__(inner)
+        self.noise = noise
+        self.rng = rng
+        self.eval_cache = eval_cache
+        self.runner = runner
+        self.vectorize = bool(vectorize)
+        self.run_count = 0
+        self.failure_count = 0
+        self.total_measured_s = 0.0
+
+    def supports_vectorized(self) -> bool:
+        # The kernel runs inside run_batch; this wrapper defines no
+        # run_batch_vectorized of its own.
+        return self.vectorize and self.inner.supports_vectorized()
+
+    def _observe(self, measurement: Measurement) -> Measurement:
+        """Apply measurement noise to one inner result and count it."""
         if self.noise > 0 and measurement.ok:
-            factor = float(
-                np.exp(self.rng.normal(loc=0.0, scale=self.noise))
-            )
+            factor = float(np.exp(self.rng.normal(loc=0.0, scale=self.noise)))
             measurement = Measurement(
                 runtime_s=measurement.runtime_s * factor,
                 metrics=measurement.metrics,
@@ -207,92 +210,76 @@ class InstrumentedSystem(SystemUnderTune):
             self.failure_count += 1
         elif not math.isinf(measurement.runtime_s):
             self.total_measured_s += measurement.runtime_s
-        if self.cache_enabled:
-            self._cache[key] = measurement
         return measurement
 
-    def supports_vectorized(self) -> bool:
-        return self.vectorize and self.inner.supports_vectorized()
+    def run(self, workload: Workload, config: Configuration) -> Measurement:
+        self.check_workload(workload)
+        if self.eval_cache is not None:
+            measurement = self.eval_cache.run(self.inner, workload, config)
+        else:
+            measurement = self.inner.run(workload, config)
+        return self._observe(measurement)
 
     def run_batch(
         self, workload: Workload, configs: Sequence[Configuration]
     ) -> List[Measurement]:
         """Batch execution: bulk inner runs, deterministic results.
 
-        The deterministic inner measurements of configurations not yet
-        cached are computed in bulk — preferably by the inner system's
-        vectorized kernel (one numpy computation for the whole batch),
-        otherwise concurrently through the runner (simulators never see
-        noise, so completion order cannot matter).  The noise/counting
-        pipeline then replays sequentially in ``configs`` order, drawing
-        from the RNG exactly as a serial loop would, so noisy results,
-        counters, and cache hit/miss accounting are identical across the
-        serial, parallel, and vectorized paths.
+        Inner measurements are resolved first: one accounted cache
+        lookup per config, then one kernel (or runner) call for all
+        misses, whose results are stored.  A config repeated within the
+        batch is looked up after the stores, counting the hit a serial
+        loop's second run would.  Noise and counters then replay in
+        ``configs`` order, so results, counters and cache hit/miss
+        accounting match a serial loop exactly.
         """
         configs = list(configs)
-        use_vec = len(configs) > 1 and self.supports_vectorized()
-        if use_vec or (
-            self.runner is not None
-            and self.runner.effective_jobs > 1
-            and len(configs) > 1
-        ):
-            pending: List[Configuration] = []
-            seen = set()
-            for config in configs:
-                key = (workload.name, config)
-                if key in seen or key in self._prefetched:
-                    continue
-                if self.cache_enabled and key in self._cache:
-                    continue
-                if self.eval_cache is not None:
-                    # Probe through lookup(), not a bare membership
-                    # check: the batch *will* consume these values, so
-                    # hit/miss stats and LRU recency must advance
-                    # exactly as the serial loop's reads would.
-                    try:
-                        cache_key = self.eval_cache.key_for(
-                            self.inner, workload, config
-                        )
-                    except Exception:
-                        pending = []
-                        break
-                    cached = self.eval_cache.lookup(cache_key)
-                    if cached is not None:
-                        self._prefetched[key] = cached
-                        continue
-                seen.add(key)
-                pending.append(config)
-            if pending:
-                if use_vec:
-                    measurements = self.inner.run_batch_vectorized(
-                        workload, pending
-                    )
-                else:
-                    measurements = self.runner.starmap(
-                        _inner_run_task,
-                        [(self.inner, workload, c) for c in pending],
-                    )
-                for config, measurement in zip(pending, measurements):
-                    # Hand the value to run() via _prefetched (its miss
-                    # was already counted by the probe) and store it for
-                    # future batches' real hits.
-                    self._prefetched[(workload.name, config)] = measurement
-                    if self.eval_cache is not None:
-                        try:
-                            self.eval_cache.store(
-                                self.eval_cache.key_for(self.inner, workload, config),
-                                measurement,
-                            )
-                        except Exception:
-                            pass
-        return [self.run(workload, config) for config in configs]
+        kernel = self.supports_vectorized()
+        cache, keys = self.eval_cache, None
+        bulk = len(configs) > 1 and (kernel or (
+            self.runner is not None and self.runner.effective_jobs > 1
+        ))
+        if bulk and cache is not None:
+            from repro.exec.cache import Unfingerprintable
 
-    def reset_counters(self) -> None:
-        self.run_count = 0
-        self.failure_count = 0
-        self.total_measured_s = 0.0
-        self._cache.clear()
-        self._prefetched.clear()
+            try:
+                keys = [
+                    cache.key_for(self.inner, workload, c) for c in configs
+                ]
+            except Unfingerprintable:  # a stateful inner runs serially
+                bulk = False
+        if not bulk:
+            return [self.run(workload, config) for config in configs]
+        self.check_workload(workload)
+        inner: List[Optional[Measurement]] = [None] * len(configs)
+        first_miss: dict = {}
+        misses, repeats = [], []
+        for i in range(len(configs)):
+            if keys is None:
+                misses.append(i)
+            elif keys[i] in first_miss:
+                repeats.append(i)
+            else:
+                inner[i] = cache.lookup(keys[i])
+                if inner[i] is None:
+                    first_miss[keys[i]] = i
+                    misses.append(i)
+        pending = [configs[i] for i in misses]
+        if not pending:
+            measured = []
+        elif kernel:
+            measured = self.inner.run_batch_vectorized(workload, pending)
+        else:
+            measured = self.runner.starmap(
+                _inner_run_task, [(self.inner, workload, c) for c in pending]
+            )
+        for i, measurement in zip(misses, measured):
+            inner[i] = measurement
+            if keys is not None:
+                cache.store(keys[i], measurement)
+        for i in repeats:  # evicted within the batch: reuse the first run
+            inner[i] = cache.lookup(keys[i]) or inner[first_miss[keys[i]]]
+        return [self._observe(measurement) for measurement in inner]
 
 
 def _inner_run_task(
@@ -302,7 +289,7 @@ def _inner_run_task(
     return system.run(workload, config)
 
 
-class SubspaceSystem(SystemUnderTune):
+class SubspaceSystem(SystemWrapper):
     """Expose only a subset of a system's knobs to tuners.
 
     Tuners see the reduced space (e.g., the navigated top-k knobs);
@@ -319,30 +306,20 @@ class SubspaceSystem(SystemUnderTune):
                 with conservative, DBA-chosen bounds.  Every value it
                 produces must be valid for the inner catalog.
         """
-        self.inner = inner
-        self.kind = inner.kind
-        if space is not None:
-            self._space = space
-        else:
+        if space is None:
             names = [n for n in knob_names if n in inner.config_space]
             if not names:
                 raise ValueError("subspace must keep at least one knob")
-            self._space = inner.config_space.subspace(
+            space = inner.config_space.subspace(
                 names, name=f"{inner.config_space.name}.sub"
             )
-        self.name = f"{inner.name}[{len(self._space)} knobs]"
+        super().__init__(inner, name=f"{inner.name}[{len(space)} knobs]")
+        self._space = space
         self._full_defaults = inner.default_configuration().to_dict()
 
     @property
     def config_space(self) -> ConfigurationSpace:
         return self._space
-
-    @property
-    def metric_names(self) -> List[str]:
-        return self.inner.metric_names
-
-    def execution_context(self) -> Tuple[str, ...]:
-        return self.inner.execution_context()
 
     def expand(self, config: Configuration) -> Configuration:
         values = dict(self._full_defaults)
@@ -352,9 +329,6 @@ class SubspaceSystem(SystemUnderTune):
     def run(self, workload: Workload, config: Configuration) -> Measurement:
         self.check_workload(workload)
         return self.inner.run(workload, self.expand(config))
-
-    def supports_vectorized(self) -> bool:
-        return self.inner.supports_vectorized()
 
     def run_batch_vectorized(
         self, workload: Workload, configs: Sequence[Configuration]

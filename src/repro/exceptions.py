@@ -54,9 +54,8 @@ class FaultInjected(ReproError):
 
     Distinct from :class:`SimulationError` / :class:`ValidationError`:
     the configuration and simulator are fine — the environment failed.
-    Raised only by :class:`~repro.chaos.ChaosSystem` in
-    ``raise_faults=True`` mode; the default chaos mode returns failed
-    measurements instead.
+    :class:`~repro.chaos.ChaosSystem` never raises it: injected failures
+    come back as failed measurements marked ``injected_fault``.
 
     Attributes:
         measurement: the failed measurement the fault produced (carries

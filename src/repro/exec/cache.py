@@ -18,7 +18,8 @@ experiments that construct equal simulators share entries.
 Fingerprinting is conservative: any object whose state cannot be
 deterministically serialized (live RNGs, file handles, ...) makes its
 owner uncacheable — the evaluation simply runs.  Fault-injecting
-wrappers (``FlakySystem`` holds an RNG) are therefore never cached.
+wrappers (:class:`~repro.chaos.ChaosSystem` declares itself
+``unfingerprintable``) are therefore never cached.
 """
 
 from __future__ import annotations

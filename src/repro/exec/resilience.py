@@ -10,8 +10,7 @@ declarative :class:`ExecutionPolicy` the
   gone pathological, outright hangs) is killed: converted to a failure
   charged exactly ``deadline_s`` of wall-clock;
 * **retry with exponential backoff** — failures marked as
-  *environmental* (``injected_fault`` metric, or a raised
-  :class:`~repro.exceptions.FaultInjected`) are retried up to
+  *environmental* (the ``injected_fault`` metric) are retried up to
   ``max_retries`` times; every attempt and its backoff is charged to
   the budget, because real clusters bill you for crashed runs too;
 * **circuit breaker** — after ``breaker_threshold`` consecutive

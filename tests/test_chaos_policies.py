@@ -19,8 +19,6 @@ from repro.chaos import (
     standard_policies,
 )
 from repro.core import InstrumentedSystem
-from repro.core.faults import FlakySystem
-from repro.exceptions import FaultInjected
 from repro.systems.cluster import Cluster
 from repro.systems.dbms import DbmsSimulator, htap_mixed
 
@@ -196,18 +194,13 @@ class TestChaosSystem:
         b_fails = [m.failed for m in b.run_batch(workload, [config] * 20)]
         assert a_fails == b_fails
 
-    def test_raise_faults_mode(self, workload):
-        chaos = ChaosSystem(
-            _inner(), [TransientFaults(0.99)], seed=8, raise_faults=True
-        )
+    def test_batch_faults_returned_in_place(self, workload):
+        chaos = ChaosSystem(_inner(), [TransientFaults(0.99)], seed=8)
         config = chaos.inner.default_configuration()
-        with pytest.raises(FaultInjected) as err:
-            chaos.run(workload, config)
-        assert err.value.measurement is not None
-        assert err.value.measurement.failed
         # Batches stay atomic: no exception, failures returned in place.
         ms = chaos.run_batch(workload, [config, config])
         assert all(m.failed for m in ms)
+        assert all(m.metric(INJECTED_FAULT_KEY) == 1.0 for m in ms)
 
     def test_reset_faults(self, workload):
         chaos = ChaosSystem(_inner(), [TransientFaults(0.99)], seed=10)
@@ -216,23 +209,3 @@ class TestChaosSystem:
         chaos.reset_faults()
         assert chaos.fault_log == []
         assert chaos.injected_failures == 0
-
-
-class TestFlakySystemShim:
-    def test_is_a_chaos_system(self):
-        flaky = FlakySystem(_inner(), failure_rate=0.3)
-        assert isinstance(flaky, ChaosSystem)
-        assert flaky.failure_rate == 0.3
-
-    def test_serial_batch_parity(self, workload):
-        configs = _configs(_inner(), 10)
-        rng = np.random.default_rng(5)
-        serial = FlakySystem(_inner(), failure_rate=0.4, rng=rng)
-        batched = FlakySystem(
-            _inner(), failure_rate=0.4, rng=np.random.default_rng(5)
-        )
-        serial_fails = [serial.run(workload, c).failed for c in configs]
-        batched_fails = [
-            m.failed for m in batched.run_batch(workload, configs)
-        ]
-        assert serial_fails == batched_fails

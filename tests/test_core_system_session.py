@@ -53,14 +53,6 @@ class TestInstrumentedSystem:
             pytest.approx(system.run(workload, config).runtime_s)
         )
 
-    def test_cache_skips_reruns(self, system, workload):
-        wrapped = InstrumentedSystem(system, cache=True)
-        config = system.default_configuration()
-        a = wrapped.run(workload, config)
-        b = wrapped.run(workload, config)
-        assert a is b
-        assert wrapped.run_count == 1
-
     def test_rejects_wrong_workload_kind(self, system):
         wrapped = InstrumentedSystem(system)
         with pytest.raises(WorkloadError):

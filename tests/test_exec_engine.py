@@ -7,7 +7,7 @@ import pytest
 from repro.bench.harness import standard_cluster
 from repro.bench.run_all import run_all_experiments
 from repro.core import Budget
-from repro.core.faults import FlakySystem
+from repro.chaos import ChaosSystem, TransientFaults
 from repro.core.session import TuningSession
 from repro.core.system import InstrumentedSystem
 from repro.exceptions import BudgetExhausted
@@ -100,7 +100,9 @@ class TestFingerprint:
     def test_rng_holding_object_is_unfingerprintable(self):
         from repro.exec import Unfingerprintable
 
-        flaky = FlakySystem(_dbms(), 0.2, rng=np.random.default_rng(0))
+        flaky = ChaosSystem(
+            _dbms(), [TransientFaults(0.2)], rng=np.random.default_rng(0)
+        )
         with pytest.raises(Unfingerprintable):
             fingerprint(flaky)
 
@@ -147,7 +149,9 @@ class TestEvaluationCache:
 
     def test_uncacheable_system_runs_directly(self):
         cache = EvaluationCache()
-        flaky = FlakySystem(_dbms(), 0.5, rng=np.random.default_rng(3))
+        flaky = ChaosSystem(
+            _dbms(), [TransientFaults(0.5)], rng=np.random.default_rng(3)
+        )
         wl = htap_mixed(0.3)
         config = flaky.default_configuration()
         results = [cache.run(flaky, wl, config).ok for _ in range(6)]

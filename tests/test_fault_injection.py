@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from repro.chaos import ChaosSystem, TransientFaults
 from repro.core import Budget
-from repro.core.faults import FlakySystem
 from repro.systems.cluster import Cluster
 from repro.systems.dbms import DbmsSimulator, htap_mixed
 from repro.tuners import (
@@ -20,10 +20,17 @@ from repro.tuners import (
 from repro.core.workload import WorkloadStream
 
 
+def _flaky(inner, rate, rng=None, partial_elapsed_s=10.0):
+    """A system whose runs fail independently at ``rate``."""
+    return ChaosSystem(
+        inner, [TransientFaults(rate, partial_elapsed_s)], rng=rng
+    )
+
+
 @pytest.fixture
 def flaky():
     inner = DbmsSimulator(Cluster.uniform(4))
-    return FlakySystem(inner, failure_rate=0.3, rng=np.random.default_rng(5))
+    return _flaky(inner, 0.3, rng=np.random.default_rng(5))
 
 
 @pytest.fixture(scope="module")
@@ -32,14 +39,16 @@ def workload():
 
 
 class TestFlakySystem:
+    """A flaky system: ChaosSystem with one TransientFaults policy."""
+
     def test_validation(self):
         inner = DbmsSimulator()
         with pytest.raises(ValueError):
-            FlakySystem(inner, failure_rate=1.0)
+            _flaky(inner, 1.0)
 
     def test_injects_at_roughly_the_rate(self, workload):
         inner = DbmsSimulator(Cluster.uniform(4))
-        flaky = FlakySystem(inner, failure_rate=0.3, rng=np.random.default_rng(1))
+        flaky = _flaky(inner, 0.3, rng=np.random.default_rng(1))
         config = inner.default_configuration()
         failures = sum(
             1 for _ in range(100) if not flaky.run(workload, config).ok
@@ -49,8 +58,8 @@ class TestFlakySystem:
 
     def test_failures_charge_partial_time(self, workload):
         inner = DbmsSimulator(Cluster.uniform(4))
-        flaky = FlakySystem(
-            inner, failure_rate=0.99999, rng=np.random.default_rng(1),
+        flaky = _flaky(
+            inner, 0.99999, rng=np.random.default_rng(1),
             partial_elapsed_s=42.0,
         )
         m = flaky.run(workload, inner.default_configuration())
@@ -59,7 +68,7 @@ class TestFlakySystem:
 
     def test_zero_rate_is_identity(self, workload):
         inner = DbmsSimulator(Cluster.uniform(4))
-        flaky = FlakySystem(inner, failure_rate=0.0)
+        flaky = _flaky(inner, 0.0)
         config = inner.default_configuration()
         assert flaky.run(workload, config).runtime_s == pytest.approx(
             inner.run(workload, config).runtime_s
@@ -95,9 +104,7 @@ class TestTunersUnderFaults:
 
     def test_all_failures_still_produces_result(self, workload):
         inner = DbmsSimulator(Cluster.uniform(4))
-        always_fail = FlakySystem(
-            inner, failure_rate=0.999999, rng=np.random.default_rng(3)
-        )
+        always_fail = _flaky(inner, 0.999999, rng=np.random.default_rng(3))
         result = RandomSearchTuner().tune(
             always_fail, workload, Budget(max_runs=6), np.random.default_rng(0)
         )
