@@ -10,13 +10,23 @@ values into the unit interval ``[0, 1]`` (``to_unit``) and back
 (``from_unit``).  Search algorithms operate on unit-scaled vectors and
 remain agnostic of units, log scales, and integrality; the space handles
 rounding and snapping.
+
+Random sampling has one path, :meth:`ConfigurationSpace.sample_configurations`.
+It draws exactly what a per-row loop of ``p.sample(rng)`` calls would
+draw and decodes whole columns with the same IEEE operations as
+``from_unit``/``to_unit``, so a batch of ``n`` is bit-identical to ``n``
+single samples.  Configurations the space decoded itself skip the
+second validation and carry their unit row, so ``to_array`` does not
+encode them again.
 """
 
 from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
+from typing import (
+    Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -159,6 +169,35 @@ class NumericParameter(Parameter):
     def sample(self, rng: np.random.Generator) -> Any:
         return self.from_unit(float(rng.random()))
 
+    def _decode_column(self, u: np.ndarray) -> Tuple[List[Any], np.ndarray]:
+        """:meth:`from_unit` then :meth:`to_unit` over a column of draws in [0, 1).
+
+        Returns the values and their unit codes, bit-identical to the
+        scalar calls: the same IEEE operations in the same order,
+        ``math.exp``/``math.log`` per element (numpy's SIMD kernels may
+        differ in the last ulp), and clamps written as ``np.where``
+        comparisons, which pick between equal operands (signed zeros)
+        as Python's ``min``/``max`` do.
+        """
+        if self.log_scale:
+            lo = math.log(self.low)
+            span = math.log(self.high) - math.log(self.low)
+            v = np.fromiter(map(math.exp, (lo + u * span).tolist()), float, len(u))
+        else:
+            v = self.low + u * (self.high - self.low)
+        v = np.where(v > self.low, v, self.low)
+        v = np.where(v < self.high, v, self.high)
+        if self.integer:
+            v = np.clip(np.rint(v), math.ceil(self.low), math.floor(self.high))
+            values = list(map(int, v.tolist()))
+        else:
+            values = v.tolist()
+        if self.log_scale:
+            unit = (np.fromiter(map(math.log, v.tolist()), float, len(v)) - lo) / span
+        else:
+            unit = (v - self.low) / (self.high - self.low)
+        return values, unit
+
     def grid(self, k: int) -> List[Any]:
         if k < 1:
             return []
@@ -212,6 +251,13 @@ class CategoricalParameter(Parameter):
     def sample(self, rng: np.random.Generator) -> Any:
         return self.choices[int(rng.integers(len(self.choices)))]
 
+    def _decode_column(self, codes: np.ndarray) -> Tuple[List[Any], np.ndarray]:
+        """The choices at drawn indices ``codes``, and their unit codes as
+        :meth:`to_unit` gives them (the index of the first equal choice)."""
+        first = np.array([self.choices.index(c) for c in self.choices])
+        values = [self.choices[i] for i in codes.tolist()]
+        return values, first[codes] / (len(self.choices) - 1)
+
     def grid(self, k: int) -> List[Any]:
         return list(self.choices[: max(k, 0)]) if k < len(self.choices) else list(self.choices)
 
@@ -260,10 +306,11 @@ class Configuration(Mapping[str, Any]):
     """An immutable assignment of values to every parameter of a space.
 
     Behaves as a read-only mapping; hashable, so configurations can key
-    caches of measurements.
+    caches of measurements.  The hash and the unit row (``to_array``)
+    are computed on first use and kept.
     """
 
-    __slots__ = ("_values", "_space", "_hash")
+    __slots__ = ("_values", "_space", "_hash", "_unit")
 
     def __init__(self, space: "ConfigurationSpace", values: Mapping[str, Any]):
         normalized: Dict[str, Any] = {}
@@ -277,7 +324,29 @@ class Configuration(Mapping[str, Any]):
         space.check_constraints(normalized)
         self._values = normalized
         self._space = space
-        self._hash = hash(tuple(sorted((k, repr(v)) for k, v in normalized.items())))
+        self._hash: Optional[int] = None
+        self._unit: Optional[np.ndarray] = None
+
+    @classmethod
+    def _trusted(
+        cls,
+        space: "ConfigurationSpace",
+        values: Dict[str, Any],
+        unit: Optional[np.ndarray] = None,
+    ) -> "Configuration":
+        """A configuration of values ``space`` decoded itself.
+
+        ``values`` must be validated, feasible and in parameter order,
+        and ``unit`` (if given) their own ``to_array`` row, not a view
+        into a larger array.  Values from outside go through
+        ``Configuration(space, values)``.
+        """
+        self = cls.__new__(cls)
+        self._values = values
+        self._space = space
+        self._hash = None
+        self._unit = unit
+        return self
 
     @property
     def space(self) -> "ConfigurationSpace":
@@ -293,6 +362,10 @@ class Configuration(Mapping[str, Any]):
         return len(self._values)
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(
+                tuple(sorted((k, repr(v)) for k, v in self._values.items()))
+            )
         return self._hash
 
     def __eq__(self, other: object) -> bool:
@@ -310,8 +383,11 @@ class Configuration(Mapping[str, Any]):
         return dict(self._values)
 
     def to_array(self) -> np.ndarray:
-        """Unit-scaled vector in the space's parameter order."""
-        return self._space.to_array(self)
+        """Unit-scaled vector in the space's parameter order (a fresh
+        copy of the kept row, so callers may write into it)."""
+        if self._unit is None:
+            self._unit = self._space.to_array(self)
+        return self._unit.copy()
 
     def __repr__(self) -> str:  # pragma: no cover
         body = ", ".join(f"{k}={v!r}" for k, v in sorted(self._values.items()))
@@ -399,11 +475,7 @@ class ConfigurationSpace:
                 raise ConstraintViolation(c.name, c.description or c.name)
 
     def is_feasible(self, values: Mapping[str, Any]) -> bool:
-        try:
-            self.check_constraints(values)
-        except ConstraintViolation:
-            return False
-        return True
+        return all(c.holds(values) for c in self._constraints)
 
     # -- vector encoding ---------------------------------------------------
     def to_array(self, config: Mapping[str, Any]) -> np.ndarray:
@@ -418,9 +490,10 @@ class ConfigurationSpace:
                 f"expected vector of length {self.dimension}, got shape {x.shape}"
             )
         values = {
-            p.name: p.from_unit(float(u)) for p, u in zip(self.parameters(), x)
+            p.name: p.from_unit(u) for p, u in zip(self.parameters(), x.tolist())
         }
-        return Configuration(self, values)
+        self.check_constraints(values)
+        return Configuration._trusted(self, values)
 
     def from_array_feasible(
         self, x: Sequence[float], rng: Optional[np.random.Generator] = None, max_tries: int = 64
@@ -445,18 +518,69 @@ class ConfigurationSpace:
         self, rng: np.random.Generator, max_tries: int = 256
     ) -> Configuration:
         """Uniformly sample a feasible configuration (rejection sampling)."""
-        for _ in range(max_tries):
-            values = {p.name: p.sample(rng) for p in self.parameters()}
-            if self.is_feasible(values):
-                return Configuration(self, values)
-        raise ValidationError(
-            f"could not sample a feasible configuration in {max_tries} tries"
-        )
+        sampled = self.sample_configurations(1, rng, max_tries)
+        if not sampled:
+            raise ValidationError(
+                f"could not sample a feasible configuration in {max_tries} tries"
+            )
+        return sampled[0]
 
     def sample_configurations(
-        self, n: int, rng: np.random.Generator
+        self, n: int, rng: np.random.Generator, max_tries: int = 256
     ) -> List[Configuration]:
-        return [self.sample_configuration(rng) for _ in range(n)]
+        """Uniformly sample ``n`` feasible configurations (rejection sampling).
+
+        Each of the ``n`` slots draws rows until one is feasible; a slot
+        whose ``max_tries`` rows are all infeasible is dropped, so fewer
+        than ``n`` configurations may return.  The draws are exactly
+        those of ``n`` loops of ``{p.name: p.sample(rng) ...}`` rows:
+        each round draws one row per open slot, the fewest the loops
+        could still need, so no row is drawn that they would not draw.
+        """
+        sampled: List[Configuration] = []
+        open_slots = n if max_tries > 0 else 0
+        tries = 0
+        while open_slots > 0:
+            for values, unit in self._sample_rows(open_slots, rng):
+                tries += 1
+                if self.is_feasible(values):
+                    sampled.append(Configuration._trusted(
+                        self, values, None if unit is None else unit.copy()
+                    ))
+                elif tries < max_tries:
+                    continue
+                open_slots -= 1
+                tries = 0
+        return sampled
+
+    def _sample_rows(
+        self, k: int, rng: np.random.Generator
+    ) -> List[Tuple[Dict[str, Any], Optional[np.ndarray]]]:
+        """Draw and decode ``k`` rows: (values, unit row or None) each.
+
+        A single row decodes value by value (``from_unit``), which costs
+        less than setting up columns; larger draws decode column by
+        column and return each row's unit codes as a view of one matrix.
+        """
+        params = self.parameters()
+        draws, codes = _draw(params, k, rng)
+        if k == 1:
+            numeric, chosen = iter(draws[0].tolist()), iter(codes[0].tolist())
+            values = {
+                p.name: p.choices[next(chosen)]
+                if isinstance(p, CategoricalParameter) else p.from_unit(next(numeric))
+                for p in params
+            }
+            return [(values, None)]
+        numeric, chosen = iter(draws.T), iter(codes.T)
+        columns: List[List[Any]] = []
+        units = np.empty((k, len(params)))
+        for j, p in enumerate(params):
+            source = chosen if isinstance(p, CategoricalParameter) else numeric
+            column, units[:, j] = p._decode_column(next(source))
+            columns.append(column)
+        names = [p.name for p in params]
+        return [(dict(zip(names, row)), unit) for unit, *row in zip(units, *columns)]
 
     # -- derived spaces -----------------------------------------------------
     def subspace(self, names: Sequence[str], name: str = "") -> "ConfigurationSpace":
@@ -480,6 +604,52 @@ class ConfigurationSpace:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"ConfigurationSpace({self.name!r}, {len(self)} parameters)"
+
+
+def _draw(
+    params: Sequence[Parameter], k: int, rng: np.random.Generator
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The raw draws of ``k`` rows of ``p.sample(rng)`` calls, in order.
+
+    Row after row, parameter after parameter: ``rng.random()`` for a
+    numeric knob, ``rng.integers(len(choices))`` for a categorical one.
+    A run of consecutive numeric draws, within a row or across a row
+    boundary, is one ``rng.random(out=...)`` call, which yields the same
+    values and leaves the generator in the same state as that many
+    scalar calls.
+
+    Returns:
+        (k × numeric) unit draws and (k × categorical) choice indices,
+        columns in parameter order.
+    """
+    layout, run = [], 0  # (numeric draws before it, choices) per categorical
+    for p in params:
+        if isinstance(p, CategoricalParameter):
+            layout.append((run, len(p.choices)))
+            run = 0
+        else:
+            run += 1
+    layout.append((run, 0))
+    n_numeric = sum(r for r, _ in layout)
+    draws = np.empty(k * n_numeric)
+    codes: List[int] = []
+    uniform, integers, append = rng.random, rng.integers, codes.append
+    pos = pending = 0
+    for _ in range(k):
+        for run, n_choices in layout:
+            pending += run
+            if n_choices:
+                if pending:
+                    uniform(out=draws[pos:pos + pending])
+                    pos += pending
+                    pending = 0
+                append(integers(n_choices))
+    if pending:
+        uniform(out=draws[pos:])
+    return (
+        draws.reshape(k, n_numeric),
+        np.array(codes, dtype=np.int64).reshape(k, len(layout) - 1),
+    )
 
 
 def make_constraint(

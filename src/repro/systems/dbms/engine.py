@@ -221,12 +221,12 @@ class DbmsSimulator(SystemUnderTune):
 
         max_conn = knob_floats(configs, "max_connections")
         sessions = np.minimum(float(workload.sessions), max_conn)
-        cols["connections_used"] = sessions.copy()
+        cols["connections_used"] = sessions.astype(np.int64)
         workers = np.minimum(
             knob_floats(configs, "max_parallel_workers"),
             float(self.cluster.total_cores),
         )
-        cols["parallel_workers_used"] = workers.copy()
+        cols["parallel_workers_used"] = workers.astype(np.int64)
 
         # ---- memory accounting & OOM region ---------------------------
         bp = knob_floats(configs, "buffer_pool_mb")

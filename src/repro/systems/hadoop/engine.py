@@ -37,6 +37,7 @@ from repro.systems.vectorize import (
     knob_table,
     measurements_from_columns,
     metric_columns,
+    put_counts,
 )
 
 __all__ = ["HadoopSimulator"]
@@ -375,7 +376,7 @@ class HadoopSimulator(SystemUnderTune):
                 a3 = alive & J["p3"]
                 a5 = alive & J["p5"]
                 acc("n_map_tasks", alive, J["n_maps"])
-                put("map_slots", alive & p2, map_slots)
+                put_counts(cols, "map_slots", alive & p2, map_slots)
                 acc("combine_output_mb", a3, J["combine_out"])
                 put("compress_ratio", a3, compress_ratio_vals)
                 acc("spilled_mb", a3, J["map_spilled"])
@@ -390,7 +391,7 @@ class HadoopSimulator(SystemUnderTune):
                 acc("shuffle_mb", a3, J["shuffle_mb"])
                 acc("shuffle_phase_s", a3, J["shuffle_eff_s"])
                 acc("net_s", a3, J["shuffle_s"])
-                put("reduce_slots", a3 & p4, red_slots)
+                put_counts(cols, "reduce_slots", a3 & p4, red_slots)
                 acc("merge_passes", alive & J["p5ov"], J["red_merge"])
                 acc("spilled_mb", alive & J["p5ov"], J["red_spilled"])
                 acc("hdfs_write_mb", a5, J["hdfs_write"])

@@ -38,6 +38,7 @@ from repro.systems.vectorize import (
     knob_table,
     measurements_from_columns,
     metric_columns,
+    put_counts,
 )
 
 __all__ = ["SparkSimulator"]
@@ -211,8 +212,8 @@ class SparkSimulator(SystemUnderTune):
         failure_elapsed = np.full(n, 10.0)
         failure_cost = np.full(n, 0.5)
 
-        put("executors", alive, n_exec)
-        put("total_slots", alive, slots)
+        put_counts(cols, "executors", alive, n_exec)
+        put_counts(cols, "total_slots", alive, slots)
         unified_mb = np.maximum(exec_mem - 300.0, 64.0) * knob_floats(
             configs, "memory_fraction"
         )

@@ -31,6 +31,7 @@ __all__ = [
     "knob_values",
     "knob_table",
     "metric_columns",
+    "put_counts",
     "metrics_row",
     "measurements_from_columns",
 ]
@@ -107,6 +108,24 @@ def knob_table(
 def metric_columns(names: Sequence[str], n: int) -> Dict[str, np.ndarray]:
     """Zero-initialized metric accumulators, one column per metric."""
     return {k: np.zeros(n, dtype=float) for k in names}
+
+
+def put_counts(
+    columns: Dict[str, np.ndarray], key: str, mask: np.ndarray, counts
+) -> None:
+    """Write integer ``counts`` into metric column ``key`` where ``mask``
+    holds, as Python ints.
+
+    The scalar engines store a count (executors, slots) as an int over
+    its metric's 0.0 default, which rows that never reach the count
+    keep.  The column becomes object dtype holding both, so every row's
+    metric has its scalar run's type and repr.
+    """
+    columns[key] = np.where(
+        mask,
+        np.asarray(counts, dtype=np.int64).astype(object),
+        columns[key].astype(object),
+    )
 
 
 def metrics_row(

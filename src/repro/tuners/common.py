@@ -183,22 +183,24 @@ def candidate_pool(
     n_random: int = 256,
     anchors: Optional[List[Configuration]] = None,
     jitter: float = 0.08,
-) -> List[Configuration]:
+) -> Tuple[List[Configuration], np.ndarray]:
     """Random candidates plus local perturbations of anchor configs.
 
     The mix lets acquisition optimizers both explore globally and refine
     around incumbents; infeasible decodes are repaired toward feasible
-    neighbors.
+    neighbors.  A random slot with no feasible draw in its tries is
+    dropped.
+
+    Returns:
+        (candidates, X): the configurations and their unit rows stacked
+        in the same order, shape ``(len(candidates), space.dimension)``.
     """
-    candidates: List[Configuration] = []
-    for _ in range(n_random):
-        try:
-            candidates.append(space.sample_configuration(rng))
-        except Exception:
-            continue
+    candidates = space.sample_configurations(n_random, rng)
     for anchor in anchors or []:
         base = anchor.to_array()
         for _ in range(16):
             x = np.clip(base + rng.normal(scale=jitter, size=base.shape), 0.0, 1.0)
             candidates.append(space.from_array_feasible(x, rng))
-    return candidates
+    if not candidates:
+        return candidates, np.zeros((0, space.dimension))
+    return candidates, np.stack([c.to_array() for c in candidates])

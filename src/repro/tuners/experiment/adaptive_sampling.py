@@ -67,13 +67,12 @@ class AdaptiveSamplingTuner(SearchTuner):
         forest = RandomForest(n_trees=25, max_depth=6, seed=int(rng.integers(1 << 30)))
         forest.fit(X, y)
         incumbent = state.best_config()
-        candidates = candidate_pool(
+        candidates, Xc = candidate_pool(
             space, rng, n_random=self.n_candidates,
             anchors=[incumbent] if incumbent else None,
         )
         if not candidates:
             return []
-        Xc = np.stack([c.to_array() for c in candidates])
         mean, spread = forest.predict_std(Xc)
         # Lower predicted runtime and higher uncertainty both score;
         # the weight anneals toward exploitation as data accumulates.

@@ -135,12 +135,11 @@ class ITunedTuner(SearchTuner):
             incumbent = state.best_config()
             if incumbent is not None:
                 anchors.append(incumbent)
-        candidates = candidate_pool(
+        candidates, Xc = candidate_pool(
             space, rng, n_random=self.n_candidates, anchors=anchors
         )
         if not candidates:
             return []
-        Xc = np.stack([c.to_array() for c in candidates])
         mean, std = gp.predict(Xc, return_std=True)
         ei = expected_improvement(mean, std, best, xi=self.xi)
         step = self._step

@@ -77,13 +77,12 @@ class EnsembleTuner(SearchTuner):
         if len(y) < 4:
             return [Candidate(space.sample_configuration(rng), tag="fallback")]
         incumbent = state.best_config()
-        candidates = candidate_pool(
+        candidates, Xc = candidate_pool(
             space, rng, n_random=self.n_candidates,
             anchors=[incumbent] if incumbent else None,
         )
         if not candidates:
             return []
-        Xc = np.stack([c.to_array() for c in candidates])
         mean, disagreement = self._committee_predict(
             X, y, Xc, seed=int(rng.integers(1 << 30))
         )

@@ -79,13 +79,12 @@ class BayesOptTuner(SearchTuner):
             return [Candidate(space.sample_configuration(rng), tag="fallback")]
         gp = GaussianProcess(optimize=True).fit(X, np.log(y))
         incumbent = state.best_config()
-        candidates = candidate_pool(
+        candidates, Xc = candidate_pool(
             space, rng, n_random=self.n_candidates,
             anchors=[incumbent] if incumbent else None,
         )
         if not candidates:
             return []
-        Xc = np.stack([c.to_array() for c in candidates])
         idx, _ = maximize_acquisition(
             gp, float(np.log(state.best_runtime())), Xc,
             kind=self.acquisition, xi=self.xi, kappa=self.kappa,

@@ -70,13 +70,12 @@ class NeuralNetTuner(SearchTuner):
             seed=int(rng.integers(1 << 30)),
         ).fit(X, np.log1p(y))
         incumbent = state.best_config()
-        candidates = candidate_pool(
+        candidates, Xc = candidate_pool(
             space, rng, n_random=self.n_candidates,
             anchors=[incumbent] if incumbent else None,
         )
         if not candidates:
             return []
-        Xc = np.stack([c.to_array() for c in candidates])
         pred = model.predict(Xc)
         step = self._step
         self._step += 1

@@ -415,13 +415,13 @@ class OtterTuneTuner(SearchTuner):
         )
         best = float(np.log(state.best_runtime()))
         incumbent = state.best_config()
-        candidates = candidate_pool(
+        candidates, Xc = candidate_pool(
             space, rng, n_random=self.n_candidates,
             anchors=[incumbent] if incumbent else None,
         )
         if not candidates:
             return []
-        Xc = np.stack([c.to_array() for c in candidates])[:, self._knob_idx]
+        Xc = Xc[:, self._knob_idx]
         mean, std = gp.predict(Xc, return_std=True)
         ei = expected_improvement(mean, std, best)
         step = self._step

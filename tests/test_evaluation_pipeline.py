@@ -84,19 +84,6 @@ def batches(draw, max_batches=3, max_size=8):
     return kind, [[pool[i] for i in b] for b in drawn], fidelity, seed
 
 
-def _canonical(measurement):
-    """A measurement's repr with metric values as floats, the identity
-    :func:`~repro.core.measurement.history_digest` hashes.  (The DBMS
-    kernel reports two count metrics as floats where its scalar path
-    reports ints; the values are equal.)"""
-    metrics = sorted(
-        (name, repr(float(value)))
-        for name, value in measurement.metrics.items()
-    )
-    return repr((measurement.runtime_s, measurement.failed,
-                 measurement.cost_units, metrics))
-
-
 def _instrumented(kind, seed):
     return InstrumentedSystem(
         make_system(kind), noise=0.05, rng=np.random.default_rng(seed),
@@ -191,8 +178,7 @@ class TestGeneratedParity:
         for configs in config_batches:
             got = batched_view.run_batch(workload, configs)
             want = [looped_view.run(workload, c) for c in configs]
-            assert ([_canonical(m) for m in got]
-                    == [_canonical(m) for m in want])
+            assert [repr(m) for m in got] == [repr(m) for m in want]
         assert batched.run_count == looped.run_count
         assert batched.failure_count == looped.failure_count
         for field in ("hits", "misses", "entries"):

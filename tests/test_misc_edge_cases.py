@@ -102,8 +102,9 @@ class TestCommonHelpers:
         space = system.config_space
         anchor = space.default_configuration()
         rng = np.random.default_rng(0)
-        pool = candidate_pool(space, rng, n_random=0, anchors=[anchor], jitter=0.02)
+        pool, X = candidate_pool(space, rng, n_random=0, anchors=[anchor], jitter=0.02)
         assert pool
+        assert np.array_equal(X, np.stack([c.to_array() for c in pool]))
         base = anchor.to_array()
         for config in pool:
             assert np.abs(config.to_array() - base).max() < 0.25
