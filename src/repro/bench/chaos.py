@@ -1,6 +1,6 @@
 """Chaos benchmark: tuner robustness under injected faults.
 
-``python -m repro bench-chaos --json BENCH_chaos.json`` runs one
+``python -m repro bench chaos --json BENCH_chaos.json`` runs one
 representative tuner per taxonomy category on the DBMS and Spark
 simulators wrapped in a :class:`~repro.chaos.ChaosSystem`, at fault
 intensities {0, 10%, 30%}, under a resilient
@@ -15,18 +15,18 @@ cell it records:
   on failures, hangs, retries, and quarantine skips.
 
 Every cell is a self-contained seeded scenario, so the whole matrix is
-run twice — serially, then fanned out over a
-:class:`~repro.exec.runner.ParallelRunner` — and the two passes must
-produce identical injected-fault digests and identical result tables.
+run twice by :func:`~repro.bench.matrix.run_matrix` — serially, then
+fanned out over a :class:`~repro.exec.runner.ParallelRunner` — and the
+two passes must produce identical injected-fault digests and identical
+result tables.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import time
 import zlib
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -34,10 +34,10 @@ from repro.chaos import ChaosSystem, standard_policies
 from repro.core.registry import make_system
 from repro.core.tuner import Budget, Tuner
 from repro.core.workload import Workload
+from repro.bench.matrix import bench_jobs, make_report, run_matrix
 from repro.exec.resilience import ExecutionPolicy
-from repro.exec.runner import ParallelRunner, resolve_jobs
 
-__all__ = ["run_chaos_benchmark", "CHAOS_CATEGORIES", "CHAOS_INTENSITIES"]
+__all__ = ["run", "run_cell", "CHAOS_CATEGORIES", "CHAOS_INTENSITIES"]
 
 #: The six taxonomy categories, each mapped to one representative tuner.
 CHAOS_CATEGORIES = (
@@ -52,6 +52,17 @@ CHAOS_CATEGORIES = (
 CHAOS_INTENSITIES = (0.0, 0.1, 0.3)
 
 CHAOS_SYSTEMS = ("dbms", "spark")
+
+#: Fields the serial and pool passes must agree on (not wall-clock).
+COMPARE = (
+    "system", "category", "intensity", "crash_free", "best_runtime_s",
+    "n_real_runs", "fault_digest", "fault_counts",
+)
+
+COLUMNS = (
+    "system", "tuner", "intensity", "best_runtime_s", "regret_inflation",
+    "wasted_time_fraction",
+)
 
 #: Deadline multiple of the clean default runtime; generous enough that
 #: only hangs (infinite runtime) and extreme stragglers are killed.
@@ -106,7 +117,7 @@ def _cell_tuner(category: str, system, quick: bool, seed: int) -> Tuner:
     raise ValueError(f"unknown category: {category}")
 
 
-def _run_cell(
+def run_cell(
     system_name: str, category: str, intensity: float, quick: bool
 ) -> Dict[str, Any]:
     """One fully self-contained (system, tuner, intensity) scenario.
@@ -178,29 +189,6 @@ def _run_cell(
     return cell
 
 
-def _cell_args(
-    systems: Sequence[str], intensities: Sequence[float], quick: bool
-) -> List[Tuple[str, str, float, bool]]:
-    return [
-        (system, category, intensity, quick)
-        for system in systems
-        for category in CHAOS_CATEGORIES
-        for intensity in intensities
-    ]
-
-
-def _comparable(cells: List[Dict[str, Any]]) -> List[Tuple[Any, ...]]:
-    """The per-cell fields both passes must agree on (not wall-clock)."""
-    return [
-        (
-            c["system"], c["category"], c["intensity"], c["crash_free"],
-            repr(c["best_runtime_s"]), c["n_real_runs"], c["fault_digest"],
-            repr(sorted(c["fault_counts"].items())),
-        )
-        for c in cells
-    ]
-
-
 def _attach_regret(cells: List[Dict[str, Any]]) -> None:
     """Regret inflation: best runtime vs the same tuner's clean best."""
     clean: Dict[Tuple[str, str], float] = {
@@ -216,34 +204,15 @@ def _attach_regret(cells: List[Dict[str, Any]]) -> None:
             c["regret_inflation"] = None
 
 
-def _json_safe(value: Any) -> Any:
-    """Replace non-finite floats (JSON has no inf/nan) recursively."""
-    if isinstance(value, dict):
-        return {k: _json_safe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
 
 
-def run_chaos_benchmark(
-    quick: bool = True,
-    jobs: Optional[int] = None,
-    intensities: Sequence[float] = CHAOS_INTENSITIES,
-    systems: Sequence[str] = CHAOS_SYSTEMS,
-    json_path: Optional[str] = None,
-) -> Dict[str, Any]:
+def run(quick: bool = True, jobs: Optional[int] = None) -> Dict[str, Any]:
     """Run the tuner-robustness matrix, serially and in parallel.
 
     Args:
         quick: reduced budgets / model sample counts (the CI setting).
         jobs: parallel worker count for the verification pass
             (``None`` → ``REPRO_JOBS`` → 2).  ``jobs <= 1`` skips it.
-        intensities: fault intensities to sweep; must include 0.0 for
-            regret inflation to be defined.
-        systems: registered system names to exercise.
-        json_path: when given, the report is also written there as JSON.
 
     Returns:
         The report dict with one entry per (system, tuner, intensity)
@@ -251,34 +220,15 @@ def run_chaos_benchmark(
         tuner overran its run budget, or if the parallel pass produced
         different fault sequences or results than the serial pass.
     """
-    if jobs is None:
-        import os
-
-        jobs = resolve_jobs(None) if os.environ.get("REPRO_JOBS") else 2
-    tasks = _cell_args(systems, intensities, quick)
-
     start = time.perf_counter()
-    cells = [_run_cell(*args) for args in tasks]
-    serial_wall_s = time.perf_counter() - start
-
-    parallel_wall_s = None
-    if jobs and jobs > 1:
-        runner = ParallelRunner(jobs=jobs)
-        try:
-            start = time.perf_counter()
-            parallel_cells = runner.starmap(_run_cell, tasks)
-            parallel_wall_s = time.perf_counter() - start
-        finally:
-            runner.close()
-        mismatches = [
-            f"{a[0]}/{a[1]}@{a[2]}"
-            for a, b in zip(_comparable(cells), _comparable(parallel_cells))
-            if a != b
-        ]
-        assert not mismatches, (
-            "parallel chaos pass diverged from serial: "
-            + ", ".join(mismatches)
-        )
+    jobs = bench_jobs(jobs)
+    tasks = [
+        (system, category, intensity, quick)
+        for system in CHAOS_SYSTEMS
+        for category in CHAOS_CATEGORIES
+        for intensity in CHAOS_INTENSITIES
+    ]
+    cells = run_matrix("chaos", run_cell, tasks, COMPARE, jobs)
 
     _attach_regret(cells)
     crashed = [
@@ -292,23 +242,10 @@ def run_chaos_benchmark(
     ]
     assert not overran, "tuners overran their budget: " + ", ".join(overran)
 
-    report: Dict[str, Any] = {
-        "benchmark": "chaos",
-        "quick": quick,
-        "jobs": jobs,
-        "systems": list(systems),
-        "intensities": list(intensities),
-        "n_cells": len(cells),
-        "serial_wall_s": round(serial_wall_s, 3),
-        "parallel_wall_s": (
-            round(parallel_wall_s, 3) if parallel_wall_s is not None else None
-        ),
-        "serial_parallel_identical": True,
-        "all_crash_free": True,
-        "cells": cells,
-    }
-    report = _json_safe(report)
-    if json_path:
-        with open(json_path, "w") as fh:
-            json.dump(report, fh, indent=2)
-    return report
+    return make_report(
+        "chaos", quick, cells, start,
+        jobs=jobs,
+        systems=list(CHAOS_SYSTEMS),
+        intensities=list(CHAOS_INTENSITIES),
+        all_crash_free=True,
+    )

@@ -1,6 +1,6 @@
 """Driver batching benchmark: parallel speedup for ask/tell tuners.
 
-``python -m repro bench-driver --json BENCH_driver.json`` measures the
+``python -m repro bench driver --json BENCH_driver.json`` measures the
 headline payoff of the :class:`~repro.core.driver.SearchDriver`
 refactor: tuners that used to run one experiment at a time now propose
 multi-candidate batches, and the driver fans every batch out through
@@ -10,29 +10,32 @@ byte-identical to the serial loop.
 Each cell runs one tuner twice against a DBMS simulator whose every
 run is padded with a fixed sleep (standing in for a real experiment's
 wall-clock cost): once serially, once with a thread-pool runner.  The
-report records both wall times, the speedup, and asserts the two
+report records both wall times and the speedup, and asserts the two
 :meth:`~repro.core.measurement.TuningHistory.digest` values match —
-parallel execution must never change what the search observes.
+parallel execution must never change what the search observes.  The
+speedups are reported, not asserted: they depend on the host.
 """
 
 from __future__ import annotations
 
-import json
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.bench.matrix import bench_jobs, make_report
 from repro.core.measurement import Measurement
 from repro.core.system import InstrumentedSystem, SystemUnderTune, SystemWrapper
 from repro.core.tuner import Budget
 from repro.core.workload import Workload
 from repro.exec.runner import ParallelRunner
 
-__all__ = ["run_driver_benchmark", "DRIVER_BENCH_TUNERS"]
+__all__ = ["run"]
 
 #: Per-experiment sleep standing in for real experiment latency.
 _RUN_DELAY_S = 0.04
+
+COLUMNS = ("tuner", "n_real_runs", "serial_wall_s", "parallel_wall_s", "speedup")
 
 
 class _SleepingSystem(SystemWrapper):
@@ -90,9 +93,6 @@ def _specs(quick: bool) -> List[Tuple[str, Callable[[], Any], int]]:
     ]
 
 
-DRIVER_BENCH_TUNERS = tuple(name for name, _, _ in _specs(quick=True))
-
-
 def _run_leg(
     factory: Callable[[], Any],
     max_runs: int,
@@ -119,30 +119,22 @@ def _run_leg(
     return result.history.digest(), result.n_real_runs, wall_s
 
 
-def run_driver_benchmark(
-    quick: bool = True,
-    jobs: int = 4,
-    json_path: Optional[str] = None,
-    tuners: Optional[Sequence[str]] = None,
-) -> Dict[str, Any]:
+def run(quick: bool = True, jobs: Optional[int] = None) -> Dict[str, Any]:
     """Measure serial vs parallel wall time per batched ask/tell tuner.
 
     Args:
         quick: halved run budgets (the CI setting).
-        jobs: thread-pool width for the parallel leg.
-        json_path: when given, the report is also written there.
-        tuners: subset of :data:`DRIVER_BENCH_TUNERS` to run.
+        jobs: thread-pool width for the parallel leg
+            (``None`` → ``REPRO_JOBS`` → 4).
 
     Returns:
         Report dict with one cell per tuner.  Raises ``AssertionError``
         if any parallel history digest differs from its serial one.
     """
-    specs = _specs(quick)
-    if tuners is not None:
-        wanted = set(tuners)
-        specs = [s for s in specs if s[0] in wanted]
+    start = time.perf_counter()
+    jobs = bench_jobs(jobs, default=4)
     cells: List[Dict[str, Any]] = []
-    for name, factory, max_runs in specs:
+    for name, factory, max_runs in _specs(quick):
         serial_digest, serial_runs, serial_s = _run_leg(
             factory, max_runs, runner=None
         )
@@ -165,18 +157,12 @@ def run_driver_benchmark(
         })
         assert serial_runs == parallel_runs
     speedups = [c["speedup"] for c in cells]
-    report: Dict[str, Any] = {
-        "benchmark": "driver",
-        "quick": quick,
-        "jobs": jobs,
-        "run_delay_s": _RUN_DELAY_S,
-        "n_tuners": len(cells),
-        "n_tuners_at_2x": sum(1 for s in speedups if s >= 2.0),
-        "median_speedup": round(float(np.median(speedups)), 2) if speedups
+    return make_report(
+        "driver", quick, cells, start,
+        jobs=jobs,
+        run_delay_s=_RUN_DELAY_S,
+        n_tuners=len(cells),
+        n_tuners_at_2x=sum(1 for s in speedups if s >= 2.0),
+        median_speedup=round(float(np.median(speedups)), 2) if speedups
         else None,
-        "cells": cells,
-    }
-    if json_path:
-        with open(json_path, "w") as fh:
-            json.dump(report, fh, indent=2)
-    return report
+    )

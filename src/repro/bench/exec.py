@@ -1,6 +1,6 @@
 """Execution-engine benchmark: serial vs parallel, with cache stats.
 
-``python -m repro bench --json BENCH_exec.json`` runs the full
+``python -m repro bench exec --json BENCH_exec.json`` runs the full
 experiment suite twice — once serial, once fanned out over a
 :class:`~repro.exec.runner.ParallelRunner` — verifies the regenerated
 tables are identical, and records per-experiment wall-clock and
@@ -11,15 +11,18 @@ against.
 
 from __future__ import annotations
 
-import json
-import os
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
+from repro.bench.matrix import bench_jobs, make_report
 from repro.exec.cache import global_cache, reset_global_cache
-from repro.exec.runner import resolve_jobs
 
-__all__ = ["run_exec_benchmark"]
+__all__ = ["run"]
+
+COLUMNS = (
+    "id", "rows", "serial_s", "parallel_s", "cache_hits", "cache_misses",
+    "cache_hit_rate",
+)
 
 
 def _rows_digest(results) -> Dict[str, Any]:
@@ -30,19 +33,12 @@ def _rows_digest(results) -> Dict[str, Any]:
     }
 
 
-def run_exec_benchmark(
-    quick: bool = True,
-    jobs: Optional[int] = None,
-    only: Optional[List[str]] = None,
-    json_path: Optional[str] = None,
-) -> Dict[str, Any]:
+def run(quick: bool = True, jobs: Optional[int] = None) -> Dict[str, Any]:
     """Benchmark the execution engine over the experiment suite.
 
     Args:
         quick: run experiments in quick mode (the tracked configuration).
         jobs: parallel worker count (``None`` → ``REPRO_JOBS`` → 4).
-        only: restrict to these experiment ids, in this order.
-        json_path: when given, the report is also written there as JSON.
 
     Returns:
         The report dict: per-experiment serial/parallel seconds and
@@ -52,21 +48,19 @@ def run_exec_benchmark(
     """
     from repro.bench.run_all import run_all_experiments
 
-    if jobs is None:
-        env = os.environ.get("REPRO_JOBS")
-        jobs = resolve_jobs(None) if env else 4
+    start = time.perf_counter()
+    jobs = bench_jobs(jobs, default=4)
     cache_enabled = global_cache() is not None
 
     reset_global_cache()
-    start = time.perf_counter()
-    serial = run_all_experiments(quick=quick, only=only, jobs=1)
+    serial = run_all_experiments(quick=quick, jobs=1)
     serial_wall_s = time.perf_counter() - start
     serial_cache = global_cache().stats() if cache_enabled else None
 
     reset_global_cache()
-    start = time.perf_counter()
-    parallel = run_all_experiments(quick=quick, only=only, jobs=jobs)
-    parallel_wall_s = time.perf_counter() - start
+    parallel_start = time.perf_counter()
+    parallel = run_all_experiments(quick=quick, jobs=jobs)
+    parallel_wall_s = time.perf_counter() - parallel_start
 
     serial_digest = _rows_digest(serial)
     parallel_digest = _rows_digest(parallel)
@@ -98,21 +92,13 @@ def run_exec_benchmark(
             if hits + misses else 0.0,
         })
 
-    report: Dict[str, Any] = {
-        "benchmark": "exec-engine",
-        "quick": quick,
-        "jobs": jobs,
-        "cache_enabled": cache_enabled,
-        "n_experiments": len(experiments),
-        "serial_wall_s": round(serial_wall_s, 3),
-        "parallel_wall_s": round(parallel_wall_s, 3),
-        "speedup": round(serial_wall_s / parallel_wall_s, 3)
+    return make_report(
+        "exec-engine", quick, experiments, start,
+        jobs=jobs,
+        cache_enabled=cache_enabled,
+        n_experiments=len(experiments),
+        speedup=round(serial_wall_s / parallel_wall_s, 3)
         if parallel_wall_s > 0 else 0.0,
-        "tables_identical": identical,
-        "serial_cache": serial_cache,
-        "experiments": experiments,
-    }
-    if json_path:
-        with open(json_path, "w") as fh:
-            json.dump(report, fh, indent=2)
-    return report
+        tables_identical=identical,
+        serial_cache=serial_cache,
+    )

@@ -1,6 +1,6 @@
 """Fleet benchmark: continuous vs one-shot tuning under drift + chaos.
 
-``python -m repro bench-fleet --json BENCH_fleet.json`` measures the
+``python -m repro bench fleet --json BENCH_fleet.json`` measures the
 headline claim of the fleet layer: a controller that *keeps* tuning —
 drift-triggered re-tunes, KB warm starts, safety-gated exploration —
 accumulates less regret than tuning each tenant once and walking away,
@@ -29,7 +29,8 @@ Per (system, fault-intensity) cell:
    would have failed or regressed past the bar.
 
 Every cell is a pure function of its arguments (in-memory KB, crc32
-seeds, deterministic simulators and chaos), so the matrix runs twice —
+seeds, deterministic simulators and chaos), so
+:func:`~repro.bench.matrix.run_matrix` runs the matrix twice —
 serially, then fanned out over a
 :class:`~repro.exec.runner.ParallelRunner` — and per-tenant history
 digests must agree exactly.
@@ -37,21 +38,20 @@ digests must agree exactly.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 import zlib
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.bench.matrix import bench_jobs, make_report, run_matrix
 from repro.chaos.policies import ConfigBlackout
 from repro.core.registry import make_system
 from repro.core.workload import Workload
-from repro.exec.runner import ParallelRunner, resolve_jobs
 from repro.fleet import FleetController, TenantSpec
 from repro.fleet.safety import VetoRecord
 from repro.kb import KnowledgeBase
 
-__all__ = ["run_fleet_benchmark", "FLEET_CELLS"]
+__all__ = ["run", "run_cell", "FLEET_CELLS"]
 
 #: The cell matrix: both simulator families × fault intensities.
 FLEET_CELLS: Tuple[Tuple[str, float], ...] = (
@@ -68,6 +68,18 @@ _MAX_REGRESSION = 0.25
 
 #: Fraction of cells the continuous arm must win on cumulative regret.
 _REQUIRED_WIN_FRACTION = 2 / 3
+
+#: Fields the serial and pool passes must agree on (not wall-clock).
+COMPARE = (
+    "system", "intensity", "seed", "regret_continuous", "regret_oneshot",
+    "gate_allowed", "gate_clipped", "gate_vetoes", "saves",
+    "digests_continuous", "digests_oneshot",
+)
+
+COLUMNS = (
+    "system", "intensity", "regret_continuous", "regret_oneshot",
+    "continuous_wins", "saves", "gate_vetoes",
+)
 
 
 def _tenant_workloads(system_name: str, index: int) -> List[Workload]:
@@ -218,7 +230,7 @@ def _count_saves(
     return stats
 
 
-def _run_cell(system_name: str, intensity: float, quick: bool) -> Dict[str, Any]:
+def run_cell(system_name: str, intensity: float, quick: bool) -> Dict[str, Any]:
     """One self-contained (system, intensity) fleet scenario.
 
     Top-level and argument-picklable so the matrix can fan out over a
@@ -331,45 +343,13 @@ def _run_cell(system_name: str, intensity: float, quick: bool) -> Dict[str, Any]
     }
 
 
-def _comparable(cells: List[Dict[str, Any]]) -> List[Tuple[Any, ...]]:
-    """The per-cell fields both passes must agree on (not wall-clock)."""
-    return [
-        (
-            c["system"], c["intensity"], c["seed"],
-            repr(c["regret_continuous"]), repr(c["regret_oneshot"]),
-            c["gate_allowed"], c["gate_clipped"], c["gate_vetoes"],
-            c["saves"], tuple(sorted(c["digests_continuous"].items())),
-            tuple(sorted(c["digests_oneshot"].items())),
-        )
-        for c in cells
-    ]
-
-
-def _json_safe(value: Any) -> Any:
-    """Replace non-finite floats (JSON has no inf/nan) recursively."""
-    if isinstance(value, dict):
-        return {k: _json_safe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
-
-
-def run_fleet_benchmark(
-    quick: bool = True,
-    jobs: Optional[int] = None,
-    cells: Sequence[Tuple[str, float]] = FLEET_CELLS,
-    json_path: Optional[str] = None,
-) -> Dict[str, Any]:
+def run(quick: bool = True, jobs: Optional[int] = None) -> Dict[str, Any]:
     """Run the continuous-vs-one-shot fleet matrix.
 
     Args:
         quick: reduced fleet sizes (the CI setting).
         jobs: parallel worker count for the verification pass
             (``None`` → ``REPRO_JOBS`` → 2).  ``jobs <= 1`` skips it.
-        cells: (system, intensity) pairs to run.
-        json_path: when given, the report is also written there as JSON.
 
     Returns:
         The report dict.  Raises ``AssertionError`` if the parallel
@@ -377,33 +357,10 @@ def run_fleet_benchmark(
         cells, any admitted proposal bypassed the gate's regression
         bar, or a chaos cell recorded no guardrail save.
     """
-    if jobs is None:
-        import os
-
-        jobs = resolve_jobs(None) if os.environ.get("REPRO_JOBS") else 2
-    tasks = [(system, intensity, quick) for system, intensity in cells]
-
     start = time.perf_counter()
-    results = [_run_cell(*args) for args in tasks]
-    serial_wall_s = time.perf_counter() - start
-
-    parallel_wall_s = None
-    if jobs and jobs > 1:
-        runner = ParallelRunner(jobs=jobs)
-        try:
-            start = time.perf_counter()
-            parallel_results = runner.starmap(_run_cell, tasks)
-            parallel_wall_s = time.perf_counter() - start
-        finally:
-            runner.close()
-        mismatches = [
-            f"{a[0]}@{a[1]}"
-            for a, b in zip(_comparable(results), _comparable(parallel_results))
-            if a != b
-        ]
-        assert not mismatches, (
-            "parallel fleet pass diverged from serial: " + ", ".join(mismatches)
-        )
+    jobs = bench_jobs(jobs)
+    tasks = [(system, intensity, quick) for system, intensity in FLEET_CELLS]
+    results = run_matrix("fleet", run_cell, tasks, COMPARE, jobs)
 
     winners = [c for c in results if c["continuous_wins"]]
     required = math.ceil(_REQUIRED_WIN_FRACTION * len(results))
@@ -435,23 +392,10 @@ def run_fleet_benchmark(
         + ", ".join(f"{c['system']}@{c['intensity']}" for c in dry_chaos)
     )
 
-    report: Dict[str, Any] = {
-        "benchmark": "fleet",
-        "quick": quick,
-        "jobs": jobs,
-        "max_regression": _MAX_REGRESSION,
-        "n_cells": len(results),
-        "n_cells_continuous_wins": len(winners),
-        "total_guardrail_saves": sum(c["saves"] for c in results),
-        "serial_wall_s": round(serial_wall_s, 3),
-        "parallel_wall_s": (
-            round(parallel_wall_s, 3) if parallel_wall_s is not None else None
-        ),
-        "serial_parallel_identical": True,
-        "cells": results,
-    }
-    report = _json_safe(report)
-    if json_path:
-        with open(json_path, "w") as fh:
-            json.dump(report, fh, indent=2)
-    return report
+    return make_report(
+        "fleet", quick, results, start,
+        jobs=jobs,
+        max_regression=_MAX_REGRESSION,
+        n_cells_continuous_wins=len(winners),
+        total_guardrail_saves=sum(c["saves"] for c in results),
+    )

@@ -1,6 +1,6 @@
 """Multi-fidelity benchmark: successive-halving screening vs full price.
 
-``python -m repro bench-mf --json BENCH_mf.json`` measures the headline
+``python -m repro bench mf --json BENCH_mf.json`` measures the headline
 claim of the fidelity axis (ROADMAP item 3, MFTune-grounded): a search
 tuner that screens its ask batches on cheap low-fidelity runs reaches a
 good configuration for *less charged budget* than the same tuner paying
@@ -20,8 +20,9 @@ Per (system, tuner) cell, over several seeds with identical budgets:
    ``charged_savings`` is ``1 - mean(mf)/mean(sf)`` across the seeds.
 
 Every cell is a pure function of its (system, tuner, quick) arguments —
-seeds come from ``crc32``, simulators are deterministic — so the whole
-matrix runs twice (serially, then fanned out over a
+seeds come from ``crc32``, simulators are deterministic — so
+:func:`~repro.bench.matrix.run_matrix` runs the whole matrix twice
+(serially, then fanned out over a
 :class:`~repro.exec.runner.ParallelRunner`) and both passes must agree
 exactly, including each arm's ``TuningHistory.digest()``.  The
 benchmark asserts that at least four cells achieve ≥30% charged-budget
@@ -30,20 +31,19 @@ savings while landing within the 5% threshold.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 import zlib
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.bench.matrix import bench_jobs, make_report, run_matrix
 from repro.core.registry import make_system, make_tuner
 from repro.core.tuner import Budget, TuningResult
 from repro.core.workload import Workload
-from repro.exec.runner import ParallelRunner, resolve_jobs
 
-__all__ = ["run_mf_benchmark", "MF_CELLS", "charged_to_threshold"]
+__all__ = ["run", "run_cell", "MF_CELLS", "charged_to_threshold"]
 
 #: The tuner × system matrix: the two population-based strategies whose
 #: whole-generation asks are the natural screening unit, across all
@@ -79,6 +79,18 @@ _FIDELITY_OPTS = {
     "fidelity_min": 0.1,
     "fidelity_eta": 8.0,
 }
+
+#: Fields the serial and pool passes must agree on (not wall-clock).
+COMPARE = (
+    "system", "tuner", "seed", "sf_best_s", "mf_best_s",
+    "sf_charged_to_threshold", "mf_charged_to_threshold", "charged_savings",
+    "sf_digest", "mf_digest",
+)
+
+COLUMNS = (
+    "system", "tuner", "sf_best_s", "mf_best_s", "sf_charged_to_threshold",
+    "mf_charged_to_threshold", "charged_savings", "mf_within_threshold",
+)
 
 
 def _target(system_name: str) -> Workload:
@@ -116,7 +128,7 @@ def charged_to_threshold(
     return None
 
 
-def _run_cell(system_name: str, tuner_name: str, quick: bool) -> Dict[str, Any]:
+def run_cell(system_name: str, tuner_name: str, quick: bool) -> Dict[str, Any]:
     """One self-contained (system, tuner) multi-fidelity scenario.
 
     Top-level and argument-picklable so the matrix can fan out over a
@@ -208,46 +220,13 @@ def _run_cell(system_name: str, tuner_name: str, quick: bool) -> Dict[str, Any]:
     }
 
 
-def _comparable(cells: List[Dict[str, Any]]) -> List[Tuple[Any, ...]]:
-    """The per-cell fields both passes must agree on (not wall-clock)."""
-    return [
-        (
-            c["system"], c["tuner"], c["seed"],
-            repr(c["sf_best_s"]), repr(c["mf_best_s"]),
-            repr(c["sf_charged_to_threshold"]),
-            repr(c["mf_charged_to_threshold"]),
-            repr(c["charged_savings"]),
-            tuple(c["sf_digest"]), tuple(c["mf_digest"]),
-        )
-        for c in cells
-    ]
-
-
-def _json_safe(value: Any) -> Any:
-    """Replace non-finite floats (JSON has no inf/nan) recursively."""
-    if isinstance(value, dict):
-        return {k: _json_safe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
-
-
-def run_mf_benchmark(
-    quick: bool = True,
-    jobs: Optional[int] = None,
-    cells: Sequence[Tuple[str, str]] = MF_CELLS,
-    json_path: Optional[str] = None,
-) -> Dict[str, Any]:
+def run(quick: bool = True, jobs: Optional[int] = None) -> Dict[str, Any]:
     """Run the single-vs-multi-fidelity matrix, serially and in parallel.
 
     Args:
         quick: reduced budgets (the CI setting).
         jobs: parallel worker count for the verification pass
             (``None`` → ``REPRO_JOBS`` → 2).  ``jobs <= 1`` skips it.
-        cells: (system, tuner) pairs to run.
-        json_path: when given, the report is also written there as JSON.
 
     Returns:
         The report dict, one entry per cell.  Raises ``AssertionError``
@@ -255,34 +234,10 @@ def run_mf_benchmark(
         compared by digest), or if fewer than four cells achieve ≥30%
         charged-budget savings at the 5% threshold.
     """
-    if jobs is None:
-        import os
-
-        jobs = resolve_jobs(None) if os.environ.get("REPRO_JOBS") else 2
-    tasks = [(system, tuner, quick) for system, tuner in cells]
-
     start = time.perf_counter()
-    results = [_run_cell(*args) for args in tasks]
-    serial_wall_s = time.perf_counter() - start
-
-    parallel_wall_s = None
-    if jobs and jobs > 1:
-        runner = ParallelRunner(jobs=jobs)
-        try:
-            start = time.perf_counter()
-            parallel_results = runner.starmap(_run_cell, tasks)
-            parallel_wall_s = time.perf_counter() - start
-        finally:
-            runner.close()
-        mismatches = [
-            f"{a[0]}/{a[1]}"
-            for a, b in zip(_comparable(results), _comparable(parallel_results))
-            if a != b
-        ]
-        assert not mismatches, (
-            "parallel multi-fidelity pass diverged from serial: "
-            + ", ".join(mismatches)
-        )
+    jobs = bench_jobs(jobs)
+    tasks = [(system, tuner, quick) for system, tuner in MF_CELLS]
+    results = run_matrix("multi-fidelity", run_cell, tasks, COMPARE, jobs)
 
     winners = [
         c for c in results
@@ -300,24 +255,11 @@ def run_mf_benchmark(
         )
     )
 
-    report: Dict[str, Any] = {
-        "benchmark": "mf",
-        "quick": quick,
-        "jobs": jobs,
-        "threshold_factor": _THRESHOLD_FACTOR,
-        "required_savings": _REQUIRED_SAVINGS,
-        "fidelity_opts": dict(_FIDELITY_OPTS),
-        "n_cells": len(results),
-        "n_cells_meeting_savings": len(winners),
-        "serial_wall_s": round(serial_wall_s, 3),
-        "parallel_wall_s": (
-            round(parallel_wall_s, 3) if parallel_wall_s is not None else None
-        ),
-        "serial_parallel_identical": True,
-        "cells": results,
-    }
-    report = _json_safe(report)
-    if json_path:
-        with open(json_path, "w") as fh:
-            json.dump(report, fh, indent=2)
-    return report
+    return make_report(
+        "mf", quick, results, start,
+        jobs=jobs,
+        threshold_factor=_THRESHOLD_FACTOR,
+        required_savings=_REQUIRED_SAVINGS,
+        fidelity_opts=dict(_FIDELITY_OPTS),
+        n_cells_meeting_savings=len(winners),
+    )

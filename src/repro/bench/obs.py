@@ -1,6 +1,6 @@
 """Observability smoke benchmark: span parity, overhead, strict JSON.
 
-``python -m repro bench-obs --json BENCH_obs.json`` runs the same
+``python -m repro bench obs --json BENCH_obs.json`` runs the same
 seeded tuning session four ways — untraced serial (the baseline),
 traced serial, traced parallel, and a traced chaos variant — and
 asserts the three guarantees the observability layer makes:
@@ -12,41 +12,47 @@ asserts the three guarantees the observability layer makes:
    than the tuning logic, may differ and are excluded from the
    comparison.
 2. **Overhead budget** — leaving tracing on costs < 5% wall-clock
-   against the untraced baseline (min-of-``reps`` on both sides to
-   shave scheduler noise).
+   against the untraced baseline, in the best of three interleaved
+   timing pairs (the report's cells) to shave scheduler noise.
 3. **Strict wire format** — ``GET /metrics`` (and ``POST /recommend``
    against a knowledge base containing an all-failed, ``inf``-best
    session) returns valid RFC 8259 JSON under 12 concurrent clients;
    every response is parsed with a parser that rejects the
    ``Infinity``/``NaN`` literals outright.
 
-Any violated guarantee raises ``AssertionError``, so the CI
-``obs-smoke`` job fails loudly rather than archiving a bad report.
+Any violated guarantee raises ``AssertionError``, so the CI bench job
+fails loudly rather than archiving a bad report.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 import tempfile
 import time
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from typing import Any, Dict, List, Optional
 
 import numpy as np
 
+from repro.bench.matrix import bench_jobs, make_report
 from repro.obs.metrics import global_metrics, reset_global_metrics
 from repro.obs.trace import Tracer, tracing
 
-__all__ = ["run_obs_benchmark"]
+__all__ = ["run"]
 
 #: Span names that describe *how* work was executed (pool tasks), not
 #: *what* the tuner did; excluded from serial-vs-parallel comparison.
 _STRATEGY_PREFIXES = ("runner.",)
 
 _OVERHEAD_BUDGET = 0.05
+
+#: Interleaved (untraced, traced) timing pairs behind the overhead gate.
+_REPS = 3
+
+COLUMNS = ("rep", "baseline_s", "traced_s", "ratio")
 
 
 def _reject_constant(_name: str) -> None:
@@ -111,7 +117,7 @@ def _run_cell(
     budget = Budget(max_runs=40 if quick else 80)
 
     start = time.perf_counter()
-    with tracing(tracer) if tracer is not None else _null_context():
+    with tracing(tracer) if tracer is not None else nullcontext():
         result = tuner.tune(
             system, workload, budget,
             rng=np.random.default_rng(7), execution=execution,
@@ -136,14 +142,6 @@ def _run_cell(
         cell["n_spans"] = len(tracer)
         cell["dropped_spans"] = tracer.dropped
     return cell
-
-
-class _null_context:
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, *exc: Any) -> bool:
-        return False
 
 
 def _overhead_pair(
@@ -267,35 +265,29 @@ def _service_check(n_clients: int = 12) -> Dict[str, Any]:
     }
 
 
-def run_obs_benchmark(
-    quick: bool = True,
-    jobs: Optional[int] = None,
-    json_path: Optional[str] = None,
-    reps: int = 3,
-) -> Dict[str, Any]:
+def run(quick: bool = True, jobs: Optional[int] = None) -> Dict[str, Any]:
     """Run the observability smoke benchmark and return its report.
 
     Args:
         quick: small budgets (the CI configuration).
-        jobs: worker count for the parallel cells (default 2).
-        json_path: when given, the report is also written there.
-        reps: interleaved timing pairs for the overhead comparison
-            (the gate uses the median per-pair ratio).
+        jobs: worker count for the parallel cells
+            (``None`` → ``REPRO_JOBS`` → 2; at least 2).
 
     Returns:
-        The report dict.  Raises ``AssertionError`` when span counts
-        diverge between serial and parallel execution, when tracing
-        overhead exceeds the 5% budget, or when any service response
-        fails strict-JSON parsing.
+        The report dict; its cells are the timing pairs.  Raises
+        ``AssertionError`` when span counts diverge between serial and
+        parallel execution, when tracing overhead exceeds the 5%
+        budget, or when any service response fails strict-JSON parsing.
     """
-    jobs = 2 if jobs is None else max(2, jobs)
+    start = time.perf_counter()
+    jobs = max(2, bench_jobs(jobs))
     reset_global_metrics()
 
     # -- overhead: untraced vs traced, serial, min-of-reps ------------------
     # One untimed warmup first so lazy imports and allocator warm-up are
     # paid before the baseline (they would otherwise bias the ratio).
     _run_cell(quick, 1, False, None)
-    baseline, traced_serial = _overhead_pair(reps, quick)
+    baseline, traced_serial = _overhead_pair(_REPS, quick)
     overhead = traced_serial["min_ratio"] - 1.0
     assert overhead < _OVERHEAD_BUDGET, (
         f"tracing overhead {overhead:.1%} in every timing pair "
@@ -348,20 +340,25 @@ def run_obs_benchmark(
     service = _service_check()
 
     snapshot = global_metrics().snapshot()
-    report: Dict[str, Any] = {
-        "benchmark": "obs-smoke",
-        "quick": quick,
-        "jobs": jobs,
-        "reps": reps,
-        "baseline_wall_s": round(baseline["wall_s"], 4),
-        "traced_wall_s": round(traced_serial["wall_s"], 4),
-        "overhead": round(overhead, 4),
-        "overhead_median": round(traced_serial["median_ratio"] - 1.0, 4),
-        "overhead_ratios": traced_serial["ratios"],
-        "overhead_budget": _OVERHEAD_BUDGET,
-        "span_parity": parity,
-        "service": service,
-        "metrics_excerpt": {
+    cells = [
+        {"rep": i, "baseline_s": b, "traced_s": t, "ratio": round(t / b, 4)}
+        for i, (b, t) in enumerate(zip(
+            baseline["wall_reps_s"], traced_serial["wall_reps_s"]
+        ))
+    ]
+    return make_report(
+        "obs-smoke", quick, cells, start,
+        jobs=jobs,
+        reps=_REPS,
+        baseline_wall_s=round(baseline["wall_s"], 4),
+        traced_wall_s=round(traced_serial["wall_s"], 4),
+        overhead=round(overhead, 4),
+        overhead_median=round(traced_serial["median_ratio"] - 1.0, 4),
+        overhead_ratios=traced_serial["ratios"],
+        overhead_budget=_OVERHEAD_BUDGET,
+        span_parity=parity,
+        service=service,
+        metrics_excerpt={
             "counters": {
                 k: v for k, v in snapshot["counters"].items()
                 if k.startswith((
@@ -369,8 +366,4 @@ def run_obs_benchmark(
                 ))
             },
         },
-    }
-    if json_path:
-        with open(json_path, "w") as fh:
-            json.dump(report, fh, indent=2, allow_nan=False)
-    return report
+    )

@@ -1,11 +1,11 @@
 """Serving benchmark: the recommendation service under 1000+ clients.
 
-``python -m repro bench-serve --json BENCH_serve.json`` stress-tests
+``python -m repro bench serve --json BENCH_serve.json`` stress-tests
 the production serving stack (:mod:`repro.kb.serving`) the way the
 online-tuning papers in PAPERS.md measure deployment overhead: mixed
 traffic, tail latency, and explicit overload behavior.  Three cells:
 
-* ``clean`` — 1000+ concurrent clients (64 in ``--quick``) drive a
+* ``clean`` — 1000 concurrent clients (64 in quick mode) drive a
   mixed recommend/ingest/workloads/metrics/healthz workload over
   keep-alive connections against a generously provisioned server.
   Every response must be HTTP 200 with a parseable strict-JSON body:
@@ -46,6 +46,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.bench.matrix import make_report
 from repro.core.tuner import Budget
 from repro.kb import KnowledgeBase
 from repro.kb.service import RecommendationService, make_server
@@ -58,7 +59,12 @@ from repro.systems.dbms import (
 )
 from repro.tuners import RandomSearchTuner
 
-__all__ = ["run_serve_benchmark"]
+__all__ = ["run"]
+
+COLUMNS = (
+    "cell", "n_clients", "total_requests", "throughput_rps", "n_429",
+    "n_5xx", "n_dropped",
+)
 
 #: Per-client request mix (cumulative weights) for the clean storm.
 _MIX = (
@@ -453,18 +459,12 @@ def _run_storm(name: str, n_clients: int, requests_per_client: int,
     return cell
 
 
-def run_serve_benchmark(
-    quick: bool = True,
-    n_clients: Optional[int] = None,
-    json_path: Optional[str] = None,
-) -> Dict[str, Any]:
+def run(quick: bool = True, jobs: Optional[int] = None) -> Dict[str, Any]:
     """Run the clean / chaos / overload serving cells.
 
     Args:
-        quick: CI sizing — 64 clients instead of 1000+, shorter plans.
-        n_clients: override the storm size (the acceptance run uses
-            1000+; CI's serve-smoke uses 64).
-        json_path: when given, the report is also written there as JSON.
+        quick: CI sizing — 64 clients instead of 1000.
+        jobs: unused; the storms size their own thread pools.
 
     Returns:
         The report dict.  Raises ``AssertionError`` on any dropped or
@@ -472,7 +472,8 @@ def run_serve_benchmark(
         ``Retry-After`` on a shed response, or an overload cell where
         admission control never engaged.
     """
-    clients = n_clients or (64 if quick else 1000)
+    start = time.perf_counter()
+    clients = 64 if quick else 1000
     requests_per_client = 4 if quick else 3
     seed = zlib.crc32(b"bench-serve") % (2**31)
 
@@ -497,7 +498,6 @@ def run_serve_benchmark(
         ingest_queue_limit=64,
     )
 
-    start = time.perf_counter()
     cells = [
         _run_storm("clean", clients, requests_per_client, storm_config,
                    chaos=False, seed=seed),
@@ -516,7 +516,6 @@ def run_serve_benchmark(
             healthz_probes=3,
         ),
     ]
-    wall_s = time.perf_counter() - start
 
     clean, chaos, overload = cells
     assert clean["n_429"] == 0, (
@@ -536,18 +535,11 @@ def run_serve_benchmark(
         status == 200 for status in overload["healthz_mid_storm"]
     ), "healthz did not answer 200 during the overload storm"
 
-    report: Dict[str, Any] = {
-        "benchmark": "serve",
-        "quick": quick,
-        "n_clients": clients,
-        "total_requests": sum(cell["total_requests"] for cell in cells),
-        "total_dropped": sum(cell["n_dropped"] for cell in cells),
-        "total_5xx": sum(cell["n_5xx"] for cell in cells),
-        "shedding_engaged": overload["n_429"] > 0,
-        "wall_s": round(wall_s, 3),
-        "cells": cells,
-    }
-    if json_path:
-        with open(json_path, "w") as fh:
-            json.dump(report, fh, indent=2)
-    return report
+    return make_report(
+        "serve", quick, cells, start,
+        n_clients=clients,
+        total_requests=sum(cell["total_requests"] for cell in cells),
+        total_dropped=sum(cell["n_dropped"] for cell in cells),
+        total_5xx=sum(cell["n_5xx"] for cell in cells),
+        shedding_engaged=overload["n_429"] > 0,
+    )

@@ -1,10 +1,12 @@
 """Surrogate-serving benchmark: zero-probe recommendations vs similarity.
 
-``python -m repro bench-surrogate --json BENCH_surrogate.json`` measures
+``python -m repro bench surrogate --json BENCH_surrogate.json`` measures
 the headline claim of the surrogate subsystem: once the knowledge base
 has seen a workload family, a learned per-family model recommends a
 better configuration than replaying the most similar stored session's
-best — and does it with **zero live probe runs**.
+best — and does it with **zero live probe runs** (a contract
+``tests/test_surrogate.py`` pins by making every simulator entry point
+raise while the service answers).
 
 Per (system, family) cell:
 
@@ -17,43 +19,40 @@ Per (system, family) cell:
    so ingest recovers its fingerprint without probing.
 2. Ask the real :class:`~repro.kb.service.RecommendationService` (the
    exact code path behind ``POST /recommend``) for the target workload,
-   once in ``similarity`` mode and once in ``surrogate`` mode.  The
-   system under tune is wrapped in a run counter and the benchmark
-   asserts the counter does not move during this phase — the zero-probe
-   certificate.
+   once in ``similarity`` mode and once in ``surrogate`` mode.
 3. Evaluate both recommended configurations for real, plus a cold
    ``bayesopt`` tuning run (the "no KB at all" reference arm) and an
    oracle pool (a large snapped LHS sweep of the target), and score
    **regret**: ``true_runtime / oracle_runtime - 1``.
 
 Every cell is a pure function of its (system, family, quick) arguments —
-crc32 seeds, deterministic simulators, in-memory KB — so the matrix runs
-twice (serially, then over a :class:`~repro.exec.runner.ParallelRunner`)
-and both passes must agree exactly.  The benchmark asserts the surrogate
-arm is served zero-probe in every cell and strictly beats the similarity
-arm's true runtime in at least four of the six cells.
+crc32 seeds, deterministic simulators, in-memory KB — so
+:func:`~repro.bench.matrix.run_matrix` runs the matrix twice (serially,
+then over a :class:`~repro.exec.runner.ParallelRunner`) and both passes
+must agree exactly.  The benchmark asserts the surrogate arm strictly
+beats the similarity arm's true runtime in at least four of the six
+cells.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import time
 import zlib
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.bench.matrix import bench_jobs, make_report, run_matrix
 from repro.core.measurement import Observation, TuningHistory
 from repro.core.registry import make_system
 from repro.core.tuner import Budget
 from repro.core.workload import Workload
-from repro.exec.runner import ParallelRunner, resolve_jobs
 from repro.kb import KnowledgeBase
 from repro.kb.service import RecommendationService
 from repro.mlkit.sampling import latin_hypercube
 
-__all__ = ["run_surrogate_benchmark", "SURROGATE_CELLS"]
+__all__ = ["run", "run_cell", "SURROGATE_CELLS"]
 
 #: The system × workload-family matrix: two families per simulator.
 SURROGATE_CELLS: Tuple[Tuple[str, str], ...] = (
@@ -75,24 +74,16 @@ _SIBLING_SESSIONS = 2
 _SIBLING_ROWS = 24
 _TARGET_ROWS = 6
 
+#: Fields the serial and pool passes must agree on (not wall-clock).
+COMPARE = (
+    "system", "family", "seed", "served_by", "model_kind", "similarity_s",
+    "surrogate_s", "oracle_s", "surrogate_wins",
+)
 
-class _CountingSystem:
-    """Delegating wrapper that counts real ``run`` calls.
-
-    The benchmark snapshots the counter around the recommend phase to
-    *measure* (not assume) that serving touched only the KB.
-    """
-
-    def __init__(self, inner: Any) -> None:
-        self._inner = inner
-        self.runs = 0
-
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self._inner, name)
-
-    def run(self, workload: Workload, config: Any) -> Any:
-        self.runs += 1
-        return self._inner.run(workload, config)
+COLUMNS = (
+    "system", "family", "served_by", "model_kind", "surrogate_s",
+    "similarity_s", "cold_best_s",
+)
 
 
 def _scenario(system_name: str, family: str) -> Tuple[List[Workload], Workload]:
@@ -197,7 +188,7 @@ def _oracle_runtime(system: Any, workload: Workload, quick: bool,
     return best
 
 
-def _run_cell(system_name: str, family: str, quick: bool) -> Dict[str, Any]:
+def run_cell(system_name: str, family: str, quick: bool) -> Dict[str, Any]:
     """One self-contained (system, family) serving scenario.
 
     Top-level and argument-picklable so the matrix can fan out over a
@@ -205,7 +196,7 @@ def _run_cell(system_name: str, family: str, quick: bool) -> Dict[str, Any]:
     serial pass used.
     """
     seed = zlib.crc32(f"surrogate/{system_name}/{family}".encode()) % (2**31)
-    system = _CountingSystem(make_system(system_name))
+    system = make_system(system_name)
     variants, target = _scenario(system_name, family)
 
     with KnowledgeBase(":memory:") as kb:
@@ -228,10 +219,8 @@ def _run_cell(system_name: str, family: str, quick: bool) -> Dict[str, Any]:
 
         service = RecommendationService(kb)
         request = {"workload": target.name, "system_kind": system_name}
-        runs_before = system.runs
         similarity = service.recommend(dict(request, mode="similarity"))
         surrogate = service.recommend(dict(request, mode="surrogate"))
-        probe_runs = system.runs - runs_before
         status = service.surrogate_status()
 
     similarity_values = similarity["recommended"]["config"]
@@ -265,7 +254,6 @@ def _run_cell(system_name: str, family: str, quick: bool) -> Dict[str, Any]:
         "target_workload": target.name,
         "sibling_rows": _SIBLING_ROWS,
         "target_rows": _TARGET_ROWS,
-        "probe_runs_during_recommend": probe_runs,
         "served_by": surrogate["served_by"],
         "fallback_reason": surrogate["fallback_reason"],
         "model_kind": model.get("model_kind"),
@@ -290,85 +278,24 @@ def _run_cell(system_name: str, family: str, quick: bool) -> Dict[str, Any]:
     }
 
 
-def _comparable(cells: List[Dict[str, Any]]) -> List[Tuple[Any, ...]]:
-    """The per-cell fields both passes must agree on (not wall-clock)."""
-    return [
-        (
-            c["system"], c["family"], c["seed"],
-            c["probe_runs_during_recommend"], c["served_by"],
-            c["model_kind"], repr(c["similarity_s"]), repr(c["surrogate_s"]),
-            repr(c["oracle_s"]), c["surrogate_wins"],
-        )
-        for c in cells
-    ]
-
-
-def _json_safe(value: Any) -> Any:
-    """Replace non-finite floats (JSON has no inf/nan) recursively."""
-    if isinstance(value, dict):
-        return {k: _json_safe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
-
-
-def run_surrogate_benchmark(
-    quick: bool = True,
-    jobs: Optional[int] = None,
-    cells: Sequence[Tuple[str, str]] = SURROGATE_CELLS,
-    json_path: Optional[str] = None,
-) -> Dict[str, Any]:
+def run(quick: bool = True, jobs: Optional[int] = None) -> Dict[str, Any]:
     """Run the serving matrix, serially and in parallel.
 
     Args:
         quick: reduced oracle/cold budgets (the CI setting).
         jobs: parallel worker count for the verification pass
             (``None`` → ``REPRO_JOBS`` → 2).  ``jobs <= 1`` skips it.
-        cells: (system, family) pairs to run.
-        json_path: when given, the report is also written there as JSON.
 
     Returns:
         The report dict, one entry per cell.  Raises ``AssertionError``
-        if any cell probed the system while serving, if the parallel
-        pass diverges from the serial one, or if the surrogate beats
-        similarity in fewer than four cells.
+        if the parallel pass diverges from the serial one, or if the
+        surrogate beats similarity in fewer than four cells.
     """
-    if jobs is None:
-        import os
-
-        jobs = resolve_jobs(None) if os.environ.get("REPRO_JOBS") else 2
-    tasks = [(system, family, quick) for system, family in cells]
-
     start = time.perf_counter()
-    results = [_run_cell(*args) for args in tasks]
-    serial_wall_s = time.perf_counter() - start
+    jobs = bench_jobs(jobs)
+    tasks = [(system, family, quick) for system, family in SURROGATE_CELLS]
+    results = run_matrix("surrogate", run_cell, tasks, COMPARE, jobs)
 
-    parallel_wall_s = None
-    if jobs and jobs > 1:
-        runner = ParallelRunner(jobs=jobs)
-        try:
-            start = time.perf_counter()
-            parallel_results = runner.starmap(_run_cell, tasks)
-            parallel_wall_s = time.perf_counter() - start
-        finally:
-            runner.close()
-        mismatches = [
-            f"{a[0]}/{a[1]}"
-            for a, b in zip(_comparable(results), _comparable(parallel_results))
-            if a != b
-        ]
-        assert not mismatches, (
-            "parallel surrogate pass diverged from serial: "
-            + ", ".join(mismatches)
-        )
-
-    probed = [c for c in results if c["probe_runs_during_recommend"]]
-    assert not probed, (
-        "recommend phase ran live probes in: "
-        + ", ".join(f"{c['system']}/{c['family']}" for c in probed)
-    )
     winners = [c for c in results if c["surrogate_wins"]]
     assert len(winners) >= _REQUIRED_WINS, (
         f"surrogate beat similarity in only {len(winners)} cell(s); "
@@ -380,25 +307,9 @@ def run_surrogate_benchmark(
         )
     )
 
-    report: Dict[str, Any] = {
-        "benchmark": "surrogate",
-        "quick": quick,
-        "jobs": jobs,
-        "required_wins": _REQUIRED_WINS,
-        "n_cells": len(results),
-        "n_surrogate_wins": len(winners),
-        "n_served_zero_probe": sum(
-            c["probe_runs_during_recommend"] == 0 for c in results
-        ),
-        "serial_wall_s": round(serial_wall_s, 3),
-        "parallel_wall_s": (
-            round(parallel_wall_s, 3) if parallel_wall_s is not None else None
-        ),
-        "serial_parallel_identical": True,
-        "cells": results,
-    }
-    report = _json_safe(report)
-    if json_path:
-        with open(json_path, "w") as fh:
-            json.dump(report, fh, indent=2)
-    return report
+    return make_report(
+        "surrogate", quick, results, start,
+        jobs=jobs,
+        required_wins=_REQUIRED_WINS,
+        n_surrogate_wins=len(winners),
+    )

@@ -1,6 +1,6 @@
 """Transfer benchmark: cold-start vs knowledge-base warm-start tuning.
 
-``python -m repro bench-transfer --json BENCH_transfer.json`` measures
+``python -m repro bench transfer --json BENCH_transfer.json`` measures
 the headline claim of the knowledge base: a tuner seeded with mapped
 prior sessions reaches a good configuration in fewer real experiments
 than the same tuner starting cold.
@@ -22,15 +22,15 @@ Per (system, tuner) cell:
 
 Every cell is a pure function of its (system, tuner, quick) arguments —
 seeds come from ``crc32``, simulators are deterministic, the KB lives
-in memory — so the whole matrix is run twice (serially, then fanned
-out over a :class:`~repro.exec.runner.ParallelRunner`) and the two
-passes must agree exactly.  The benchmark asserts that at least two
+in memory — so :func:`~repro.bench.matrix.run_matrix` runs the whole
+matrix twice (serially, then fanned out over a
+:class:`~repro.exec.runner.ParallelRunner`) and the two passes must
+agree exactly.  The benchmark asserts that at least two
 cells achieve ≥30% evaluation savings.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import time
 import zlib
@@ -38,14 +38,14 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.bench.matrix import bench_jobs, make_report, run_matrix
 from repro.core.registry import make_system
 from repro.core.system import SystemUnderTune
 from repro.core.tuner import Budget, Tuner, TuningResult
 from repro.core.workload import Workload
-from repro.exec.runner import ParallelRunner, resolve_jobs
 from repro.kb import KnowledgeBase, warm_start_prior
 
-__all__ = ["run_transfer_benchmark", "TRANSFER_CELLS", "evals_to_threshold"]
+__all__ = ["run", "run_cell", "TRANSFER_CELLS", "evals_to_threshold"]
 
 #: The tuner × system matrix: every warm-start-capable offline tuner on
 #: the DBMS simulator, plus the surrogate-model ones on Spark.
@@ -64,6 +64,18 @@ _THRESHOLD_FACTOR = 1.05
 #: Minimum evaluation savings and how many cells must achieve it.
 _REQUIRED_SAVINGS = 0.30
 _REQUIRED_CELLS = 2
+
+#: Fields the serial and pool passes must agree on (not wall-clock).
+COMPARE = (
+    "system", "tuner", "seed", "n_prior_observations", "cold_best_s",
+    "warm_best_s", "cold_evals_to_threshold", "warm_evals_to_threshold",
+    "eval_savings",
+)
+
+COLUMNS = (
+    "system", "tuner", "cold_best_s", "warm_best_s",
+    "cold_evals_to_threshold", "warm_evals_to_threshold", "eval_savings",
+)
 
 
 def _prior_and_target(system_name: str) -> Tuple[List[Workload], Workload]:
@@ -152,7 +164,7 @@ def evals_to_threshold(
     return None
 
 
-def _run_cell(system_name: str, tuner_name: str, quick: bool) -> Dict[str, Any]:
+def run_cell(system_name: str, tuner_name: str, quick: bool) -> Dict[str, Any]:
     """One self-contained (system, tuner) transfer scenario.
 
     Top-level and argument-picklable so the matrix can fan out over a
@@ -212,78 +224,23 @@ def _run_cell(system_name: str, tuner_name: str, quick: bool) -> Dict[str, Any]:
     }
 
 
-def _comparable(cells: List[Dict[str, Any]]) -> List[Tuple[Any, ...]]:
-    """The per-cell fields both passes must agree on (not wall-clock)."""
-    return [
-        (
-            c["system"], c["tuner"], c["seed"], c["n_prior_observations"],
-            repr(c["cold_best_s"]), repr(c["warm_best_s"]),
-            c["cold_evals_to_threshold"], c["warm_evals_to_threshold"],
-            repr(c["eval_savings"]),
-        )
-        for c in cells
-    ]
-
-
-def _json_safe(value: Any) -> Any:
-    """Replace non-finite floats (JSON has no inf/nan) recursively."""
-    if isinstance(value, dict):
-        return {k: _json_safe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
-
-
-def run_transfer_benchmark(
-    quick: bool = True,
-    jobs: Optional[int] = None,
-    cells: Sequence[Tuple[str, str]] = TRANSFER_CELLS,
-    json_path: Optional[str] = None,
-) -> Dict[str, Any]:
+def run(quick: bool = True, jobs: Optional[int] = None) -> Dict[str, Any]:
     """Run the cold-vs-warm matrix, serially and in parallel.
 
     Args:
         quick: reduced budgets (the CI setting).
         jobs: parallel worker count for the verification pass
             (``None`` → ``REPRO_JOBS`` → 2).  ``jobs <= 1`` skips it.
-        cells: (system, tuner) pairs to run.
-        json_path: when given, the report is also written there as JSON.
 
     Returns:
         The report dict, one entry per cell.  Raises ``AssertionError``
         if the parallel pass diverges from the serial one, or if fewer
         than two cells achieve ≥30% evaluation savings.
     """
-    if jobs is None:
-        import os
-
-        jobs = resolve_jobs(None) if os.environ.get("REPRO_JOBS") else 2
-    tasks = [(system, tuner, quick) for system, tuner in cells]
-
     start = time.perf_counter()
-    results = [_run_cell(*args) for args in tasks]
-    serial_wall_s = time.perf_counter() - start
-
-    parallel_wall_s = None
-    if jobs and jobs > 1:
-        runner = ParallelRunner(jobs=jobs)
-        try:
-            start = time.perf_counter()
-            parallel_results = runner.starmap(_run_cell, tasks)
-            parallel_wall_s = time.perf_counter() - start
-        finally:
-            runner.close()
-        mismatches = [
-            f"{a[0]}/{a[1]}"
-            for a, b in zip(_comparable(results), _comparable(parallel_results))
-            if a != b
-        ]
-        assert not mismatches, (
-            "parallel transfer pass diverged from serial: "
-            + ", ".join(mismatches)
-        )
+    jobs = bench_jobs(jobs)
+    tasks = [(system, tuner, quick) for system, tuner in TRANSFER_CELLS]
+    results = run_matrix("transfer", run_cell, tasks, COMPARE, jobs)
 
     winners = [
         c for c in results
@@ -299,23 +256,10 @@ def run_transfer_benchmark(
         )
     )
 
-    report: Dict[str, Any] = {
-        "benchmark": "transfer",
-        "quick": quick,
-        "jobs": jobs,
-        "threshold_factor": _THRESHOLD_FACTOR,
-        "required_savings": _REQUIRED_SAVINGS,
-        "n_cells": len(results),
-        "n_cells_meeting_savings": len(winners),
-        "serial_wall_s": round(serial_wall_s, 3),
-        "parallel_wall_s": (
-            round(parallel_wall_s, 3) if parallel_wall_s is not None else None
-        ),
-        "serial_parallel_identical": True,
-        "cells": results,
-    }
-    report = _json_safe(report)
-    if json_path:
-        with open(json_path, "w") as fh:
-            json.dump(report, fh, indent=2)
-    return report
+    return make_report(
+        "transfer", quick, results, start,
+        jobs=jobs,
+        threshold_factor=_THRESHOLD_FACTOR,
+        required_savings=_REQUIRED_SAVINGS,
+        n_cells_meeting_savings=len(winners),
+    )

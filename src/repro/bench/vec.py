@@ -1,6 +1,6 @@
 """Vectorized evaluation benchmark: batch kernels vs the scalar loop.
 
-``python -m repro bench-vec --json BENCH_vec.json`` measures the
+``python -m repro bench vec --json BENCH_vec.json`` measures the
 headline payoff of the vectorized batch fast path: each simulator's
 ``run_batch_vectorized`` evaluates a whole candidate batch as one numpy
 computation, so batch-heavy tuners (CEM, genetic, and friends asking
@@ -14,6 +14,7 @@ the system) is compared scalar-vs-vectorized on the noiseless pair, and
 the report asserts that the scalar and vectorized
 :meth:`~repro.core.measurement.TuningHistory.digest` values match under
 *both* noise settings — the fast path must be invisible to the search.
+The speedups are reported, not asserted: they depend on the host.
 
 The workloads are densified (replicated query/job templates) so the
 scalar path's per-configuration cost resembles a realistic multi-query
@@ -22,21 +23,25 @@ analytics mix rather than a micro-benchmark floor.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import replace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.bench.matrix import make_report
 from repro.core.system import InstrumentedSystem
 from repro.core.tuner import Budget
 from repro.core.workload import Workload
 
-__all__ = ["run_vec_benchmark", "VEC_BENCH_SYSTEMS", "VEC_BENCH_TUNERS"]
+__all__ = ["run"]
 
 VEC_BENCH_SYSTEMS = ("dbms", "spark", "hadoop")
-VEC_BENCH_TUNERS = ("cem", "genetic")
+
+COLUMNS = (
+    "system", "tuner", "n_real_runs", "scalar_eval_s", "vectorized_eval_s",
+    "speedup",
+)
 
 
 class _TimedSystem(InstrumentedSystem):
@@ -151,29 +156,24 @@ def _run_leg(
     return result.history.digest(), result.n_real_runs, system.eval_wall_s
 
 
-def run_vec_benchmark(
-    quick: bool = True,
-    json_path: Optional[str] = None,
-    systems: Optional[Sequence[str]] = None,
-) -> Dict[str, Any]:
+def run(quick: bool = True, jobs: Optional[int] = None) -> Dict[str, Any]:
     """Measure scalar vs vectorized candidate throughput per cell.
 
     Args:
         quick: smaller batches/budgets (the CI setting).
-        json_path: when given, the report is also written there.
-        systems: subset of :data:`VEC_BENCH_SYSTEMS` to run.
+        jobs: unused; every leg runs in this process.
 
     Returns:
         Report dict with one cell per (system, tuner).  Raises
         ``AssertionError`` if any vectorized history digest differs
         from its scalar one, noiseless or noisy.
     """
+    start = time.perf_counter()
     batch = 256 if quick else 384
     max_runs = batch * 3
     density = 10 if quick else 12
-    kinds = list(systems) if systems is not None else list(VEC_BENCH_SYSTEMS)
     cells: List[Dict[str, Any]] = []
-    for kind in kinds:
+    for kind in VEC_BENCH_SYSTEMS:
         workload = _WORKLOADS[kind](density)
         for tuner_name, factory in _tuner_specs(batch):
             digest_s, runs_s, eval_s = _run_leg(
@@ -213,19 +213,12 @@ def run_vec_benchmark(
                 "speedup": round(tp_vec / tp_scalar, 2),
             })
     speedups = [c["speedup"] for c in cells]
-    report: Dict[str, Any] = {
-        "benchmark": "vec",
-        "quick": quick,
-        "batch": batch,
-        "max_runs": max_runs,
-        "density": density,
-        "n_cells": len(cells),
-        "n_cells_at_10x": sum(1 for s in speedups if s >= 10.0),
-        "median_speedup": round(float(np.median(speedups)), 2)
+    return make_report(
+        "vec", quick, cells, start,
+        batch=batch,
+        max_runs=max_runs,
+        density=density,
+        n_cells_at_10x=sum(1 for s in speedups if s >= 10.0),
+        median_speedup=round(float(np.median(speedups)), 2)
         if speedups else None,
-        "cells": cells,
-    }
-    if json_path:
-        with open(json_path, "w") as fh:
-            json.dump(report, fh, indent=2)
-    return report
+    )

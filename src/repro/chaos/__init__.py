@@ -13,7 +13,7 @@ noisy, drifting environments.  This package makes that axis measurable:
   a *deterministic per-run-index* injection scheme, so serial, batched,
   and parallel execution all see the identical fault sequence;
 * :func:`standard_policies` is the benchmark mix behind
-  ``python -m repro bench-chaos``.
+  ``python -m repro bench chaos``.
 
 The mitigation side — deadlines, retries, circuit breaking, failure
 policies — lives in :mod:`repro.exec.resilience` and

@@ -6,39 +6,8 @@ Commands:
     experiment             — run a benchmark experiment (E1..E13) and
                              print its regenerated table
     sweep                  — one-at-a-time knob sweep on a system
-    bench                  — benchmark the execution engine (serial vs
-                             parallel) and write a JSON report
-    bench-chaos            — tuner robustness under injected faults
-                             (crash-free rate, regret inflation,
-                             wasted budget) and a JSON report
-    bench-driver           — parallel batching speedup of ask/tell
-                             tuners (serial vs thread-pool legs must
-                             observe identical histories)
-    bench-transfer         — cold-start vs knowledge-base warm-start
-                             evaluations-to-threshold and a JSON report
-    bench-mf               — multi-fidelity successive-halving screening
-                             vs single-fidelity tuning: charged budget
-                             to within-5%-of-best per cell, with
-                             serial==parallel digest asserts
-    bench-obs              — observability smoke: span parity across
-                             execution modes, <5% tracing overhead,
-                             strict-JSON /metrics under concurrency
-    bench-vec              — vectorized batch-evaluation speedup per
-                             (system, batch tuner) cell; asserts the
-                             scalar and vectorized tuning histories
-                             are byte-identical, noiseless and noisy
-    bench-fleet            — continuous vs one-shot tuning of a tenant
-                             fleet under workload drift and chaos:
-                             cumulative regret, guardrail saves, and
-                             a zero-bypass safety audit
-    bench-surrogate        — zero-probe surrogate serving vs the
-                             similarity recommender and cold tuning on
-                             a (system, workload family) matrix; checks
-                             the KB-hit path issues 0 live probe runs
-    bench-serve            — recommendation service under 1000+
-                             concurrent clients: clean, chaos (hostile
-                             traffic), and overload (shedding) storms
-                             with per-endpoint tail latency
+    bench NAME             — run one benchmark (``repro.bench.NAME``),
+                             print its cells and write its JSON report
     surrogate              — train per-family KB surrogates and print
                              their knob-importance reports
     fleet                  — run a multi-tenant continuous-tuning fleet
@@ -57,19 +26,11 @@ Examples::
     python -m repro experiment E3
     python -m repro experiment all --quick --jobs 4
     python -m repro sweep --system spark --workload sort --knob shuffle_partitions
-    python -m repro bench --json BENCH_exec.json
-    python -m repro bench-chaos --json BENCH_chaos.json
-    python -m repro bench-driver --json BENCH_driver.json --jobs 4
-    python -m repro bench-transfer --json BENCH_transfer.json
-    python -m repro bench-mf --json BENCH_mf.json
     python -m repro tune --system dbms --workload htap --tuner cem \
         --fidelity-rungs 3 --fidelity-min 0.25
-    python -m repro bench-obs --json BENCH_obs.json
-    python -m repro bench-vec --json BENCH_vec.json
-    python -m repro bench-fleet --json BENCH_fleet.json
-    python -m repro bench-surrogate --json BENCH_surrogate.json
-    python -m repro bench-serve --json BENCH_serve.json
-    python -m repro bench-serve --clients 1200 --full
+    python -m repro bench chaos --json BENCH_chaos.json
+    python -m repro bench exec --jobs 4 --json BENCH_exec.json
+    python -m repro bench serve --full --json BENCH_serve.json
     python -m repro surrogate --kb tuning.kb --system dbms
     python -m repro fleet --system dbms --tenants 4 --epochs 9 --chaos 0.1
     python -m repro fleet --system spark --kb fleet.kb --checkpoint fleet.ckpt
@@ -85,6 +46,12 @@ from typing import Dict, List, Optional
 import numpy as np
 
 __all__ = ["main"]
+
+#: Modules under ``repro.bench`` that ``python -m repro bench NAME`` runs.
+BENCHES = (
+    "chaos", "driver", "exec", "fleet", "mf", "obs", "serve", "surrogate",
+    "transfer", "vec",
+)
 
 
 def _jobs_arg(value: str) -> int:
@@ -158,7 +125,6 @@ def _make_tuner_for(
     kwargs = {"warm_start": True} if warm_start else {}
     kwargs.update(fidelity or {})
     if name == "ottertune":
-        from repro.systems.dbms import adhoc_query
         from repro.tuners import build_repository
 
         kind = system.kind
@@ -294,282 +260,24 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.exec.bench import run_exec_benchmark
+    import importlib
 
-    report = run_exec_benchmark(
-        quick=not args.full, jobs=args.jobs, json_path=args.json
+    from repro.analysis.report import format_table
+    from repro.bench.matrix import write_report
+
+    bench = importlib.import_module(f"repro.bench.{args.name}")
+    report = bench.run(quick=not args.full, jobs=args.jobs)
+    summary = ", ".join(
+        f"{key}={value}" for key, value in report.items()
+        if key != "benchmark" and not isinstance(value, (dict, list))
     )
-    print(f"exec benchmark: {report['n_experiments']} experiments, "
-          f"jobs={report['jobs']}")
-    print(f"  serial   {report['serial_wall_s']:8.2f}s")
-    print(f"  parallel {report['parallel_wall_s']:8.2f}s "
-          f"(speedup {report['speedup']:.2f}x)")
-    cache = report.get("serial_cache")
-    if cache:
-        print(f"  cache    {cache['hits']} hits / {cache['misses']} misses "
-              f"(hit rate {cache['hit_rate']:.1%})")
+    rows = [[cell[column] for column in bench.COLUMNS]
+            for cell in report["cells"]]
+    print(format_table(bench.COLUMNS, rows,
+                       title=f"{report['benchmark']}: {summary}"))
     if args.json:
-        print(f"  report written to {args.json}")
-    return 0
-
-
-def _cmd_bench_chaos(args: argparse.Namespace) -> int:
-    from repro.bench.chaos import run_chaos_benchmark
-
-    report = run_chaos_benchmark(
-        quick=not args.full, jobs=args.jobs, json_path=args.json
-    )
-    print(f"chaos benchmark: {report['n_cells']} cells "
-          f"({' + '.join(report['systems'])} × 6 categories × "
-          f"{len(report['intensities'])} intensities), jobs={report['jobs']}")
-    print(f"  serial   {report['serial_wall_s']:8.2f}s")
-    if report["parallel_wall_s"] is not None:
-        print(f"  parallel {report['parallel_wall_s']:8.2f}s "
-              "(fault sequences identical)")
-    header = (f"  {'system':6s} {'tuner':11s} {'faults':>7s} "
-              f"{'best_s':>8s} {'regret_x':>8s} {'wasted':>7s}")
-    print(header)
-    for cell in report["cells"]:
-        best = cell["best_runtime_s"]
-        regret = cell["regret_inflation"]
-        wasted = cell["wasted_time_fraction"]
-        best_col = f"{best:8.2f}" if best is not None else f"{'-':>8s}"
-        regret_col = f"{regret:8.3f}" if regret is not None else f"{'-':>8s}"
-        wasted_col = f"{wasted:6.1%}" if wasted is not None else f"{'-':>7s}"
-        print(f"  {cell['system']:6s} {cell['tuner']:11s} "
-              f"{cell['intensity']:6.0%} {best_col} {regret_col} {wasted_col}")
-    if args.json:
-        print(f"  report written to {args.json}")
-    return 0
-
-
-def _cmd_bench_driver(args: argparse.Namespace) -> int:
-    from repro.bench.driver import run_driver_benchmark
-
-    report = run_driver_benchmark(
-        quick=not args.full, jobs=args.jobs or 4, json_path=args.json
-    )
-    print(f"driver benchmark: {report['n_tuners']} batched tuners, "
-          f"jobs={report['jobs']}, "
-          f"{report['run_delay_s'] * 1000:.0f}ms per experiment")
-    print(f"  {'tuner':18s} {'runs':>5s} {'serial':>8s} {'parallel':>9s} "
-          f"{'speedup':>8s}")
-    for cell in report["cells"]:
-        print(f"  {cell['tuner']:18s} {cell['n_real_runs']:5d} "
-              f"{cell['serial_wall_s']:7.2f}s {cell['parallel_wall_s']:8.2f}s "
-              f"{cell['speedup']:7.2f}x")
-    print(f"  {report['n_tuners_at_2x']}/{report['n_tuners']} tuners at "
-          f">=2x (median {report['median_speedup']}x); "
-          "histories byte-identical")
-    if args.json:
-        print(f"  report written to {args.json}")
-    return 0
-
-
-def _cmd_bench_transfer(args: argparse.Namespace) -> int:
-    from repro.bench.transfer import run_transfer_benchmark
-
-    report = run_transfer_benchmark(
-        quick=not args.full, jobs=args.jobs, json_path=args.json
-    )
-    print(f"transfer benchmark: {report['n_cells']} cells, "
-          f"jobs={report['jobs']}, "
-          f"threshold = cold best × {report['threshold_factor']}")
-    print(f"  serial   {report['serial_wall_s']:8.2f}s")
-    if report["parallel_wall_s"] is not None:
-        print(f"  parallel {report['parallel_wall_s']:8.2f}s "
-              "(results identical)")
-    header = (f"  {'system':6s} {'tuner':10s} {'cold_best':>9s} "
-              f"{'warm_best':>9s} {'cold_ev':>7s} {'warm_ev':>7s} "
-              f"{'savings':>8s}")
-    print(header)
-    for cell in report["cells"]:
-        cold = cell["cold_best_s"]
-        warm = cell["warm_best_s"]
-        savings = cell["eval_savings"]
-        cold_col = f"{cold:9.2f}" if cold is not None else f"{'-':>9s}"
-        warm_col = f"{warm:9.2f}" if warm is not None else f"{'-':>9s}"
-        ce = cell["cold_evals_to_threshold"]
-        we = cell["warm_evals_to_threshold"]
-        savings_col = f"{savings:7.1%}" if savings is not None else f"{'-':>8s}"
-        print(f"  {cell['system']:6s} {cell['tuner']:10s} {cold_col} "
-              f"{warm_col} {ce if ce is not None else '-':>7} "
-              f"{we if we is not None else '-':>7} {savings_col}")
-    print(f"  {report['n_cells_meeting_savings']} cell(s) met the "
-          f">={report['required_savings']:.0%}-fewer-evaluations bar")
-    if args.json:
-        print(f"  report written to {args.json}")
-    return 0
-
-
-def _cmd_bench_mf(args: argparse.Namespace) -> int:
-    from repro.bench.mf import run_mf_benchmark
-
-    report = run_mf_benchmark(
-        quick=not args.full, jobs=args.jobs, json_path=args.json
-    )
-    print(f"multi-fidelity benchmark: {report['n_cells']} cells, "
-          f"jobs={report['jobs']}, "
-          f"threshold = single-fidelity best × {report['threshold_factor']}")
-    print(f"  serial   {report['serial_wall_s']:8.2f}s")
-    if report["parallel_wall_s"] is not None:
-        print(f"  parallel {report['parallel_wall_s']:8.2f}s "
-              "(results identical)")
-    print(f"  {'system':6s} {'tuner':8s} {'sf_best':>8s} {'mf_best':>8s} "
-          f"{'sf_chg':>7s} {'mf_chg':>7s} {'savings':>8s} {'within5%':>8s}")
-    for cell in report["cells"]:
-        savings = cell["charged_savings"]
-        savings_col = f"{savings:7.1%}" if savings is not None else f"{'-':>8s}"
-        sf_c = cell["sf_charged_to_threshold"]
-        mf_c = cell["mf_charged_to_threshold"]
-        print(f"  {cell['system']:6s} {cell['tuner']:8s} "
-              f"{cell['sf_best_s']:8.2f} {cell['mf_best_s']:8.2f} "
-              f"{sf_c if sf_c is not None else '-':>7} "
-              f"{mf_c if mf_c is not None else '-':>7} "
-              f"{savings_col} "
-              f"{'yes' if cell['mf_within_threshold'] else 'NO':>8s}")
-    print(f"  {report['n_cells_meeting_savings']}/{report['n_cells']} "
-          f"cell(s) met the >={report['required_savings']:.0%}-less-"
-          "charged-budget bar at within-5%-of-best")
-    if args.json:
-        print(f"  report written to {args.json}")
-    return 0
-
-
-def _cmd_bench_obs(args: argparse.Namespace) -> int:
-    from repro.obs.bench import run_obs_benchmark
-
-    report = run_obs_benchmark(
-        quick=not args.full, jobs=args.jobs, json_path=args.json
-    )
-    print(f"obs benchmark: jobs={report['jobs']}, "
-          f"reps={report['reps']}")
-    print(f"  baseline {report['baseline_wall_s']:8.2f}s (untraced)")
-    print(f"  traced   {report['traced_wall_s']:8.2f}s "
-          f"(overhead {report['overhead']:+.1%}, "
-          f"budget <{report['overhead_budget']:.0%})")
-    for label, parity in report["span_parity"].items():
-        counts = ", ".join(
-            f"{name}×{n}" for name, n in parity["span_counts"].items()
-        )
-        print(f"  {label:8s} serial==parallel span counts: {counts}")
-    service = report["service"]
-    print(f"  service  {service['n_clients']} concurrent clients, "
-          f"all responses strict RFC 8259 JSON")
-    if args.json:
-        print(f"  report written to {args.json}")
-    return 0
-
-
-def _cmd_bench_vec(args: argparse.Namespace) -> int:
-    from repro.bench.vec import run_vec_benchmark
-
-    report = run_vec_benchmark(
-        quick=not args.full, json_path=args.json,
-        systems=args.systems or None,
-    )
-    print(f"vec benchmark: {report['n_cells']} cells, "
-          f"batch={report['batch']}, density={report['density']}")
-    print(f"  {'system':6s} {'tuner':8s} {'runs':>5s} {'scalar':>9s} "
-          f"{'vector':>9s} {'speedup':>8s}")
-    for cell in report["cells"]:
-        print(f"  {cell['system']:6s} {cell['tuner']:8s} "
-              f"{cell['n_real_runs']:5d} {cell['scalar_eval_s']:8.2f}s "
-              f"{cell['vectorized_eval_s']:8.2f}s {cell['speedup']:7.2f}x")
-    print(f"  {report['n_cells_at_10x']}/{report['n_cells']} cells at "
-          f">=10x (median {report['median_speedup']}x); "
-          "histories byte-identical, noiseless and noisy")
-    if args.json:
-        print(f"  report written to {args.json}")
-    return 0
-
-
-def _cmd_bench_fleet(args: argparse.Namespace) -> int:
-    from repro.bench.fleet import run_fleet_benchmark
-
-    report = run_fleet_benchmark(
-        quick=not args.full, jobs=args.jobs, json_path=args.json
-    )
-    print(f"fleet benchmark: {report['n_cells']} cells "
-          f"(continuous vs one-shot), jobs={report['jobs']}")
-    print(f"  serial   {report['serial_wall_s']:8.2f}s")
-    if report["parallel_wall_s"] is not None:
-        print(f"  parallel {report['parallel_wall_s']:8.2f}s "
-              "(tenant histories identical)")
-    print(f"  {'system':6s} {'chaos':>6s} {'continuous':>11s} "
-          f"{'one-shot':>11s} {'winner':>11s} {'saves':>6s} {'vetoes':>7s}")
-    for cell in report["cells"]:
-        winner = "continuous" if cell["continuous_wins"] else "one-shot"
-        print(f"  {cell['system']:6s} {cell['intensity']:6.0%} "
-              f"{cell['regret_continuous']:11.1f} "
-              f"{cell['regret_oneshot']:11.1f} {winner:>11s} "
-              f"{cell['saves']:6d} {cell['gate_vetoes']:7d}")
-    print(f"  continuous won {report['n_cells_continuous_wins']}/"
-          f"{report['n_cells']} cells; "
-          f"{report['total_guardrail_saves']} guardrail saves; "
-          f"no admitted config predicted past the "
-          f"{report['max_regression']:.0%} regression bar")
-    if args.json:
-        print(f"  report written to {args.json}")
-    return 0
-
-
-def _cmd_bench_surrogate(args: argparse.Namespace) -> int:
-    from repro.bench.surrogate import run_surrogate_benchmark
-
-    report = run_surrogate_benchmark(
-        quick=not args.full, jobs=args.jobs, json_path=args.json
-    )
-    print(f"surrogate benchmark: {report['n_cells']} cells "
-          f"(zero-probe serving vs similarity vs cold), jobs={report['jobs']}")
-    print(f"  serial   {report['serial_wall_s']:8.2f}s")
-    if report["parallel_wall_s"] is not None:
-        print(f"  parallel {report['parallel_wall_s']:8.2f}s "
-              "(cell reports identical)")
-    print(f"  {'system':6s} {'family':16s} {'served_by':20s} {'model':9s} "
-          f"{'surrogate':>10s} {'similarity':>11s} {'cold':>9s}")
-    for cell in report["cells"]:
-        def fmt(value):
-            return "inf" if value in (None, "inf") else f"{value:8.2f}s"
-        print(f"  {cell['system']:6s} {cell['family']:16s} "
-              f"{cell['served_by']:20s} {str(cell['model_kind']):9s} "
-              f"{fmt(cell['surrogate_s']):>10s} {fmt(cell['similarity_s']):>11s} "
-              f"{fmt(cell['cold_best_s']):>9s}")
-    print(f"  surrogate beat similarity in {report['n_surrogate_wins']}/"
-          f"{report['n_cells']} cells "
-          f"(required >= {report['required_wins']}); "
-          f"{report['n_served_zero_probe']}/{report['n_cells']} served with "
-          "0 live probe runs")
-    if args.json:
-        print(f"  report written to {args.json}")
-    return 0
-
-
-def _cmd_bench_serve(args: argparse.Namespace) -> int:
-    from repro.bench.serve import run_serve_benchmark
-
-    report = run_serve_benchmark(
-        quick=not args.full, n_clients=args.clients, json_path=args.json
-    )
-    print(f"serve benchmark: {report['n_clients']} concurrent clients, "
-          f"{report['total_requests']} requests over "
-          f"{len(report['cells'])} cells in {report['wall_s']:.1f}s")
-    for cell in report["cells"]:
-        statuses = ", ".join(
-            f"{status}:{count}"
-            for status, count in cell["statuses"].items()
-        )
-        print(f"  {cell['cell']:9s} {cell['n_clients']:5d} clients  "
-              f"{cell['throughput_rps']:8.1f} req/s  [{statuses}]")
-        for endpoint, stats in cell["endpoints"].items():
-            print(f"    {endpoint:12s} n={stats['count']:<6d} "
-                  f"p50={stats['p50_ms']}ms p95={stats['p95_ms']}ms "
-                  f"p99={stats['p99_ms']}ms")
-    print(f"  dropped/malformed: {report['total_dropped']}  "
-          f"5xx: {report['total_5xx']}  "
-          f"shedding engaged: {report['shedding_engaged']}")
-    if args.json:
-        print(f"  report written to {args.json}")
+        write_report(report, args.json)
+        print(f"report written to {args.json}")
     return 0
 
 
@@ -743,127 +451,17 @@ def main(argv: List[str] = None) -> int:
     )
 
     bench = sub.add_parser(
-        "bench", help="benchmark the execution engine (serial vs parallel)"
+        "bench", help="run one benchmark and report its cells"
     )
+    bench.add_argument("name", choices=BENCHES)
     bench.add_argument("--json", default=None, metavar="PATH",
-                       help="write the JSON report here, e.g. BENCH_exec.json")
+                       help="write the JSON report here, e.g. BENCH_mf.json")
     bench.add_argument("--jobs", type=_jobs_arg, default=None,
-                       help="parallel workers (default 4; 0 = all cores)")
+                       help="workers for the parallel pass (0 = all cores; "
+                            "default REPRO_JOBS, else 4 for exec and "
+                            "driver and 2 for the rest)")
     bench.add_argument("--full", action="store_true",
-                       help="benchmark full-size experiments instead of quick mode")
-
-    chaos = sub.add_parser(
-        "bench-chaos",
-        help="benchmark tuner robustness under injected faults",
-    )
-    chaos.add_argument("--json", default=None, metavar="PATH",
-                       help="write the JSON report here, e.g. BENCH_chaos.json")
-    chaos.add_argument("--jobs", type=_jobs_arg, default=None,
-                       help="workers for the parallel verification pass "
-                            "(default 2; <=1 skips it)")
-    chaos.add_argument("--full", action="store_true",
                        help="full budgets instead of quick mode")
-
-    driver = sub.add_parser(
-        "bench-driver",
-        help="benchmark parallel batching speedup of ask/tell tuners",
-    )
-    driver.add_argument("--json", default=None, metavar="PATH",
-                        help="write the JSON report here, e.g. "
-                             "BENCH_driver.json")
-    driver.add_argument("--jobs", type=_jobs_arg, default=4,
-                        help="thread-pool width for the parallel leg "
-                             "(default 4)")
-    driver.add_argument("--full", action="store_true",
-                        help="full budgets instead of quick mode")
-
-    transfer = sub.add_parser(
-        "bench-transfer",
-        help="benchmark cold-start vs knowledge-base warm-start tuning",
-    )
-    transfer.add_argument("--json", default=None, metavar="PATH",
-                          help="write the JSON report here, e.g. "
-                               "BENCH_transfer.json")
-    transfer.add_argument("--jobs", type=_jobs_arg, default=None,
-                          help="workers for the parallel verification pass "
-                               "(default 2; <=1 skips it)")
-    transfer.add_argument("--full", action="store_true",
-                          help="full budgets instead of quick mode")
-
-    mf = sub.add_parser(
-        "bench-mf",
-        help="multi-fidelity screening vs single-fidelity tuning "
-             "(charged budget to within-5%-of-best per cell)",
-    )
-    mf.add_argument("--json", default=None, metavar="PATH",
-                    help="write the JSON report here, e.g. BENCH_mf.json")
-    mf.add_argument("--jobs", type=_jobs_arg, default=None,
-                    help="workers for the parallel verification pass "
-                         "(default 2; <=1 skips it)")
-    mf.add_argument("--full", action="store_true",
-                    help="full budgets instead of quick mode")
-
-    obs = sub.add_parser(
-        "bench-obs",
-        help="observability smoke: span parity, overhead, strict JSON",
-    )
-    obs.add_argument("--json", default=None, metavar="PATH",
-                     help="write the JSON report here, e.g. BENCH_obs.json")
-    obs.add_argument("--jobs", type=_jobs_arg, default=None,
-                     help="workers for the parallel cells (default 2)")
-    obs.add_argument("--full", action="store_true",
-                     help="full budgets instead of quick mode")
-
-    vec = sub.add_parser(
-        "bench-vec",
-        help="benchmark vectorized batch evaluation vs the scalar loop",
-    )
-    vec.add_argument("--json", default=None, metavar="PATH",
-                     help="write the JSON report here, e.g. BENCH_vec.json")
-    vec.add_argument("--systems", nargs="*", default=None,
-                     choices=["dbms", "spark", "hadoop"],
-                     help="restrict to these simulators (default: all)")
-    vec.add_argument("--full", action="store_true",
-                     help="larger batches/budgets instead of quick mode")
-
-    bfleet = sub.add_parser(
-        "bench-fleet",
-        help="benchmark continuous vs one-shot fleet tuning under drift",
-    )
-    bfleet.add_argument("--json", default=None, metavar="PATH",
-                        help="write the JSON report here, e.g. "
-                             "BENCH_fleet.json")
-    bfleet.add_argument("--jobs", type=_jobs_arg, default=None,
-                        help="workers for the parallel verification pass "
-                             "(default 2; <=1 skips it)")
-    bfleet.add_argument("--full", action="store_true",
-                        help="full fleet sizes instead of quick mode")
-
-    bsur = sub.add_parser(
-        "bench-surrogate",
-        help="benchmark zero-probe surrogate serving vs similarity/cold",
-    )
-    bsur.add_argument("--json", default=None, metavar="PATH",
-                      help="write the JSON report here, e.g. "
-                           "BENCH_surrogate.json")
-    bsur.add_argument("--jobs", type=_jobs_arg, default=None,
-                      help="workers for the parallel verification pass "
-                           "(default 2; <=1 skips it)")
-    bsur.add_argument("--full", action="store_true",
-                      help="full budgets instead of quick mode")
-
-    bserve = sub.add_parser(
-        "bench-serve",
-        help="benchmark the recommendation service under 1000+ clients",
-    )
-    bserve.add_argument("--json", default=None, metavar="PATH",
-                        help="write the JSON report here, e.g. "
-                             "BENCH_serve.json")
-    bserve.add_argument("--clients", type=int, default=None,
-                        help="concurrent clients for the clean/chaos "
-                             "storms (default: 64 quick, 1000 full)")
-    bserve.add_argument("--full", action="store_true",
-                        help="1000-client storms instead of quick mode")
 
     surrogate = sub.add_parser(
         "surrogate",
@@ -938,15 +536,6 @@ def main(argv: List[str] = None) -> int:
         "experiment": _cmd_experiment,
         "sweep": _cmd_sweep,
         "bench": _cmd_bench,
-        "bench-chaos": _cmd_bench_chaos,
-        "bench-driver": _cmd_bench_driver,
-        "bench-transfer": _cmd_bench_transfer,
-        "bench-mf": _cmd_bench_mf,
-        "bench-obs": _cmd_bench_obs,
-        "bench-vec": _cmd_bench_vec,
-        "bench-fleet": _cmd_bench_fleet,
-        "bench-surrogate": _cmd_bench_surrogate,
-        "bench-serve": _cmd_bench_serve,
         "surrogate": _cmd_surrogate,
         "fleet": _cmd_fleet,
         "serve": _cmd_serve,

@@ -29,7 +29,7 @@ from repro.core.parameters import Configuration
 from repro.core.system import SystemUnderTune
 from repro.core.workload import Workload
 from repro.exceptions import BudgetExhausted, CircuitOpen
-from repro.exec.resilience import CircuitBreaker, ExecutionPolicy
+from repro.exec.resilience import CircuitBreaker, ExecutionPolicy, enforce_deadline
 from repro.obs.metrics import global_metrics
 from repro.obs.trace import event as obs_event
 from repro.obs.trace import span as obs_span
@@ -211,26 +211,13 @@ class TuningSession:
         )
 
     def _enforce_deadline(self, measurement: Measurement) -> Measurement:
-        deadline = self.execution.deadline_s
-        if (
-            deadline is None
-            or not measurement.ok
-            or measurement.runtime_s <= deadline
-        ):
-            return measurement
-        self.deadline_kills += 1
-        global_metrics().inc("session.deadline_kills")
-        obs_event("deadline_kill", deadline_s=deadline,
-                  runtime_s=measurement.runtime_s)
-        metrics = dict(measurement.metrics)
-        metrics["elapsed_before_failure_s"] = deadline
-        metrics["deadline_exceeded"] = 1.0
-        cost = measurement.cost_units
-        if not math.isfinite(cost) or cost < 0:
-            cost = deadline / 3600.0
-        return Measurement(
-            runtime_s=math.inf, metrics=metrics, failed=True, cost_units=cost,
-        )
+        killed = enforce_deadline(measurement, self.execution.deadline_s)
+        if killed is not measurement:
+            self.deadline_kills += 1
+            global_metrics().inc("session.deadline_kills")
+            obs_event("deadline_kill", deadline_s=self.execution.deadline_s,
+                      runtime_s=measurement.runtime_s)
+        return killed
 
     def _quarantined(
         self, config: Configuration, tag: str, fidelity: float = 1.0

@@ -49,28 +49,6 @@ class SurrogateError(ReproError):
     fingerprint without a finite probe anchor."""
 
 
-class FaultInjected(ReproError):
-    """An *environmental* fault (injected by a chaos policy) killed a run.
-
-    Distinct from :class:`SimulationError` / :class:`ValidationError`:
-    the configuration and simulator are fine — the environment failed.
-    :class:`~repro.chaos.ChaosSystem` never raises it: injected failures
-    come back as failed measurements marked ``injected_fault``.
-
-    Attributes:
-        measurement: the failed measurement the fault produced (carries
-            ``elapsed_before_failure_s`` for budget charging).
-        index: the injection slot (run index) the fault fired at.
-        event: short description of the triggering policy event.
-    """
-
-    def __init__(self, event: str, index: int = -1, measurement=None):
-        self.event = event
-        self.index = index
-        self.measurement = measurement
-        super().__init__(f"injected fault at run {index}: {event}")
-
-
 class CircuitOpen(ReproError):
     """A configuration falls in a quarantined (circuit-open) subspace.
 

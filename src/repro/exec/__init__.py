@@ -9,8 +9,6 @@ routes real executions through:
   ``REPRO_JOBS``;
 * :class:`EvaluationCache` — value-keyed memoization of deterministic
   simulator runs, shared process-wide via :func:`global_cache`;
-* :func:`run_exec_benchmark` — the ``python -m repro bench`` entry
-  point recording per-experiment wall-clock and cache hit rates;
 * :class:`ExecutionPolicy` / :class:`CircuitBreaker` — resilient
   execution under faults: per-run deadlines, budget-charged retries
   with exponential backoff, failure policies (penalize / discard /
@@ -42,13 +40,4 @@ __all__ = [
     "global_cache",
     "reset_global_cache",
     "resolve_jobs",
-    "run_exec_benchmark",
 ]
-
-
-def run_exec_benchmark(*args, **kwargs):
-    """Lazy alias for :func:`repro.exec.bench.run_exec_benchmark` (the
-    bench module imports the full experiment registry)."""
-    from repro.exec.bench import run_exec_benchmark as _impl
-
-    return _impl(*args, **kwargs)

@@ -29,9 +29,11 @@ behaves exactly as before this layer existed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.measurement import Measurement
 from repro.obs.metrics import global_metrics
 from repro.obs.trace import event as obs_event
 
@@ -42,6 +44,7 @@ __all__ = [
     "IMPUTE",
     "ExecutionPolicy",
     "CircuitBreaker",
+    "enforce_deadline",
 ]
 
 PENALIZE = "penalize"
@@ -119,6 +122,35 @@ class ExecutionPolicy:
             self.backoff_base_s * self.backoff_factor ** attempt,
             self.max_backoff_s,
         )
+
+
+def enforce_deadline(
+    measurement: Measurement, deadline_s: Optional[float]
+) -> Measurement:
+    """The per-run deadline rule, for session runs and fleet monitors.
+
+    A successful run whose runtime exceeds ``deadline_s`` is killed:
+    it becomes a failure with ``elapsed_before_failure_s`` set to the
+    deadline and ``deadline_exceeded`` set.  The kill keeps the run's
+    ``cost_units`` unless they are non-finite or negative; then it is
+    charged ``deadline_s / 3600``.  Any other measurement, and every
+    measurement when ``deadline_s`` is ``None``, is returned as it is.
+    """
+    if (
+        deadline_s is None
+        or not measurement.ok
+        or measurement.runtime_s <= deadline_s
+    ):
+        return measurement
+    metrics = dict(measurement.metrics)
+    metrics["elapsed_before_failure_s"] = deadline_s
+    metrics["deadline_exceeded"] = 1.0
+    cost = measurement.cost_units
+    if not math.isfinite(cost) or cost < 0:
+        cost = deadline_s / 3600.0
+    return Measurement(
+        runtime_s=math.inf, metrics=metrics, failed=True, cost_units=cost,
+    )
 
 
 class CircuitBreaker:

@@ -71,7 +71,7 @@ from repro.core.session import TuningSession
 from repro.core.system import SystemUnderTune
 from repro.core.tuner import Budget
 from repro.core.workload import Workload
-from repro.exec.resilience import CircuitBreaker, ExecutionPolicy
+from repro.exec.resilience import CircuitBreaker, ExecutionPolicy, enforce_deadline
 from repro.fleet.checkpoint import (
     CHECKPOINT_KIND,
     CHECKPOINT_VERSION,
@@ -385,7 +385,7 @@ class FleetController:
         else:
             config = space.default_configuration()
         measurement = tenant.system.run(workload, config)
-        measurement = self._enforce_deadline(measurement)
+        measurement = enforce_deadline(measurement, self.deadline_s)
         tenant.history.record(Observation(
             config, measurement, source=REAL,
             tag=f"monitor-{epoch}", workload=workload.name,
@@ -405,20 +405,6 @@ class FleetController:
         if measurement.ok and math.isfinite(measurement.runtime_s):
             metrics.observe("fleet.monitor_runtime_s", measurement.runtime_s)
         return measurement, config
-
-    def _enforce_deadline(self, measurement: Measurement) -> Measurement:
-        """Kill monitor runs past the deadline (sessions do their own)."""
-        if self.deadline_s is None:
-            return measurement
-        if measurement.failed or measurement.runtime_s <= self.deadline_s:
-            return measurement
-        metrics = dict(measurement.metrics)
-        metrics["deadline_exceeded"] = 1.0
-        metrics["elapsed_before_failure_s"] = float(self.deadline_s)
-        return Measurement(
-            runtime_s=math.inf, metrics=metrics, failed=True,
-            cost_units=measurement.cost_units,
-        )
 
     def _detect_drift(self, tenant: _Tenant, workload: Workload,
                       measurement: Measurement, epoch: int) -> bool:

@@ -14,10 +14,7 @@ runtime observability as a subsystem of its own:
 * :class:`Tracer` — hierarchical spans (session → batch → evaluation,
   plus retry/fault/quarantine events) in a bounded ring buffer with
   JSONL export; activated per-run via :func:`set_tracer` /
-  :func:`tracing`, no-ops otherwise;
-* :func:`run_obs_benchmark` — the ``python -m repro bench-obs`` smoke:
-  serial and parallel executions must emit identical logical span
-  counts, and instrumentation must stay under its overhead budget.
+  :func:`tracing`, no-ops otherwise.
 """
 
 from repro.obs.metrics import (
@@ -44,17 +41,9 @@ __all__ = [
     "get_tracer",
     "global_metrics",
     "reset_global_metrics",
-    "run_obs_benchmark",
     "set_global_metrics",
     "set_tracer",
     "span",
     "tracing",
 ]
 
-
-def run_obs_benchmark(*args, **kwargs):
-    """Lazy alias for :func:`repro.obs.bench.run_obs_benchmark` (the
-    bench module imports tuners and the knowledge-base service)."""
-    from repro.obs.bench import run_obs_benchmark as _impl
-
-    return _impl(*args, **kwargs)

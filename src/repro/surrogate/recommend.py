@@ -43,7 +43,7 @@ __all__ = [
 ]
 
 #: Maximum relative posterior std for a recommendation to count as
-#: confident.  Calibrated on the bench-surrogate matrix: committee
+#: confident.  Calibrated on the surrogate bench matrix: committee
 #: spread at served KB-hit picks measured ≈0.14–0.57 in log space,
 #: while starved or off-support queries push past it.  (Forest ensemble
 #: spread is structurally conservative — it sits near the response

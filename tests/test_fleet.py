@@ -13,7 +13,8 @@ from repro.core import Budget, Measurement
 from repro.core.driver import Candidate, SearchDriver
 from repro.core.measurement import MODEL, REAL, Observation
 from repro.core.session import TuningSession
-from repro.exec.resilience import CircuitBreaker
+from repro.core.system import SystemWrapper
+from repro.exec.resilience import CircuitBreaker, ExecutionPolicy
 from repro.fleet import (
     FleetController,
     SafetyGate,
@@ -468,6 +469,37 @@ class TestFleetController:
             with pytest.raises(ValueError, match="tenants"):
                 _controller(_fleet_specs(), kb, epochs=2,
                             checkpoint_path=ckpt)
+
+    @pytest.mark.parametrize("cost_units", [0.25, math.inf])
+    def test_monitor_past_deadline_matches_session_kill(self, cost_units):
+        """A monitor run past ``deadline_s`` is recorded as the same
+        failed measurement a session's deadline kill produces — also
+        when the run reports a non-finite cost."""
+
+        class Costed(SystemWrapper):
+            def run(self, workload, config):
+                m = self.inner.run(workload, config)
+                return Measurement(m.runtime_s, m.metrics,
+                                   cost_units=cost_units)
+
+        workload = olap_analytics(0.3)
+        deadline_s = 1.0  # well below the workload's default runtime
+        spec = TenantSpec(name="t0", system=Costed(_system()),
+                          workloads=[workload])
+        controller = FleetController([spec], epochs=1, deadline_s=deadline_s)
+        tenant = controller._tenants[0]
+        controller._monitor(tenant, workload, epoch=0)
+        monitored = tenant.history[-1].measurement
+
+        session = TuningSession(
+            Costed(_system()), workload, Budget(max_runs=1),
+            np.random.default_rng(0),
+            execution=ExecutionPolicy(deadline_s=deadline_s),
+        )
+        killed = session.evaluate(session.system.default_configuration())
+        assert session.deadline_kills == 1
+        assert monitored.failed and monitored.metric("deadline_exceeded") == 1
+        assert monitored == killed
 
     def test_tenant_names_must_be_unique(self):
         specs = _fleet_specs()

@@ -15,7 +15,7 @@ import os
 
 import pytest
 
-from repro.exceptions import FaultInjected
+from repro.exceptions import CircuitOpen
 from repro.exec.runner import ParallelRunner
 from repro.obs.metrics import MetricsRegistry, set_global_metrics
 
@@ -43,7 +43,7 @@ def _record_then_maybe_fail(item):
 
 
 def _raise_fault(x):
-    raise FaultInjected("injected hang", index=x)
+    raise CircuitOpen(region=("buffer_pool_mb", x))
 
 
 @pytest.fixture(autouse=True)
@@ -62,9 +62,11 @@ class TestExceptionPropagation:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_chaos_fault_propagates_from_pool(self, mode):
-        """A FaultInjected raised inside a pooled task keeps its type."""
+        """A typed ``ReproError`` with a custom ``__init__`` (the one a
+        session raises under ``on_quarantine="raise"``) keeps its type
+        and message when raised inside a pooled task."""
         with ParallelRunner(jobs=2, mode=mode) as runner:
-            with pytest.raises(FaultInjected, match="injected hang"):
+            with pytest.raises(CircuitOpen, match="region quarantined"):
                 runner.map(_raise_fault, [3, 4])
 
     def test_unpicklable_fn_exception_not_masked(self):

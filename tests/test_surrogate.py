@@ -25,6 +25,7 @@ from repro.surrogate import (
     surrogate_prior,
     train_surrogate,
 )
+from repro.systems import SparkSimulator
 from repro.systems.dbms import DbmsSimulator, olap_analytics
 from repro.systems.hadoop import HadoopSimulator, wordcount
 
@@ -332,6 +333,25 @@ class TestServiceSurrogateMode:
         assert set(response["recommended"]["config"])
         status = service.surrogate_status()
         assert status["trains"] == 1
+
+    def test_recommend_runs_no_simulator(self, hadoop_kb, monkeypatch):
+        """Zero-probe serving: both modes answer from the KB alone, so
+        a simulator entry point that raises is never reached."""
+        kb, _ = hadoop_kb
+
+        def probe(*args, **kwargs):
+            raise AssertionError("recommend ran a simulator")
+
+        for cls in (DbmsSimulator, HadoopSimulator, SparkSimulator):
+            for name in ("run", "run_batch", "run_batch_vectorized"):
+                monkeypatch.setattr(cls, name, probe)
+        service = RecommendationService(kb)
+        request = {"workload": "wordcount-6g", "system_kind": "hadoop"}
+        similarity = service.recommend(dict(request, mode="similarity"))
+        surrogate = service.recommend(dict(request, mode="surrogate"))
+        assert similarity["recommended"]["config"]
+        assert surrogate["served_by"] == "surrogate"
+        assert surrogate["recommended"]["config"]
 
     def test_low_confidence_falls_back_to_similarity(self, hadoop_kb):
         """Acceptance pin: an impossible gate forces the fallback."""

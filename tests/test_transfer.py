@@ -5,8 +5,8 @@ import pytest
 
 from repro.bench.transfer import (
     TRANSFER_CELLS,
-    _run_cell,
     evals_to_threshold,
+    run_cell,
 )
 from repro.core import Budget
 from repro.systems.dbms import DbmsSimulator, olap_analytics
@@ -17,8 +17,8 @@ from repro.tuners import RandomSearchTuner
 def cells():
     """The two cheapest cells, each a full populate→cold→warm scenario."""
     return {
-        ("dbms", "ituned"): _run_cell("dbms", "ituned", quick=True),
-        ("dbms", "bayesopt"): _run_cell("dbms", "bayesopt", quick=True),
+        ("dbms", "ituned"): run_cell("dbms", "ituned", quick=True),
+        ("dbms", "bayesopt"): run_cell("dbms", "bayesopt", quick=True),
     }
 
 
@@ -62,7 +62,7 @@ class TestTransferCells:
 
     def test_cells_are_deterministic(self, cells):
         """Re-running a cell reproduces it bit-for-bit (fixed seed)."""
-        again = _run_cell("dbms", "ituned", quick=True)
+        again = run_cell("dbms", "ituned", quick=True)
         first = dict(cells[("dbms", "ituned")])
         again.pop("wall_s"), first.pop("wall_s")
         assert again == first
