@@ -97,10 +97,8 @@ def _distortion(workload_name: str, config: Configuration) -> float:
     (workload, configuration) pair, so every process — serial, pooled,
     vectorized — agrees on how a given point misreads at low fidelity.
     """
-    payload = "\x1f".join(
-        [workload_name]
-        + [f"{k}={v!r}" for k, v in sorted(config.to_dict().items())]
-    )
+    identity = config.identity()
+    payload = f"{workload_name}\x1f{identity}" if identity else workload_name
     digest = hashlib.sha256(payload.encode()).digest()
     unit = int.from_bytes(digest[:8], "big") / float(2**64 - 1)
     return 2.0 * unit - 1.0

@@ -239,11 +239,7 @@ class EvaluationCache:
             Unfingerprintable: the system or workload holds unstable
                 state; the caller must execute for real.
         """
-        config_key = hashlib.sha1(
-            "\x1f".join(
-                f"{k}={v!r}" for k, v in sorted(config.to_dict().items())
-            ).encode()
-        ).hexdigest()
+        config_key = hashlib.sha1(config.identity().encode()).hexdigest()
         key = (
             _KEY_VERSION,
             _memoized_fingerprint(system),

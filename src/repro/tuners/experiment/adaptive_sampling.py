@@ -57,9 +57,10 @@ class AdaptiveSamplingTuner(SearchTuner):
         if not self._boot_asked:
             self._boot_asked = True
             n_boot = min(self.n_bootstrap, max(state.remaining_runs - 2, 1))
+            design = latin_hypercube(n_boot, space.dimension, rng)
             return [
-                Candidate(space.from_array_feasible(row, rng), tag=f"bootstrap-{i}")
-                for i, row in enumerate(latin_hypercube(n_boot, space.dimension, rng))
+                Candidate(config, tag=f"bootstrap-{i}")
+                for i, config in enumerate(space.from_arrays_feasible(design, rng))
             ]
         X, y = history_to_training_data(state)
         if len(y) < 4:

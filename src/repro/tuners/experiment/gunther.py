@@ -20,6 +20,7 @@ import numpy as np
 from repro.core.driver import Candidate, SearchState, SearchTuner
 from repro.core.measurement import Observation
 from repro.core.registry import register_tuner
+from repro.exceptions import ValidationError
 from repro.tuners.common import ResponseReplay
 
 __all__ = ["GeneticTuner"]
@@ -101,9 +102,14 @@ class GeneticTuner(SearchTuner):
             if self._gen0_asked:
                 return []
             self._gen0_asked = True
+            sampled = space.sample_configurations(self.population - 1, rng)
+            if len(sampled) < self.population - 1:
+                raise ValidationError(
+                    "could not sample a feasible configuration for every "
+                    "generation-0 slot"
+                )
             return [
-                Candidate(space.sample_configuration(rng), tag=f"gen0-{i}")
-                for i in range(self.population - 1)
+                Candidate(config, tag=f"gen0-{i}") for i, config in enumerate(sampled)
             ]
         d = space.dimension
         scored = sorted(self._scored, key=lambda item: item[0])
@@ -121,12 +127,10 @@ class GeneticTuner(SearchTuner):
                 child,
             )
             next_pop.append(child)
+        children = space.from_arrays_feasible(np.array(next_pop[self.elite:]), rng)
         return [
-            Candidate(
-                space.from_array_feasible(x, rng),
-                tag=f"gen{self._generation}-{i}",
-            )
-            for i, x in enumerate(next_pop[self.elite:])
+            Candidate(config, tag=f"gen{self._generation}-{i}")
+            for i, config in enumerate(children)
         ]
 
     def finish(self, state: SearchState) -> None:

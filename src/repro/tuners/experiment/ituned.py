@@ -100,9 +100,7 @@ class ITunedTuner(SearchTuner):
             n_init = min(n_init, 2)
         n_init = min(max(n_init, 2), max(state.remaining_runs - 2, 1))
         design = maximin_latin_hypercube(n_init, space.dimension, rng)
-        self._init_configs = [
-            space.from_array_feasible(row, rng) for row in design
-        ]
+        self._init_configs = space.from_arrays_feasible(design, rng)
 
     def ask(self, state: SearchState) -> Sequence[Candidate]:
         space, rng = state.space, state.rng

@@ -52,7 +52,7 @@ class SardRanker:
     ) -> Tuple[np.ndarray, List[Configuration]]:
         design = self.design_for(space)
         unit = np.where(design > 0, _HIGH_UNIT, _LOW_UNIT)
-        configs = [space.from_array_feasible(row, rng) for row in unit]
+        configs = space.from_arrays_feasible(unit, rng)
         return design, configs
 
     def rank(

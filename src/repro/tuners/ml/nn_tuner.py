@@ -55,9 +55,10 @@ class NeuralNetTuner(SearchTuner):
         if not self._init_asked:
             self._init_asked = True
             n_init = min(self.n_init, max(state.remaining_runs - 2, 1))
+            design = latin_hypercube(n_init, space.dimension, rng)
             return [
-                Candidate(space.from_array_feasible(row, rng), tag=f"init-{i}")
-                for i, row in enumerate(latin_hypercube(n_init, space.dimension, rng))
+                Candidate(config, tag=f"init-{i}")
+                for i, config in enumerate(space.from_arrays_feasible(design, rng))
             ]
         if rng.random() < self.epsilon:
             return [Candidate(space.sample_configuration(rng), tag="explore")]

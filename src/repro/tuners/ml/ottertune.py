@@ -253,7 +253,7 @@ def _sample_workloads(system, workloads, space, n_samples, rng, runner, cache):
     measured = []
     for workload in workloads:
         design = latin_hypercube(n_samples, space.dimension, rng)
-        configs = [space.from_array_feasible(row, rng) for row in design]
+        configs = space.from_arrays_feasible(design, rng)
         if cache is not None:
             measurements = [None] * len(configs)
             pending = [
@@ -375,11 +375,10 @@ class OtterTuneTuner(SearchTuner):
                 max(self.n_init - state.seeded_prior_runs, 1),
                 max(state.remaining_runs - 2, 1),
             )
+            design = latin_hypercube(n_init, space.dimension, rng)
             return [
-                Candidate(space.from_array_feasible(row, rng), tag=f"init-{i}")
-                for i, row in enumerate(
-                    latin_hypercube(n_init, space.dimension, rng)
-                )
+                Candidate(config, tag=f"init-{i}")
+                for i, config in enumerate(space.from_arrays_feasible(design, rng))
             ]
         # Hung runs are "successful" with unbounded runtime; they
         # would wreck target_y's median scale and the GP targets.

@@ -2,6 +2,7 @@
 halving promotion, and — above all — the parity pin: fidelity 1.0 is
 byte-identical to the pre-fidelity code path for every tuner."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from repro.core.fidelity import (
     DISTORTION_AMPLITUDE,
     Fidelity,
     FidelitySystem,
+    _distortion,
     scale_measurement,
     with_fidelity,
 )
@@ -23,6 +25,7 @@ from repro.core.measurement import (
     TuningHistory,
     history_digest,
 )
+from repro.core.parameters import ConfigurationSpace
 from repro.core.serialize import observation_from_jsonable, to_jsonable
 from repro.core.session import TuningSession
 from repro.exceptions import ReproError
@@ -384,6 +387,24 @@ class TestCacheKeys:
         assert sim.execution_context() == ()
         # No context → the key shape older persisted caches used.
         assert all(not str(part).startswith("fidelity=") for part in key)
+
+    def test_config_bytes_of_keys_and_distortions_stay(self, workload):
+        # the bytes that cache keys and distortions hashed before the
+        # configuration kept its identity string
+        sim = DbmsSimulator(standard_cluster())
+        config = sim.config_space.sample_configuration(np.random.default_rng(3))
+        legacy = "\x1f".join(f"{k}={v!r}" for k, v in sorted(config.to_dict().items()))
+        key = EvaluationCache().key_for(sim, workload, config)
+        assert key[3] == hashlib.sha1(legacy.encode()).hexdigest()
+        for name, payload in (("w", "w\x1f" + legacy), ("", "\x1f" + legacy)):
+            assert _distortion(name, config) == _legacy_distortion(payload)
+        empty = ConfigurationSpace().configuration({})
+        assert _distortion("w", empty) == _legacy_distortion("w")
+
+
+def _legacy_distortion(payload):
+    digest = hashlib.sha256(payload.encode()).digest()
+    return 2.0 * (int.from_bytes(digest[:8], "big") / float(2**64 - 1)) - 1.0
 
 
 def _mf_tuner(name="cem", **overrides):

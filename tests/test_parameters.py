@@ -262,3 +262,28 @@ class TestConfiguration:
     def test_to_array_matches_space(self, space):
         config = space.default_configuration()
         assert np.allclose(config.to_array(), space.to_array(config))
+
+    def test_equal_configurations_hash_equal(self):
+        # 0 == False and 0.0 == -0.0, but their reprs differ
+        space = ConfigurationSpace([
+            CategoricalParameter("c", 0, [0, False, "off"]),
+            NumericParameter("x", 0.0, -1.0, 1.0),
+        ])
+        a = space.configuration({"c": 0, "x": 0.0})
+        b = space.configuration({"c": False, "x": -0.0})
+        c = space.configuration({"c": np.int64(0), "x": np.float64(0.0)})
+        assert a == b == c
+        assert hash(a) == hash(b) == hash(c)
+        assert len({a, b, c}) == 1
+        assert {a: "hit"}[b] == "hit"
+
+    def test_identity_is_the_sorted_repr_string(self):
+        space = ConfigurationSpace([
+            NumericParameter("x", 0.0, -1.0, 1.0),
+            CategoricalParameter("c", 0, [0, False, "off"]),
+        ])
+        a = space.configuration({"x": -0.0, "c": False})
+        assert a.identity() == "c=False\x1fx=-0.0"
+        assert a.identity() is a.identity()
+        assert a.identity() != space.configuration({"x": 0.0, "c": 0}).identity()
+        assert ConfigurationSpace().configuration({}).identity() == ""

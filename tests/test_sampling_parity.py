@@ -1,15 +1,19 @@
 """Batched sampling and decoding against the per-row reference loop.
 
-``ConfigurationSpace.sample_configurations`` draws whole batches and
-decodes them column by column; ``from_array`` decodes once and builds a
-trusted configuration.  These properties pin both to the plain loop
-they replace — ``{p.name: p.sample(rng) ...}`` rows, ``is_feasible``, a
-validating ``Configuration`` and per-parameter ``to_unit`` — on
-generated spaces that mix every parameter kind: equal values, types and
-reprs, equal unit bytes, and the generator left in the same state.
+``ConfigurationSpace.sample_configurations`` draws whole batches (for
+``PCG64``, from one block of raw words) and decodes them column by
+column; ``from_array`` decodes once and builds a trusted configuration;
+``from_arrays_feasible`` decodes a matrix of given rows.  These
+properties pin them to the plain loops they replace —
+``{p.name: p.sample(rng) ...}`` rows, ``is_feasible``, a validating
+``Configuration``, per-parameter ``to_unit`` and one
+``from_array_feasible`` call per row — on generated spaces that mix
+every parameter kind: equal values, types and reprs, equal unit bytes,
+and the generator left in the same state.
 """
 
 import math
+import types
 import zlib
 
 import numpy as np
@@ -17,6 +21,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import make_tuner
+from repro.bench.harness import standard_cluster
+from repro.core import Budget
+from repro.core import parameters as core_parameters
 from repro.core.parameters import (
     BooleanParameter,
     CategoricalParameter,
@@ -26,7 +34,9 @@ from repro.core.parameters import (
     make_constraint,
 )
 from repro.exceptions import ConstraintViolation, ValidationError
+from repro.systems.dbms import DbmsSimulator, htap_mixed
 from repro.tuners.common import candidate_pool
+from repro.tuners.ml.ottertune import build_repository
 
 _SETTINGS = dict(
     max_examples=60,
@@ -286,3 +296,256 @@ class TestUnitMemo:
         for config in self._configs():
             config.to_array()
             assert config._unit.base is None
+
+
+# -- the bulk draw and its fallbacks ---------------------------------------------------
+def assert_same_draws(got, want):
+    for g, w in zip(got, want):
+        assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
+
+
+def state_of(rng):
+    """``bit_generator.state`` with its arrays (MT19937, Philox) as bytes."""
+    def plain(value):
+        if isinstance(value, dict):
+            return {k: plain(v) for k, v in value.items()}
+        if isinstance(value, np.ndarray):
+            return (value.dtype.str, value.tobytes())
+        return value
+    return plain(rng.bit_generator.state)
+
+
+def _generators(seed, buffered, kind=np.random.PCG64):
+    """Two equal generators; ``buffered`` leaves a half-word in each
+    one's 32-bit buffer, as an odd number of categorical draws does."""
+    pair = [np.random.Generator(kind(seed)) for _ in range(2)]
+    for rng in pair:
+        if buffered:
+            rng.integers(5)
+    return pair
+
+
+@pytest.fixture
+def bulk_calls(monkeypatch):
+    """Each bulk draw's outcome: True if it returned draws, False if it
+    fell back."""
+    calls = []
+    real = core_parameters._draw_bulk
+
+    def spy(*args):
+        drawn = real(*args)
+        calls.append(drawn is not None)
+        return drawn
+
+    monkeypatch.setattr(core_parameters, "_draw_bulk", spy)
+    return calls
+
+
+def _assert_pool_matches_loop(space, got_rng, want_rng, n):
+    got = space.sample_configurations(n, got_rng)
+    assert_same(got, reference_pool(space, want_rng, n))
+    assert state_of(got_rng) == state_of(want_rng)
+
+
+class TestBulkDraw:
+    @given(space=spaces(), k=st.integers(min_value=1, max_value=48),
+           seed=st.integers(min_value=0, max_value=2**32 - 1),
+           buffered=st.booleans())
+    @settings(**_SETTINGS)
+    def test_bulk_equals_scalar_loop(self, space, k, seed, buffered):
+        got_rng, want_rng = _generators(seed, buffered)
+        before = got_rng.bit_generator.state
+        got = core_parameters._draw_bulk(space.parameters(), k, got_rng)
+        want = core_parameters._draw_loop(space.parameters(), k, want_rng)
+        if got is None:
+            assert got_rng.bit_generator.state == before
+        else:
+            assert_same_draws(got, want)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    @pytest.mark.parametrize("buffered", [False, True])
+    def test_both_buffer_parities_on_entry(self, buffered, bulk_calls):
+        space = _fixed_space(accept_percent=60)
+        got_rng, want_rng = _generators(17, buffered)
+        assert got_rng.bit_generator.state["has_uint32"] == buffered
+        _assert_pool_matches_loop(space, got_rng, want_rng, 64)
+        assert bulk_calls[0] is True
+
+    def test_lemire_rejection_restores_state_and_takes_the_loop(self, bulk_calls):
+        space = _fixed_space(accept_percent=100)  # first categorical: 3 choices
+        probe, got_rng, want_rng = (np.random.default_rng(23) for _ in range(3))
+        for rng in (probe, got_rng, want_rng):
+            state = rng.bit_generator.state
+            state.update(has_uint32=1, uinteger=0)
+            rng.bit_generator.state = state
+        # a buffered 0 is rejected for 3 choices: the scalar call takes
+        # a fresh word and buffers its high half
+        probe.integers(3)
+        assert probe.bit_generator.state["has_uint32"] == 1
+        _assert_pool_matches_loop(space, got_rng, want_rng, 400)
+        assert bulk_calls == [False]
+
+    @pytest.mark.parametrize("kind", [np.random.MT19937, np.random.Philox])
+    def test_other_bit_generators_take_the_loop(self, kind, bulk_calls):
+        space = _fixed_space(accept_percent=60)
+        for buffered in (False, True):
+            got_rng, want_rng = _generators(29, buffered, kind)
+            _assert_pool_matches_loop(space, got_rng, want_rng, 64)
+        assert bulk_calls == []
+
+    def test_failed_check_takes_the_loop(self, monkeypatch, bulk_calls):
+        monkeypatch.setattr(core_parameters, "_bulk_agrees", None)
+        monkeypatch.setattr(core_parameters, "_check_bulk", lambda: False)
+        space = _fixed_space(accept_percent=60)
+        got_rng, want_rng = _generators(31, False)
+        _assert_pool_matches_loop(space, got_rng, want_rng, 400)
+        assert core_parameters._bulk_agrees is False and bulk_calls == []
+
+    def test_few_rows_take_the_loop(self, bulk_calls):
+        space = _fixed_space(accept_percent=100)
+        got_rng, want_rng = _generators(37, False)
+        _assert_pool_matches_loop(space, got_rng, want_rng, core_parameters._BULK_MIN_ROWS - 1)
+        assert bulk_calls == []
+
+    def test_installed_numpy_takes_the_bulk_path(self, monkeypatch):
+        # Tripwire: a numpy whose raw words no longer match its scalar
+        # calls fails the one-time check, which would silently route
+        # every draw through the slow loop.
+        monkeypatch.setattr(core_parameters, "_bulk_agrees", core_parameters._check_bulk())
+        assert core_parameters._bulk_agrees
+
+        def no_loop(*args):
+            raise AssertionError("400 rows from default_rng took the scalar loop")
+
+        monkeypatch.setattr(core_parameters, "_draw_loop", no_loop)
+        space = _fixed_space(accept_percent=100)
+        pool = space.sample_configurations(400, np.random.default_rng(41))
+        assert_same(pool, reference_pool(space, np.random.default_rng(41), 400))
+        dbms = DbmsSimulator(standard_cluster()).config_space.parameters()
+        core_parameters._draw(dbms, 400, np.random.default_rng(43))
+
+
+# -- the batched decode ----------------------------------------------------------------
+def reference_decode(space, X, rng=None, max_tries=64):
+    return [space.from_array_feasible(x, rng, max_tries) for x in X]
+
+
+def _share_or_default(space, percent):
+    """Accept ``percent`` % of rows, and always the default."""
+    share = _accept_share(percent)
+    default = dict(space.default_configuration())
+    return make_constraint("share-or-default", space.names(),
+                           lambda values: values == default or share(values))
+
+
+@st.composite
+def repairable_spaces(draw):
+    space = draw(spaces(min_accept=100))
+    space.add_constraint(
+        _share_or_default(space, draw(st.integers(min_value=0, max_value=100)))
+    )
+    return space
+
+
+class TestBatchedDecode:
+    @given(space=repairable_spaces(), data=st.data(),
+           max_tries=st.sampled_from([0, 1, 2, 64]),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(**_SETTINGS)
+    def test_equals_per_row_loop(self, space, data, max_tries, seed):
+        n = data.draw(st.integers(min_value=0, max_value=12))
+        X = np.array(data.draw(st.lists(
+            st.lists(_UNIT_ENTRIES, min_size=space.dimension, max_size=space.dimension),
+            min_size=n, max_size=n,
+        )), dtype=float).reshape(n, space.dimension)
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = space.from_arrays_feasible(X, got_rng, max_tries)
+        assert_same(got, reference_decode(space, X, want_rng, max_tries))
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_repairs_only_infeasible_rows_in_order(self):
+        space = _fixed_space(accept_percent=100)
+        space.add_constraint(_share_or_default(space, 30))
+        X = np.vstack([
+            [[-0.0, math.nan, 0.5, 2.0, -math.inf], [0.2, 0.9, math.inf, -1.0, 0.5]],
+            np.random.default_rng(1).uniform(-0.2, 1.2, (10, space.dimension)),
+        ])
+        feasible = [space.is_feasible({p.name: p.from_unit(u)
+                                       for p, u in zip(space.parameters(), x)})
+                    for x in X]
+        assert any(feasible) and not all(feasible)
+        for max_tries in (1, 3, 64):
+            got_rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
+            got = space.from_arrays_feasible(X, got_rng, max_tries)
+            assert_same(got, reference_decode(space, X, want_rng, max_tries))
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_exhausted_row_gets_the_default(self):
+        space = _fixed_space(accept_percent=100)
+        space.add_constraint(_share_or_default(space, 0))
+        X = np.full((2, space.dimension), 0.37)
+        got_rng, want_rng = np.random.default_rng(9), np.random.default_rng(9)
+        got = space.from_arrays_feasible(X, got_rng, max_tries=3)
+        assert got == [space.default_configuration()] * 2
+        assert_same(got, reference_decode(space, X, want_rng, 3))
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_without_rng_each_repair_starts_fresh(self):
+        space = _fixed_space(accept_percent=100)
+        space.add_constraint(_share_or_default(space, 30))
+        X = np.random.default_rng(2).random((8, space.dimension))
+        assert_same(space.from_arrays_feasible(X), reference_decode(space, X))
+
+    def test_rejects_rows_of_the_wrong_width(self):
+        space = _fixed_space(accept_percent=100)
+        for X in (np.zeros(space.dimension), np.zeros((2, space.dimension + 1))):
+            with pytest.raises(ValidationError):
+                space.from_arrays_feasible(X)
+
+
+def _ottertune():
+    repository = build_repository(
+        DbmsSimulator(standard_cluster()), [htap_mixed(0.6)],
+        n_samples=12, rng=np.random.default_rng(7),
+    )
+    return make_tuner("ottertune", repository=repository, n_init=4, n_candidates=40)
+
+
+#: Every tuner whose whole-design decode moved to ``from_arrays_feasible``.
+_PORTED = {
+    "genetic": lambda: make_tuner("genetic", population=6, elite=2),
+    "ituned": lambda: make_tuner("ituned", n_init=5, batch_size=3, n_candidates=40),
+    "ottertune": _ottertune,
+    "ensemble": lambda: make_tuner("ensemble", n_init=5, mlp_epochs=20, n_candidates=40),
+    "nn-tuner": lambda: make_tuner(
+        "nn-tuner", n_init=5, epochs=20, hidden=(8, 8), n_candidates=40
+    ),
+    "adaptive-sampling": lambda: make_tuner(
+        "adaptive-sampling", n_bootstrap=6, n_candidates=40
+    ),
+    "sard": lambda: make_tuner("sard", batch_size=2),
+}
+
+
+def _session_digest(name):
+    result = _PORTED[name]().tune(
+        DbmsSimulator(standard_cluster()), htap_mixed(0.3), Budget(max_runs=14),
+        rng=np.random.default_rng(7),
+    )
+    return result.history.digest()
+
+
+@pytest.mark.parametrize("name", sorted(_PORTED))
+def test_ported_tuner_digest_equals_per_row_decode(name, monkeypatch):
+    batched = _session_digest(name)
+    monkeypatch.setattr(ConfigurationSpace, "from_arrays_feasible", reference_decode)
+    assert _session_digest(name) == batched
+
+
+def test_genetic_generation_zero_raises_on_a_dropped_slot():
+    tuner = make_tuner("genetic", population=4, elite=1)
+    state = types.SimpleNamespace(space=_fixed_space(accept_percent=0),
+                                  rng=np.random.default_rng(0))
+    tuner.setup(state)
+    with pytest.raises(ValidationError):
+        tuner.ask(state)
