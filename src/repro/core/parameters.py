@@ -529,7 +529,7 @@ class ConfigurationSpace:
         return self.default_configuration()
 
     def from_arrays_feasible(
-        self, X: np.ndarray, rng: Optional[np.random.Generator] = None, max_tries: int = 64
+        self, X: np.ndarray, rng: np.random.Generator
     ) -> List[Configuration]:
         """Decode each row of ``X`` as :meth:`from_array_feasible` would.
 
@@ -544,8 +544,6 @@ class ConfigurationSpace:
             raise ValidationError(
                 f"expected rows of length {self.dimension}, got shape {X.shape}"
             )
-        if max_tries < 1:
-            return [self.default_configuration() for _ in X]
         params = self.parameters()
         choices = _choice_counts(params)
         categorical = choices > 0
@@ -557,7 +555,7 @@ class ConfigurationSpace:
             if self.is_feasible(values):
                 configs.append(Configuration._trusted(self, values, unit.copy()))
             else:
-                configs.append(self.from_array_feasible(x, rng, max_tries))
+                configs.append(self.from_array_feasible(x, rng))
         return configs
 
     # -- sampling ---------------------------------------------------------
