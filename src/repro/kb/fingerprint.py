@@ -74,6 +74,32 @@ class WorkloadFingerprint:
             probe_runtime_s=math.inf if runtime == "inf" else float(runtime),
         )
 
+    @classmethod
+    def parse(cls, payload: Any) -> "WorkloadFingerprint":
+        """:meth:`from_jsonable` for a document from outside (an
+        ``/ingest`` payload, a ``/recommend`` request).
+
+        Raises ``TypeError`` unless ``payload`` and its ``metrics`` are
+        objects, and ``ValueError`` for a number that does not parse or
+        a metric that is not finite: a ``nan`` metric makes every
+        distance ``nan``, and ranking by it is arbitrary.
+        """
+        if not isinstance(payload, Mapping):
+            raise TypeError("fingerprint must be an object")
+        if not isinstance(payload.get("metrics", {}), Mapping):
+            raise TypeError("fingerprint metrics must be an object")
+        try:
+            fingerprint = cls.from_jsonable(payload)
+        except OverflowError as exc:  # a 400-digit integer
+            raise ValueError(f"fingerprint number out of range: {exc}") from None
+        bad = sorted(
+            name for name, value in fingerprint.metrics.items()
+            if not math.isfinite(value)
+        )
+        if bad:
+            raise ValueError(f"fingerprint metrics must be finite: {bad}")
+        return fingerprint
+
 
 def _fingerprint_of(measurement: Measurement) -> WorkloadFingerprint:
     metrics = {

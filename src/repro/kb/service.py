@@ -21,8 +21,9 @@ knowledge:
   model confidence — ``served_by``/``fallback_reason`` say which.
 * ``POST /ingest``     — store a completed session document (the
   ``kb_session`` payload :meth:`KnowledgeBase.session_payload` builds).
-  Ingests bump the KB version, which invalidates both the fingerprint
-  index and any surrogate models trained on the previous contents.
+  Ingests bump the KB version, which extends the fingerprint index
+  and invalidates any surrogate models trained on the previous
+  contents.
 
 Serving model (see :mod:`repro.kb.serving`): connection threads parse
 and validate the request, then hand the computation to a **bounded
@@ -170,31 +171,38 @@ class RecommendationService:
     def _fingerprint_index(
         self,
     ) -> List[Tuple[SessionRecord, WorkloadFingerprint]]:
-        """(record, fingerprint) pairs, rebuilt only when the KB changed.
+        """(record, fingerprint) pairs, newest first.
 
-        The returned list is shared between threads and must be treated
-        as immutable.  Rebuilds run outside ``_index_lock`` — readers
-        of the current index never block behind a ``kb.sessions()``
-        scan — and are serialized on a dedicated build lock so a
-        thundering herd after an ingest does one scan, not hundreds.
+        Append-only: when ``kb.version()`` moves, only the rows above
+        the highest id held are read, and they go in front of a *new*
+        list — readers iterate the shared one without a lock.  The
+        ``(count, max id)`` key comes from the rows read, not from the
+        version probe, so a commit landing in between is neither
+        skipped nor read twice.  Extensions are serialized on a build
+        lock outside ``_index_lock``: readers never block behind a
+        read, and a thundering herd after an ingest reads the new rows
+        once.
         """
         version = self.kb.version()
         with self._index_lock:
             if version == self._index_version:
                 return self._index
         with self._index_build_lock:
-            version = self.kb.version()
-            with self._index_lock:
-                if version == self._index_version:
-                    return self._index  # rebuilt while we waited
-            index = [
-                (record, record.fingerprint)
-                for record in self.kb.sessions()
-                if record.fingerprint is not None
-            ]
+            index, held = self._index, self._index_version
+            if held == version:
+                return index  # extended while we waited
+            count, max_id = held or (0, 0)
+            fresh = self.kb.sessions(after_id=max_id)
+            if fresh:
+                index = [
+                    (record, record.fingerprint)
+                    for record in fresh
+                    if record.fingerprint is not None
+                ] + index
+                count, max_id = count + len(fresh), fresh[0].session_id
             with self._index_lock:
                 self._index = index
-                self._index_version = version
+                self._index_version = (count, max_id)
             return index
 
     def refresh_index(self) -> None:
@@ -406,12 +414,9 @@ class RecommendationService:
         candidates: List[Tuple[SessionRecord, WorkloadFingerprint]],
     ) -> WorkloadFingerprint:
         if "fingerprint" in request:
-            payload = request["fingerprint"]
-            if not isinstance(payload, Mapping):
-                raise ServiceError("fingerprint must be an object")
             try:
-                return WorkloadFingerprint.from_jsonable(payload)
-            except (KeyError, TypeError, ValueError, AttributeError) as exc:
+                return WorkloadFingerprint.parse(request["fingerprint"])
+            except (TypeError, ValueError) as exc:
                 raise ServiceError(
                     f"bad fingerprint payload: {exc}"
                 ) from exc
@@ -526,6 +531,12 @@ class _Handler(BaseHTTPRequestHandler):
     #: Socket timeout — a stalled client cannot pin a connection
     #: thread (or an rfile.read) forever.
     timeout = 60
+    #: TCP_NODELAY on every accepted connection.  A reply is two writes
+    #: (``end_headers()`` flushes the header block, then the body); with
+    #: Nagle's algorithm on, the body waits about 40 ms for the
+    #: keep-alive client's delayed ACK.  A buffered ``wfile`` would not
+    #: do: a body over its buffer still goes out as a second write.
+    disable_nagle_algorithm = True
 
     server: ServingHTTPServer
 
@@ -596,8 +607,9 @@ class _Handler(BaseHTTPRequestHandler):
         non-integer or negative ``Content-Length`` → 400; a declared
         length over ``max_body_bytes`` → 413 *without reading the
         body* (the connection is closed — the unread body would
-        desynchronize keep-alive framing); short reads and invalid
-        JSON → 400; non-object top-level values → 400.
+        desynchronize keep-alive framing); short reads, invalid JSON
+        and JSON nested past the parser's recursion limit → 400;
+        non-object top-level values → 400.
         """
         metrics = global_metrics()
 
@@ -638,6 +650,9 @@ class _Handler(BaseHTTPRequestHandler):
             body = json.loads(data.decode("utf-8") or "{}")
         except (UnicodeDecodeError, json.JSONDecodeError):
             refuse(400, "request body is not valid JSON")
+            return None
+        except RecursionError:
+            refuse(400, "request body JSON is nested too deeply")
             return None
         if not isinstance(body, dict):
             refuse(400, "request body must be a JSON object")
@@ -710,7 +725,7 @@ class _Handler(BaseHTTPRequestHandler):
         # sessions) serializes as "inf" instead of the invalid Infinity.
         try:
             data = dumps_strict(payload).encode("utf-8")
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, RecursionError):
             global_metrics().inc("kb.serve.errors.serialization")
             status = 500
             data = b'{"error": "unserializable response"}'

@@ -353,11 +353,26 @@ class KnowledgeBase:
 
     def _insert_payload(self, payload: Mapping[str, Any]) -> int:
         """Validate + insert one document; caller holds the lock and
-        commits."""
+        commits.
+
+        ``best_config`` and ``fingerprint`` are checked before the
+        insert: every ``sessions()`` read parses them and every
+        recommend reply carries a best config, so one stored row that
+        fails to parse, ranks at ``nan`` or nests too deeply to
+        serialize would break every later recommend.
+        """
         if not isinstance(payload, Mapping):
             raise TypeError("payload must be a JSON object")
         if payload.get("kind") != "kb_session":
             raise ValueError("payload is not a kb_session document")
+        best_config = payload["best_config"]
+        if not isinstance(best_config, Mapping) or not all(
+            value is None or isinstance(value, (str, int, float))
+            for value in best_config.values()
+        ):
+            raise TypeError("best_config must be an object of knob values")
+        if payload.get("fingerprint") is not None:
+            WorkloadFingerprint.parse(payload["fingerprint"])
         best_runtime = payload["best_runtime_s"]
         best_runtime = math.inf if best_runtime == "inf" else float(best_runtime)
         cursor = self._conn.execute(
@@ -401,12 +416,16 @@ class KnowledgeBase:
         system_kind: Optional[str] = None,
         workload_name: Optional[str] = None,
         space_names: Optional[Sequence[str]] = None,
+        after_id: int = 0,
     ) -> List[SessionRecord]:
         """Stored sessions, newest first, optionally filtered.
 
         ``space_names`` restricts to sessions recorded against exactly
         that knob catalog — transfer across incompatible spaces is
-        meaningless, so every consumer filters on it.
+        meaningless, so every consumer filters on it.  ``after_id``
+        restricts to sessions stored after that id (0 reads every row):
+        ids only grow and no row is ever deleted, so this is exactly
+        what was committed since a read whose newest id it was.
         """
         query = (
             "SELECT id, system_kind, system_name, workload_name, tuner_name,"
@@ -414,6 +433,9 @@ class KnowledgeBase:
             " metric_names, fingerprint, extras FROM kb_sessions"
         )
         clauses, params = [], []
+        if after_id:
+            clauses.append("id > ?")
+            params.append(after_id)
         if system_kind is not None:
             clauses.append("system_kind = ?")
             params.append(system_kind)
@@ -467,8 +489,9 @@ class KnowledgeBase:
     def version(self) -> Tuple[int, int]:
         """(row count, max id) — changes iff the stored data changed.
 
-        The recommendation service keys its similarity-index cache on
-        this, so reads stay cheap between ingests.
+        The recommendation service keys its similarity index on this:
+        reads stay cheap between ingests, and after one it reads only
+        the rows above the max id it holds.
         """
         with self._lock:
             row = self._conn.execute(

@@ -5,11 +5,19 @@ Covers the hardened request path (500 safety net, type-validated
 executor (coalescing, shedding, Retry-After), the write-behind ingest
 queue (group commit, never-ack-a-lost-session, flush-on-shutdown), the
 lock-guarded ``_space_for`` negative cache, and per-family surrogate
-locks (one cold family must not serialize the others).
+locks (one cold family must not serialize the others).  Also: ingest
+validation (no stored row can break a later recommend), reply latency
+on a keep-alive connection (no reply waits for a delayed ACK), and the
+append-only fingerprint index (equal to a full rescan, each row read
+once).
 """
 
 import json
+import os
 import socket
+import statistics
+import sys
+import tempfile
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -17,6 +25,8 @@ from http.client import HTTPConnection
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core import Budget
 from repro.kb import KnowledgeBase, make_server
@@ -27,8 +37,8 @@ from repro.systems.dbms import DbmsSimulator, olap_analytics, oltp_orders
 from repro.tuners import RandomSearchTuner
 
 
-@pytest.fixture(scope="module")
-def kb():
+def _tuned_kb():
+    """In-memory KB holding one olap-analytics and one oltp-orders session."""
     system = DbmsSimulator()
     store = KnowledgeBase(":memory:")
     for seed, workload in enumerate([olap_analytics(), oltp_orders()]):
@@ -36,26 +46,39 @@ def kb():
             system, workload, Budget(max_runs=8), np.random.default_rng(seed)
         )
         store.ingest_result(system, workload, result, seed=seed)
+    return store
+
+
+@pytest.fixture(scope="module")
+def kb():
+    store = _tuned_kb()
     yield store
     store.close()
 
 
 @pytest.fixture(scope="module")
-def session_payload():
+def tuned():
+    """(system, workload, result) of one short session."""
     system = DbmsSimulator()
     result = RandomSearchTuner().tune(
         system, olap_analytics(), Budget(max_runs=4),
         np.random.default_rng(7),
     )
+    return system, olap_analytics(), result
+
+
+@pytest.fixture(scope="module")
+def session_payload(tuned):
     with KnowledgeBase(":memory:") as scratch:
-        return scratch.session_payload(
-            system, olap_analytics(), result, seed=7
-        )
+        return scratch.session_payload(*tuned, seed=7)
 
 
-def _serve(kb, config=None, service=None):
+def _serve(kb, config=None, service=None, poll_interval=0.5):
     server = make_server(kb, port=0, config=config, service=service)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": poll_interval},
+        daemon=True,
+    )
     thread.start()
     return server, thread
 
@@ -143,24 +166,35 @@ class TestRequestValidation:
 
     def test_invalid_json_is_400(self, server):
         host, port = server.server_address[:2]
-        conn = HTTPConnection(host, port, timeout=10)
-        try:
-            conn.request("POST", "/recommend", body=b"{nope",
-                         headers={"Content-Type": "application/json"})
-            response = conn.getresponse()
-            assert response.status == 400
-            assert "JSON" in json.loads(response.read())["error"]
-        finally:
-            conn.close()
+        # nesting past the interpreter's recursion limit (990 levels is
+        # enough on 3.11) raises RecursionError in json.loads, which
+        # used to close the socket without a reply
+        deep = b'{"k": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"
+        for raw in (b"{nope", deep):
+            conn = HTTPConnection(host, port, timeout=10)
+            try:
+                conn.request("POST", "/recommend", body=raw,
+                             headers={"Content-Type": "application/json"})
+                response = conn.getresponse()
+                assert response.status == 400
+                assert "JSON" in json.loads(response.read())["error"]
+            finally:
+                conn.close()
 
     def test_bad_fingerprint_payload_is_400_not_500(self, server):
         # from_jsonable raises KeyError/AttributeError on these; the old
-        # handler crashed the thread and dropped the connection
+        # handler crashed the thread and dropped the connection.  A
+        # 400-digit number overflowed float() into a 500, and a NaN or
+        # Infinity metric got a 200 ranking every distance at "nan".
         for fingerprint in (
             {"metrics": "zen"},
             {"metrics": {"a": "b"}},
             {"metrics": [1, 2]},
             "not-an-object",
+            {"metrics": {"a": 10**400}, "probe_runtime_s": 1.0},
+            {"metrics": {"a": 1.0}, "probe_runtime_s": 10**400},
+            {"metrics": {"a": float("nan")}, "probe_runtime_s": 1.0},
+            {"metrics": {"a": float("inf")}, "probe_runtime_s": 1.0},
         ):
             status, body, _ = _request(
                 server, "POST", "/recommend", {"fingerprint": fingerprint}
@@ -268,6 +302,21 @@ class TestInternalErrorPath:
             assert "ZeroDivisionError" in types
         finally:
             _stop(server, thread)
+
+    def test_reply_too_deep_to_serialize_is_500_not_dropped(
+        self, server, monkeypatch
+    ):
+        # a best config stored before ingest validation can nest past
+        # the recursion limit; serializing the reply must still answer
+        import repro.kb.service as service_module
+
+        def too_deep(payload):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(service_module, "dumps_strict", too_deep)
+        status, body, _ = _request(server, "GET", "/workloads")
+        assert status == 500
+        assert body == {"error": "unserializable response"}
 
     def test_get_path_500_also_answers(self, kb):
         server, thread = _serve(kb, service=_ExplodingService(kb))
@@ -656,3 +705,306 @@ class TestRetrainDebounce:
         kb.ingest_result(system, oltp_orders(), result, seed=11)
         service.recommend(dict(request))
         assert store.trains == trains_after_first
+
+
+# -- ingest validation: no stored row may break a later recommend -------------
+def _nan_metric(fingerprint):
+    metrics = dict(fingerprint["metrics"])
+    metrics[sorted(metrics)[0]] = float("nan")
+    return {**fingerprint, "metrics": metrics}
+
+
+#: (field, value or function of the valid value) of payloads that were
+#: acked and then broke every recommend: a 500 from the fingerprint
+#: parse or from ``describe()``'s ``dict(best_config)``, a dropped
+#: connection from serializing a deeply nested best config, or a 200
+#: ranking every distance at "nan".
+_POISON = {
+    "fingerprint-unparsable-metric": (
+        "fingerprint", {"metrics": {"a": "b"}, "probe_runtime_s": 1.0}),
+    "fingerprint-huge-int-metric": (
+        "fingerprint", {"metrics": {"a": 10**400}, "probe_runtime_s": 1.0}),
+    "fingerprint-nan-metric": ("fingerprint", _nan_metric),
+    "fingerprint-not-object": ("fingerprint", [1.0]),
+    "best_config-string": ("best_config", "x"),
+    "best_config-null": ("best_config", None),
+    "best_config-number": ("best_config", 1),
+    "best_config-list": ("best_config", [1]),
+    "best_config-nested": (
+        "best_config", {"buffer_pool_mb": json.loads("[" * 600 + "]" * 600)}),
+}
+
+
+def _poisoned(session_payload, case):
+    field, value = _POISON[case]
+    payload = dict(session_payload)
+    payload[field] = value(payload[field]) if callable(value) else value
+    return payload
+
+
+class TestIngestValidation:
+    @pytest.mark.parametrize("case", sorted(_POISON))
+    def test_poisoned_ingest_is_400_and_recommends_unchanged(
+        self, session_payload, case
+    ):
+        with _tuned_kb() as private:
+            olap = private.sessions(workload_name=olap_analytics().name)[0]
+            request = {"fingerprint": olap.fingerprint.to_jsonable(), "k": 3}
+            server, thread = _serve(private, poll_interval=0.01)
+            try:
+                status, before, _ = _request(
+                    server, "POST", "/recommend", request
+                )
+                assert status == 200
+                assert before["matches"][0]["distance"] == 0.0
+                status, body, _ = _request(
+                    server, "POST", "/ingest", _poisoned(session_payload, case)
+                )
+                assert status == 400
+                assert "payload" in body["error"]
+                server.ingest_writer.flush()
+                assert len(private) == 2
+                status, after, _ = _request(
+                    server, "POST", "/recommend", request
+                )
+                assert status == 200
+                assert after == before
+            finally:
+                _stop(server, thread)
+
+    @pytest.mark.parametrize("case", sorted(_POISON))
+    def test_every_insert_path_rejects_it(self, session_payload, case):
+        poisoned = _poisoned(session_payload, case)
+        with KnowledgeBase(":memory:") as kb:
+            with pytest.raises((TypeError, ValueError)):
+                kb.ingest_payload(poisoned)
+            with pytest.raises(ServiceError):
+                RecommendationService(kb).ingest(poisoned)
+            outcomes = kb.ingest_many([dict(session_payload), poisoned])
+            assert isinstance(outcomes[0], int)
+            assert isinstance(outcomes[1], (TypeError, ValueError))
+            assert [r.session_id for r in kb.sessions()] == [outcomes[0]]
+
+    def test_fingerprintless_and_failed_probe_sessions_still_stored(
+        self, session_payload
+    ):
+        failed_probe = {
+            **session_payload["fingerprint"], "probe_runtime_s": "inf",
+        }
+        with KnowledgeBase(":memory:") as kb:
+            for fingerprint in (None, {}, failed_probe):
+                kb.ingest_payload({**session_payload, "fingerprint": fingerprint})
+            stored = [r.fingerprint for r in kb.sessions()]
+        assert stored[0].probe_runtime_s == float("inf")
+        assert stored[1:] == [None, None]
+
+
+# -- tentpole: no reply waits for the client's delayed ACK --------------------
+class _FailingService(RecommendationService):
+    """Answers a 500 to a recommend that asks for one."""
+
+    def recommend(self, request):
+        if request.get("explode"):
+            raise RuntimeError("boom")
+        return super().recommend(request)
+
+
+class TestReplyLatency:
+    def test_no_reply_waits_for_a_delayed_ack(self, session_payload):
+        """Each reply is a header write and a body write.  With Nagle's
+        algorithm on, the body waited ~40 ms for the keep-alive client's
+        delayed ACK: every median below was at least 40 ms."""
+        name = olap_analytics().name
+        cases = {
+            "small 200": ("POST", "/recommend", {"workload": name, "k": 1}, 200),
+            "200 over 8 KiB": (
+                "POST", "/recommend", {"workload": name, "k": 1000}, 200),
+            "400": ("POST", "/recommend", {"workload": name, "k": 0}, 400),
+            "404": ("GET", "/nope", None, 404),
+            "429": ("POST", "/ingest", dict(session_payload), 429),
+            "500": ("POST", "/recommend", {"workload": name, "explode": 1}, 500),
+        }
+        with KnowledgeBase(":memory:") as kb:
+            for _ in range(20):
+                kb.ingest_payload(dict(session_payload))
+            server, thread = _serve(
+                kb, service=_FailingService(kb), poll_interval=0.01
+            )
+            server.ingest_writer.close()  # every /ingest now sheds: 429
+            host, port = server.server_address[:2]
+            conn = HTTPConnection(host, port, timeout=10)
+            try:
+                for label, (method, path, body, expected) in cases.items():
+                    raw = None if body is None else json.dumps(body).encode()
+                    times = []
+                    for _ in range(10):
+                        start = time.perf_counter()
+                        conn.request(method, path, body=raw, headers={
+                            "Content-Type": "application/json"})
+                        response = conn.getresponse()
+                        data = response.read()
+                        times.append(time.perf_counter() - start)
+                        assert response.status == expected, label
+                    if expected == 429:
+                        assert int(response.getheader("Retry-After")) >= 1
+                    if label == "200 over 8 KiB":
+                        assert len(data) > 8192
+                    median_ms = statistics.median(times) * 1000.0
+                    assert median_ms < 20.0, f"{label}: {median_ms:.1f} ms"
+            finally:
+                conn.close()
+                _stop(server, thread)
+
+
+# -- tentpole: the append-only fingerprint index ------------------------------
+def _rescan(kb):
+    return [(r, r.fingerprint) for r in kb.sessions() if r.fingerprint]
+
+
+#: One write: (path, keep the fingerprint).  ``http`` is the write-behind
+#: ingest queue, ``local`` an in-process write on the served handle,
+#: ``other`` a second handle on the same file; ``recommend`` reads.
+_WRITES = st.tuples(
+    st.sampled_from(("http", "local", "other", "recommend")), st.booleans()
+)
+
+
+class TestAppendOnlyIndex:
+    @settings(max_examples=20, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(writes=st.lists(_WRITES, min_size=1, max_size=10))
+    def test_index_equals_a_full_rescan_after_every_write(
+        self, tuned, session_payload, writes
+    ):
+        request = {"workload": olap_analytics().name, "k": 2}
+        bare = {**session_payload, "fingerprint": None}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "kb.sqlite")
+            with KnowledgeBase(path) as kb, KnowledgeBase(path) as other:
+                kb.ingest_payload(dict(session_payload))
+                server, thread = _serve(kb, poll_interval=0.01)
+                service = server.service
+                try:
+                    for where, keep in writes:
+                        payload = dict(session_payload) if keep else dict(bare)
+                        if where == "http":
+                            status, _, _ = _request(
+                                server, "POST", "/ingest", payload
+                            )
+                            assert status == 200
+                            server.ingest_writer.flush()
+                        elif where == "local" and keep:
+                            kb.ingest_result(*tuned, seed=len(kb))
+                        elif where == "local":
+                            kb.ingest_payload(payload)
+                        elif where == "other":
+                            other.ingest_payload(payload)
+                        else:
+                            status, _, _ = _request(
+                                server, "POST", "/recommend", request
+                            )
+                            assert status == 200
+                        index, rescan = service._fingerprint_index(), _rescan(kb)
+                        assert [r.session_id for r, _ in index] == [
+                            r.session_id for r, _ in rescan
+                        ]
+                        assert index == rescan
+                finally:
+                    _stop(server, thread)
+
+    def test_commit_between_version_check_and_read_is_read_once(
+        self, session_payload
+    ):
+        """The index is keyed on the rows it read, not on the version
+        probe made before them: keyed on the probe, the next call would
+        read the in-between commit a second time."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "kb.sqlite")
+            with KnowledgeBase(path) as kb, KnowledgeBase(path) as other:
+                kb.ingest_payload(dict(session_payload))
+                service = RecommendationService(kb)
+                service._fingerprint_index()
+                sessions = kb.sessions
+
+                def racing(*args, **kwargs):
+                    other.ingest_payload(dict(session_payload))
+                    return sessions(*args, **kwargs)
+
+                kb.ingest_payload(dict(session_payload))
+                kb.sessions = racing
+                assert len(service._fingerprint_index()) == 3
+                kb.sessions = sessions
+                assert service._fingerprint_index() == _rescan(kb)
+
+    def test_concurrent_recommends_and_ingests_leave_no_duplicate(
+        self, session_payload
+    ):
+        request = {"workload": olap_analytics().name, "k": 2}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "kb.sqlite")
+            with KnowledgeBase(path) as kb, KnowledgeBase(path) as other:
+                kb.ingest_payload(dict(session_payload))
+                server, thread = _serve(kb, poll_interval=0.01)
+                service = server.service
+                done = threading.Event()
+
+                def read():
+                    while not done.is_set():
+                        service.recommend(dict(request))
+
+                readers = [threading.Thread(target=read) for _ in range(3)]
+                interval = sys.getswitchinterval()
+                sys.setswitchinterval(1e-5)
+                try:
+                    for reader in readers:
+                        reader.start()
+                    for _ in range(12):
+                        status, _, _ = _request(
+                            server, "POST", "/ingest", dict(session_payload)
+                        )
+                        assert status == 200
+                        other.ingest_payload(dict(session_payload))
+                finally:
+                    done.set()
+                    for reader in readers:
+                        reader.join(timeout=10)
+                    sys.setswitchinterval(interval)
+                    _stop(server, thread)
+                assert not any(reader.is_alive() for reader in readers)
+                index = service._fingerprint_index()
+                ids = [record.session_id for record, _ in index]
+                assert len(ids) == len(set(ids)) == len(kb) == 25
+                assert index == _rescan(kb)
+
+    def test_each_row_is_read_once(self, session_payload):
+        """Over N single-payload commits the index reads N rows plus the
+        initial ones; a full rescan after each commit reads O(N^2)."""
+        commits, initial = 12, 2
+        request = {"workload": olap_analytics().name, "k": 1}
+        with KnowledgeBase(":memory:") as kb:
+            for _ in range(initial):
+                kb.ingest_payload(dict(session_payload))
+            rows = []
+            sessions = kb.sessions
+
+            def counted(*args, **kwargs):
+                records = sessions(*args, **kwargs)
+                rows.append(len(records))
+                return records
+
+            kb.sessions = counted
+            server, thread = _serve(kb, poll_interval=0.01)
+            try:
+                for _ in range(commits):
+                    for endpoint, body in (("recommend", request),
+                                           ("ingest", session_payload)):
+                        status, _, _ = _request(
+                            server, "POST", "/" + endpoint, dict(body)
+                        )
+                        assert status == 200
+                    server.ingest_writer.flush()
+                status, _, _ = _request(server, "POST", "/recommend", request)
+                assert status == 200
+            finally:
+                _stop(server, thread)
+        assert sum(rows) == commits + initial
