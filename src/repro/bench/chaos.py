@@ -14,11 +14,9 @@ cell it records:
 * **wasted-budget fraction** — share of runs / charged wall-clock spent
   on failures, hangs, retries, and quarantine skips.
 
-Every cell is a self-contained seeded scenario, so the whole matrix is
-run twice by :func:`~repro.bench.matrix.run_matrix` — serially, then
-fanned out over a :class:`~repro.exec.runner.ParallelRunner` — and the
-two passes must produce identical injected-fault digests and identical
-result tables.
+Every cell is a self-contained seeded scenario: run in a freshly
+spawned process, it injects the same faults and finds the same results
+(``tests/test_bench_matrix.py`` checks one cell's ``COMPARE`` fields).
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ from __future__ import annotations
 import math
 import time
 import zlib
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
@@ -34,7 +32,7 @@ from repro.chaos import ChaosSystem, standard_policies
 from repro.core.registry import make_system
 from repro.core.tuner import Budget, Tuner
 from repro.core.workload import Workload
-from repro.bench.matrix import bench_jobs, make_report, run_matrix
+from repro.bench.matrix import make_report
 from repro.exec.resilience import ExecutionPolicy
 
 __all__ = ["run", "run_cell", "CHAOS_CATEGORIES", "CHAOS_INTENSITIES"]
@@ -53,7 +51,7 @@ CHAOS_INTENSITIES = (0.0, 0.1, 0.3)
 
 CHAOS_SYSTEMS = ("dbms", "spark")
 
-#: Fields the serial and pool passes must agree on (not wall-clock).
+#: Fields a cell must reproduce in any process (not wall-clock).
 COMPARE = (
     "system", "category", "intensity", "crash_free", "best_runtime_s",
     "n_real_runs", "fault_digest", "fault_counts",
@@ -79,8 +77,8 @@ def _cell_tuner(category: str, system, quick: bool, seed: int) -> Tuner:
     """Build the representative tuner for one category.
 
     The OtterTune repository is sampled from the *clean* system —
-    historical tenant data predates the faults — and is seeded, so both
-    benchmark passes construct identical repositories.
+    historical tenant data predates the faults — and is seeded, so every
+    process constructs the identical repository.
     """
     from repro.tuners import (
         ColtOnlineTuner,
@@ -122,12 +120,12 @@ def run_cell(
 ) -> Dict[str, Any]:
     """One fully self-contained (system, tuner, intensity) scenario.
 
-    Top-level and argument-picklable so the matrix can fan out over a
-    process pool; everything inside is derived from the arguments, so
-    serial and parallel passes compute identical cells.
+    Top-level and argument-picklable, so it can run in another process;
+    everything inside is derived from the arguments, so every process
+    computes the identical cell.
     """
     # crc32, not hash(): builtin str hashing is salted per process, and
-    # pool workers must derive the exact seeds the serial pass used.
+    # every process must derive the same seeds.
     seed = zlib.crc32(f"{system_name}/{category}".encode()) % (2**31)
     system = make_system(system_name)
     workload = _cell_workload(system_name)
@@ -205,30 +203,24 @@ def _attach_regret(cells: List[Dict[str, Any]]) -> None:
 
 
 
-
-def run(quick: bool = True, jobs: Optional[int] = None) -> Dict[str, Any]:
-    """Run the tuner-robustness matrix, serially and in parallel.
+def run(quick: bool = True) -> Dict[str, Any]:
+    """Run the tuner-robustness matrix.
 
     Args:
         quick: reduced budgets / model sample counts (the CI setting).
-        jobs: parallel worker count for the verification pass
-            (``None`` → ``REPRO_JOBS`` → 2).  ``jobs <= 1`` skips it.
 
     Returns:
         The report dict with one entry per (system, tuner, intensity)
-        cell.  Raises ``AssertionError`` if any cell crashed, if any
-        tuner overran its run budget, or if the parallel pass produced
-        different fault sequences or results than the serial pass.
+        cell.  Raises ``AssertionError`` if any cell crashed or if any
+        tuner overran its run budget.
     """
     start = time.perf_counter()
-    jobs = bench_jobs(jobs)
-    tasks = [
-        (system, category, intensity, quick)
+    cells = [
+        run_cell(system, category, intensity, quick)
         for system in CHAOS_SYSTEMS
         for category in CHAOS_CATEGORIES
         for intensity in CHAOS_INTENSITIES
     ]
-    cells = run_matrix("chaos", run_cell, tasks, COMPARE, jobs)
 
     _attach_regret(cells)
     crashed = [
@@ -244,7 +236,6 @@ def run(quick: bool = True, jobs: Optional[int] = None) -> Dict[str, Any]:
 
     return make_report(
         "chaos", quick, cells, start,
-        jobs=jobs,
         systems=list(CHAOS_SYSTEMS),
         intensities=list(CHAOS_INTENSITIES),
         all_crash_free=True,

@@ -23,7 +23,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.bench.matrix import bench_jobs, make_report
+from repro.bench.matrix import make_report
 from repro.core.measurement import Measurement
 from repro.core.system import InstrumentedSystem, SystemUnderTune, SystemWrapper
 from repro.core.tuner import Budget
@@ -34,6 +34,9 @@ __all__ = ["run"]
 
 #: Per-experiment sleep standing in for real experiment latency.
 _RUN_DELAY_S = 0.04
+
+#: Thread-pool width of the parallel leg.
+_JOBS = 4
 
 COLUMNS = ("tuner", "n_real_runs", "serial_wall_s", "parallel_wall_s", "speedup")
 
@@ -119,26 +122,23 @@ def _run_leg(
     return result.history.digest(), result.n_real_runs, wall_s
 
 
-def run(quick: bool = True, jobs: Optional[int] = None) -> Dict[str, Any]:
+def run(quick: bool = True) -> Dict[str, Any]:
     """Measure serial vs parallel wall time per batched ask/tell tuner.
 
     Args:
         quick: halved run budgets (the CI setting).
-        jobs: thread-pool width for the parallel leg
-            (``None`` → ``REPRO_JOBS`` → 4).
 
     Returns:
         Report dict with one cell per tuner.  Raises ``AssertionError``
         if any parallel history digest differs from its serial one.
     """
     start = time.perf_counter()
-    jobs = bench_jobs(jobs, default=4)
     cells: List[Dict[str, Any]] = []
     for name, factory, max_runs in _specs(quick):
         serial_digest, serial_runs, serial_s = _run_leg(
             factory, max_runs, runner=None
         )
-        with ParallelRunner(jobs=jobs, mode="thread") as runner:
+        with ParallelRunner(jobs=_JOBS, mode="thread") as runner:
             parallel_digest, parallel_runs, parallel_s = _run_leg(
                 factory, max_runs, runner=runner
             )
@@ -159,7 +159,7 @@ def run(quick: bool = True, jobs: Optional[int] = None) -> Dict[str, Any]:
     speedups = [c["speedup"] for c in cells]
     return make_report(
         "driver", quick, cells, start,
-        jobs=jobs,
+        jobs=_JOBS,
         run_delay_s=_RUN_DELAY_S,
         n_tuners=len(cells),
         n_tuners_at_2x=sum(1 for s in speedups if s >= 2.0),

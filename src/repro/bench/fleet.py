@@ -29,11 +29,9 @@ Per (system, fault-intensity) cell:
    would have failed or regressed past the bar.
 
 Every cell is a pure function of its arguments (in-memory KB, crc32
-seeds, deterministic simulators and chaos), so
-:func:`~repro.bench.matrix.run_matrix` runs the matrix twice —
-serially, then fanned out over a
-:class:`~repro.exec.runner.ParallelRunner` — and per-tenant history
-digests must agree exactly.
+seeds, deterministic simulators and chaos): run in a freshly spawned
+process, it reproduces every per-tenant history digest
+(``tests/test_bench_matrix.py`` checks one cell's ``COMPARE`` fields).
 """
 
 from __future__ import annotations
@@ -43,7 +41,7 @@ import time
 import zlib
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.bench.matrix import bench_jobs, make_report, run_matrix
+from repro.bench.matrix import make_report
 from repro.chaos.policies import ConfigBlackout
 from repro.core.registry import make_system
 from repro.core.workload import Workload
@@ -69,7 +67,7 @@ _MAX_REGRESSION = 0.25
 #: Fraction of cells the continuous arm must win on cumulative regret.
 _REQUIRED_WIN_FRACTION = 2 / 3
 
-#: Fields the serial and pool passes must agree on (not wall-clock).
+#: Fields a cell must reproduce in any process (not wall-clock).
 COMPARE = (
     "system", "intensity", "seed", "regret_continuous", "regret_oneshot",
     "gate_allowed", "gate_clipped", "gate_vetoes", "saves",
@@ -233,8 +231,8 @@ def _count_saves(
 def run_cell(system_name: str, intensity: float, quick: bool) -> Dict[str, Any]:
     """One self-contained (system, intensity) fleet scenario.
 
-    Top-level and argument-picklable so the matrix can fan out over a
-    process pool; crc32 seeds keep pool workers on the serial seeds.
+    Top-level and argument-picklable, so it can run in another process;
+    crc32 seeds (not salted ``hash()``) are the same in every process.
     """
     seed = zlib.crc32(f"fleet/{system_name}/{intensity}".encode()) % (2**31)
     n_tenants = 6 if quick else 24
@@ -343,24 +341,23 @@ def run_cell(system_name: str, intensity: float, quick: bool) -> Dict[str, Any]:
     }
 
 
-def run(quick: bool = True, jobs: Optional[int] = None) -> Dict[str, Any]:
+def run(quick: bool = True) -> Dict[str, Any]:
     """Run the continuous-vs-one-shot fleet matrix.
 
     Args:
         quick: reduced fleet sizes (the CI setting).
-        jobs: parallel worker count for the verification pass
-            (``None`` → ``REPRO_JOBS`` → 2).  ``jobs <= 1`` skips it.
 
     Returns:
-        The report dict.  Raises ``AssertionError`` if the parallel
-        pass diverges, continuous tuning wins fewer than 2/3 of the
-        cells, any admitted proposal bypassed the gate's regression
-        bar, or a chaos cell recorded no guardrail save.
+        The report dict.  Raises ``AssertionError`` if continuous
+        tuning wins fewer than 2/3 of the cells, any admitted proposal
+        bypassed the gate's regression bar, or a chaos cell recorded no
+        guardrail save.
     """
     start = time.perf_counter()
-    jobs = bench_jobs(jobs)
-    tasks = [(system, intensity, quick) for system, intensity in FLEET_CELLS]
-    results = run_matrix("fleet", run_cell, tasks, COMPARE, jobs)
+    results = [
+        run_cell(system, intensity, quick)
+        for system, intensity in FLEET_CELLS
+    ]
 
     winners = [c for c in results if c["continuous_wins"]]
     required = math.ceil(_REQUIRED_WIN_FRACTION * len(results))
@@ -394,7 +391,6 @@ def run(quick: bool = True, jobs: Optional[int] = None) -> Dict[str, Any]:
 
     return make_report(
         "fleet", quick, results, start,
-        jobs=jobs,
         max_regression=_MAX_REGRESSION,
         n_cells_continuous_wins=len(winners),
         total_guardrail_saves=sum(c["saves"] for c in results),

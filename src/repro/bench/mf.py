@@ -20,12 +20,11 @@ Per (system, tuner) cell, over several seeds with identical budgets:
    ``charged_savings`` is ``1 - mean(mf)/mean(sf)`` across the seeds.
 
 Every cell is a pure function of its (system, tuner, quick) arguments —
-seeds come from ``crc32``, simulators are deterministic — so
-:func:`~repro.bench.matrix.run_matrix` runs the whole matrix twice
-(serially, then fanned out over a
-:class:`~repro.exec.runner.ParallelRunner`) and both passes must agree
-exactly, including each arm's ``TuningHistory.digest()``.  The
-benchmark asserts that at least four cells achieve ≥30% charged-budget
+seeds come from ``crc32``, simulators are deterministic — so run in a
+freshly spawned process it reproduces every ``COMPARE`` field,
+including each arm's ``TuningHistory.digest()``
+(``tests/test_bench_matrix.py`` checks one cell).  The benchmark
+asserts that at least four cells achieve ≥30% charged-budget
 savings while landing within the 5% threshold.
 """
 
@@ -38,7 +37,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.bench.matrix import bench_jobs, make_report, run_matrix
+from repro.bench.matrix import make_report
 from repro.core.registry import make_system, make_tuner
 from repro.core.tuner import Budget, TuningResult
 from repro.core.workload import Workload
@@ -80,7 +79,7 @@ _FIDELITY_OPTS = {
     "fidelity_eta": 8.0,
 }
 
-#: Fields the serial and pool passes must agree on (not wall-clock).
+#: Fields a cell must reproduce in any process (not wall-clock).
 COMPARE = (
     "system", "tuner", "seed", "sf_best_s", "mf_best_s",
     "sf_charged_to_threshold", "mf_charged_to_threshold", "charged_savings",
@@ -131,9 +130,8 @@ def charged_to_threshold(
 def run_cell(system_name: str, tuner_name: str, quick: bool) -> Dict[str, Any]:
     """One self-contained (system, tuner) multi-fidelity scenario.
 
-    Top-level and argument-picklable so the matrix can fan out over a
-    process pool; crc32 seeds (not salted ``hash()``) keep pool workers
-    on the exact seeds the serial pass used.
+    Top-level and argument-picklable, so it can run in another process;
+    crc32 seeds (not salted ``hash()``) are the same in every process.
     """
     base_seed = zlib.crc32(f"mf/{system_name}/{tuner_name}".encode()) % (2**31)
     workload = _target(system_name)
@@ -220,24 +218,19 @@ def run_cell(system_name: str, tuner_name: str, quick: bool) -> Dict[str, Any]:
     }
 
 
-def run(quick: bool = True, jobs: Optional[int] = None) -> Dict[str, Any]:
-    """Run the single-vs-multi-fidelity matrix, serially and in parallel.
+def run(quick: bool = True) -> Dict[str, Any]:
+    """Run the single-vs-multi-fidelity matrix.
 
     Args:
         quick: reduced budgets (the CI setting).
-        jobs: parallel worker count for the verification pass
-            (``None`` → ``REPRO_JOBS`` → 2).  ``jobs <= 1`` skips it.
 
     Returns:
         The report dict, one entry per cell.  Raises ``AssertionError``
-        if the parallel pass diverges from the serial one (histories
-        compared by digest), or if fewer than four cells achieve ≥30%
-        charged-budget savings at the 5% threshold.
+        if fewer than four cells achieve ≥30% charged-budget savings at
+        the 5% threshold.
     """
     start = time.perf_counter()
-    jobs = bench_jobs(jobs)
-    tasks = [(system, tuner, quick) for system, tuner in MF_CELLS]
-    results = run_matrix("multi-fidelity", run_cell, tasks, COMPARE, jobs)
+    results = [run_cell(system, tuner, quick) for system, tuner in MF_CELLS]
 
     winners = [
         c for c in results
@@ -257,7 +250,6 @@ def run(quick: bool = True, jobs: Optional[int] = None) -> Dict[str, Any]:
 
     return make_report(
         "mf", quick, results, start,
-        jobs=jobs,
         threshold_factor=_THRESHOLD_FACTOR,
         required_savings=_REQUIRED_SAVINGS,
         fidelity_opts=dict(_FIDELITY_OPTS),

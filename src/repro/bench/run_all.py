@@ -115,7 +115,7 @@ def run_all_experiments(
     own_runner = runner is None
     runner = runner or ParallelRunner(jobs=jobs)
     try:
-        if runner.effective_jobs <= 1:
+        if runner.jobs <= 1:
             return [_execute_experiment(task) for task in tasks]
         return runner.map(_execute_experiment, tasks)
     finally:

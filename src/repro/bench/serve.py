@@ -459,12 +459,11 @@ def _run_storm(name: str, n_clients: int, requests_per_client: int,
     return cell
 
 
-def run(quick: bool = True, jobs: Optional[int] = None) -> Dict[str, Any]:
+def run(quick: bool = True) -> Dict[str, Any]:
     """Run the clean / chaos / overload serving cells.
 
     Args:
         quick: CI sizing — 64 clients instead of 1000.
-        jobs: unused; the storms size their own thread pools.
 
     Returns:
         The report dict.  Raises ``AssertionError`` on any dropped or

@@ -26,10 +26,9 @@ Per (system, family) cell:
    **regret**: ``true_runtime / oracle_runtime - 1``.
 
 Every cell is a pure function of its (system, family, quick) arguments —
-crc32 seeds, deterministic simulators, in-memory KB — so
-:func:`~repro.bench.matrix.run_matrix` runs the matrix twice (serially,
-then over a :class:`~repro.exec.runner.ParallelRunner`) and both passes
-must agree exactly.  The benchmark asserts the surrogate arm strictly
+crc32 seeds, deterministic simulators, in-memory KB — so run in a
+freshly spawned process it reproduces every ``COMPARE`` field
+(``tests/test_bench_matrix.py`` checks one cell).  The benchmark asserts the surrogate arm strictly
 beats the similarity arm's true runtime in at least four of the six
 cells.
 """
@@ -43,7 +42,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.bench.matrix import bench_jobs, make_report, run_matrix
+from repro.bench.matrix import make_report
 from repro.core.measurement import Observation, TuningHistory
 from repro.core.registry import make_system
 from repro.core.tuner import Budget
@@ -74,7 +73,7 @@ _SIBLING_SESSIONS = 2
 _SIBLING_ROWS = 24
 _TARGET_ROWS = 6
 
-#: Fields the serial and pool passes must agree on (not wall-clock).
+#: Fields a cell must reproduce in any process (not wall-clock).
 COMPARE = (
     "system", "family", "seed", "served_by", "model_kind", "similarity_s",
     "surrogate_s", "oracle_s", "surrogate_wins",
@@ -191,9 +190,8 @@ def _oracle_runtime(system: Any, workload: Workload, quick: bool,
 def run_cell(system_name: str, family: str, quick: bool) -> Dict[str, Any]:
     """One self-contained (system, family) serving scenario.
 
-    Top-level and argument-picklable so the matrix can fan out over a
-    process pool; crc32 seeds keep pool workers on the exact seeds the
-    serial pass used.
+    Top-level and argument-picklable, so it can run in another process;
+    crc32 seeds (not salted ``hash()``) are the same in every process.
     """
     seed = zlib.crc32(f"surrogate/{system_name}/{family}".encode()) % (2**31)
     system = make_system(system_name)
@@ -278,23 +276,20 @@ def run_cell(system_name: str, family: str, quick: bool) -> Dict[str, Any]:
     }
 
 
-def run(quick: bool = True, jobs: Optional[int] = None) -> Dict[str, Any]:
-    """Run the serving matrix, serially and in parallel.
+def run(quick: bool = True) -> Dict[str, Any]:
+    """Run the serving matrix.
 
     Args:
         quick: reduced oracle/cold budgets (the CI setting).
-        jobs: parallel worker count for the verification pass
-            (``None`` → ``REPRO_JOBS`` → 2).  ``jobs <= 1`` skips it.
 
     Returns:
         The report dict, one entry per cell.  Raises ``AssertionError``
-        if the parallel pass diverges from the serial one, or if the
-        surrogate beats similarity in fewer than four cells.
+        if the surrogate beats similarity in fewer than four cells.
     """
     start = time.perf_counter()
-    jobs = bench_jobs(jobs)
-    tasks = [(system, family, quick) for system, family in SURROGATE_CELLS]
-    results = run_matrix("surrogate", run_cell, tasks, COMPARE, jobs)
+    results = [
+        run_cell(system, family, quick) for system, family in SURROGATE_CELLS
+    ]
 
     winners = [c for c in results if c["surrogate_wins"]]
     assert len(winners) >= _REQUIRED_WINS, (
@@ -309,7 +304,6 @@ def run(quick: bool = True, jobs: Optional[int] = None) -> Dict[str, Any]:
 
     return make_report(
         "surrogate", quick, results, start,
-        jobs=jobs,
         required_wins=_REQUIRED_WINS,
         n_surrogate_wins=len(winners),
     )

@@ -22,11 +22,10 @@ Per (system, tuner) cell:
 
 Every cell is a pure function of its (system, tuner, quick) arguments —
 seeds come from ``crc32``, simulators are deterministic, the KB lives
-in memory — so :func:`~repro.bench.matrix.run_matrix` runs the whole
-matrix twice (serially, then fanned out over a
-:class:`~repro.exec.runner.ParallelRunner`) and the two passes must
-agree exactly.  The benchmark asserts that at least two
-cells achieve ≥30% evaluation savings.
+in memory — so run in a freshly spawned process it reproduces every
+``COMPARE`` field (``tests/test_bench_matrix.py`` checks one cell).
+The benchmark asserts that at least two cells achieve ≥30% evaluation
+savings.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.bench.matrix import bench_jobs, make_report, run_matrix
+from repro.bench.matrix import make_report
 from repro.core.registry import make_system
 from repro.core.system import SystemUnderTune
 from repro.core.tuner import Budget, Tuner, TuningResult
@@ -65,7 +64,7 @@ _THRESHOLD_FACTOR = 1.05
 _REQUIRED_SAVINGS = 0.30
 _REQUIRED_CELLS = 2
 
-#: Fields the serial and pool passes must agree on (not wall-clock).
+#: Fields a cell must reproduce in any process (not wall-clock).
 COMPARE = (
     "system", "tuner", "seed", "n_prior_observations", "cold_best_s",
     "warm_best_s", "cold_evals_to_threshold", "warm_evals_to_threshold",
@@ -167,9 +166,8 @@ def evals_to_threshold(
 def run_cell(system_name: str, tuner_name: str, quick: bool) -> Dict[str, Any]:
     """One self-contained (system, tuner) transfer scenario.
 
-    Top-level and argument-picklable so the matrix can fan out over a
-    process pool; crc32 seeds (not salted ``hash()``) keep pool workers
-    on the exact seeds the serial pass used.
+    Top-level and argument-picklable, so it can run in another process;
+    crc32 seeds (not salted ``hash()``) are the same in every process.
     """
     seed = zlib.crc32(f"transfer/{system_name}/{tuner_name}".encode()) % (2**31)
     system = make_system(system_name)
@@ -224,23 +222,20 @@ def run_cell(system_name: str, tuner_name: str, quick: bool) -> Dict[str, Any]:
     }
 
 
-def run(quick: bool = True, jobs: Optional[int] = None) -> Dict[str, Any]:
-    """Run the cold-vs-warm matrix, serially and in parallel.
+def run(quick: bool = True) -> Dict[str, Any]:
+    """Run the cold-vs-warm matrix.
 
     Args:
         quick: reduced budgets (the CI setting).
-        jobs: parallel worker count for the verification pass
-            (``None`` → ``REPRO_JOBS`` → 2).  ``jobs <= 1`` skips it.
 
     Returns:
         The report dict, one entry per cell.  Raises ``AssertionError``
-        if the parallel pass diverges from the serial one, or if fewer
-        than two cells achieve ≥30% evaluation savings.
+        if fewer than two cells achieve ≥30% evaluation savings.
     """
     start = time.perf_counter()
-    jobs = bench_jobs(jobs)
-    tasks = [(system, tuner, quick) for system, tuner in TRANSFER_CELLS]
-    results = run_matrix("transfer", run_cell, tasks, COMPARE, jobs)
+    results = [
+        run_cell(system, tuner, quick) for system, tuner in TRANSFER_CELLS
+    ]
 
     winners = [
         c for c in results
@@ -258,7 +253,6 @@ def run(quick: bool = True, jobs: Optional[int] = None) -> Dict[str, Any]:
 
     return make_report(
         "transfer", quick, results, start,
-        jobs=jobs,
         threshold_factor=_THRESHOLD_FACTOR,
         required_savings=_REQUIRED_SAVINGS,
         n_cells_meeting_savings=len(winners),

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import replace
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -156,12 +156,11 @@ def _run_leg(
     return result.history.digest(), result.n_real_runs, system.eval_wall_s
 
 
-def run(quick: bool = True, jobs: Optional[int] = None) -> Dict[str, Any]:
+def run(quick: bool = True) -> Dict[str, Any]:
     """Measure scalar vs vectorized candidate throughput per cell.
 
     Args:
         quick: smaller batches/budgets (the CI setting).
-        jobs: unused; every leg runs in this process.
 
     Returns:
         Report dict with one cell per (system, tuner).  Raises

@@ -29,7 +29,7 @@ Examples::
     python -m repro tune --system dbms --workload htap --tuner cem \
         --fidelity-rungs 3 --fidelity-min 0.25
     python -m repro bench chaos --json BENCH_chaos.json
-    python -m repro bench exec --jobs 4 --json BENCH_exec.json
+    python -m repro bench exec --json BENCH_exec.json
     python -m repro bench serve --full --json BENCH_serve.json
     python -m repro surrogate --kb tuning.kb --system dbms
     python -m repro fleet --system dbms --tenants 4 --epochs 9 --chaos 0.1
@@ -266,7 +266,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.bench.matrix import write_report
 
     bench = importlib.import_module(f"repro.bench.{args.name}")
-    report = bench.run(quick=not args.full, jobs=args.jobs)
+    report = bench.run(quick=not args.full)
     summary = ", ".join(
         f"{key}={value}" for key, value in report.items()
         if key != "benchmark" and not isinstance(value, (dict, list))
@@ -456,10 +456,6 @@ def main(argv: List[str] = None) -> int:
     bench.add_argument("name", choices=BENCHES)
     bench.add_argument("--json", default=None, metavar="PATH",
                        help="write the JSON report here, e.g. BENCH_mf.json")
-    bench.add_argument("--jobs", type=_jobs_arg, default=None,
-                       help="workers for the parallel pass (0 = all cores; "
-                            "default REPRO_JOBS, else 4 for exec and "
-                            "driver and 2 for the rest)")
     bench.add_argument("--full", action="store_true",
                        help="full budgets instead of quick mode")
 

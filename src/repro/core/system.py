@@ -237,7 +237,7 @@ class InstrumentedSystem(SystemWrapper):
         kernel = self.supports_vectorized()
         cache, keys = self.eval_cache, None
         bulk = len(configs) > 1 and (kernel or (
-            self.runner is not None and self.runner.effective_jobs > 1
+            self.runner is not None and self.runner.jobs > 1
         ))
         if bulk and cache is not None:
             from repro.exec.cache import Unfingerprintable

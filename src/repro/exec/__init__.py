@@ -4,9 +4,9 @@ The paper's organizing axis is that *experiments are expensive*; this
 package is where the harness fights back.  Every benchmark and tuner
 routes real executions through:
 
-* :class:`ParallelRunner` — order-preserving concurrent map (process
-  pool with thread/serial fallback), worker count from ``--jobs`` or
-  ``REPRO_JOBS``;
+* :class:`ParallelRunner` — order-preserving concurrent map over a
+  process pool (the default) or a thread pool, serial with one worker;
+  worker count from ``--jobs`` or ``REPRO_JOBS``;
 * :class:`EvaluationCache` — value-keyed memoization of deterministic
   simulator runs, shared process-wide via :func:`global_cache`;
 * :class:`ExecutionPolicy` / :class:`CircuitBreaker` — resilient

@@ -254,9 +254,8 @@ class EvaluationCache:
 
     # -- storage -----------------------------------------------------------
     def lookup(self, key: Tuple[str, ...]) -> Optional[Measurement]:
-        """The *accounted* read path: counts a hit or miss and
-        refreshes the entry's LRU recency.  Every consumer that acts on
-        the cached value must come through here."""
+        """The one read path: counts a hit or miss and refreshes the
+        entry's LRU recency."""
         entry = self._entries.get(key)
         if entry is None:
             self.metrics.inc("cache.misses")
@@ -266,13 +265,6 @@ class EvaluationCache:
         self.metrics.inc("cache.hits")
         global_metrics().inc("exec.cache.hits")
         return entry
-
-    def peek(self, key: Tuple[str, ...]) -> Optional[Measurement]:
-        """Side-effect-free probe: no hit/miss accounting, no LRU
-        reordering.  For introspection only — callers that will *use*
-        the value must call :meth:`lookup` instead, otherwise stats and
-        eviction order drift from real access patterns."""
-        return self._entries.get(key)
 
     def store(self, key: Tuple[str, ...], measurement: Measurement) -> None:
         self._entries[key] = measurement
@@ -284,11 +276,6 @@ class EvaluationCache:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def __contains__(self, key: Tuple[str, ...]) -> bool:
-        """Membership probe; like :meth:`peek`, deliberately
-        side-effect-free on stats and LRU order."""
-        return key in self._entries
 
     def clear(self) -> None:
         self._entries.clear()

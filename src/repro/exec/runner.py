@@ -3,9 +3,8 @@
 Experiment-driven tuning's cost model is "real runs are expensive";
 iTuned's answer (PVLDB'09 §5) is to execute independent experiments in
 *parallel*.  :class:`ParallelRunner` is that layer for the whole
-harness: a thin, order-preserving map over a process pool, with thread
-and serial fallbacks so callers never have to care whether their task
-is picklable or the platform supports forking.
+harness: a thin, order-preserving map over a process pool (the
+default) or a thread pool.
 
 Worker count resolution, in priority order:
 
@@ -17,13 +16,12 @@ Worker count resolution, in priority order:
 one worker never builds a pool, so the serial path is exactly a list
 comprehension — no executor overhead, byte-identical results.
 
-Failure semantics: the executor is chosen *before* anything runs — a
-pickling probe on the task decides process vs thread in ``auto`` mode
-— and from then on an exception raised by the task itself propagates
-to the caller unchanged.  Tasks are never silently re-executed on a
-fallback executor: re-running side-effecting work (chaos injection,
-budget charging) because its first execution *raised* would multiply
-those side effects.
+Failure semantics: process mode checks that the task and its first
+argument pickle *before* anything is submitted, and raises if they do
+not; from then on an exception raised by the task itself propagates to
+the caller unchanged.  Tasks are never re-executed: re-running
+side-effecting work (chaos injection, budget charging) because its
+first execution *raised* would multiply those side effects.
 
 Observability: every ``map`` records per-mode job accounting into
 :func:`repro.obs.global_metrics`, and when a tracer is active
@@ -38,7 +36,6 @@ from __future__ import annotations
 
 import os
 import pickle
-import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
@@ -51,7 +48,7 @@ from repro.obs.trace import Tracer, get_tracer, set_tracer
 
 __all__ = ["ParallelRunner", "resolve_jobs"]
 
-_MODES = ("auto", "process", "thread", "serial")
+_MODES = ("process", "thread")
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
@@ -69,48 +66,27 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
 
 
 class ParallelRunner:
-    """Ordered concurrent map with graceful degradation.
+    """Ordered concurrent map over a process or thread pool.
 
     Args:
         jobs: worker count (``None`` → ``REPRO_JOBS`` → 1; 0 → all CPUs).
-        mode: ``"process"``, ``"thread"``, ``"serial"``, or ``"auto"``
-            (process pool, falling back to threads when the task or its
-            arguments cannot be *pickled* — execution errors always
-            propagate).  With one worker every mode collapses to serial.
-        cheap_task_s: auto-mode guard against fan-out that costs more
-            than it saves (BENCH_exec E1: sub-millisecond cost-model
-            calls ran ~4x *slower* through a process pool).  Before
-            building a pool, auto mode times the first task serially;
-            below this threshold the rest of the batch stays serial too.
-            ``None`` reads ``REPRO_CHEAP_TASK_S`` (default 0.005s); a
-            value <= 0 disables the guard.  Explicit ``process``/
-            ``thread`` modes are never second-guessed.
+            With one worker, or one task, every mode runs serially.
+        mode: ``"process"`` (the default; the task and its arguments
+            must pickle) or ``"thread"`` (for tasks that do not pickle,
+            or that mostly wait, e.g. in ``time.sleep``).
 
     Results always come back in submission order regardless of
     completion order, so parallel execution can never reorder a
     benchmark table.
     """
 
-    def __init__(
-        self,
-        jobs: Optional[int] = None,
-        mode: str = "auto",
-        cheap_task_s: Optional[float] = None,
-    ):
+    def __init__(self, jobs: Optional[int] = None, mode: str = "process"):
         if mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
         self.jobs = resolve_jobs(jobs)
         self.mode = mode
-        if cheap_task_s is None:
-            env = os.environ.get("REPRO_CHEAP_TASK_S", "").strip()
-            cheap_task_s = float(env) if env else 0.005
-        self.cheap_task_s = cheap_task_s
         self._process_pool: Optional[ProcessPoolExecutor] = None
         self._thread_pool: Optional[ThreadPoolExecutor] = None
-
-    @property
-    def effective_jobs(self) -> int:
-        return 1 if self.mode == "serial" else self.jobs
 
     # -- pools -------------------------------------------------------------
     def _processes(self) -> ProcessPoolExecutor:
@@ -141,10 +117,8 @@ class ParallelRunner:
     def map(self, fn: Callable[[Any], Any], items: Iterable[Any]) -> List[Any]:
         """Apply ``fn`` to every item; results in submission order.
 
-        The executor is picked up front (pickling probe in ``auto``
-        mode); any exception ``fn`` raises during execution propagates
-        to the caller — tasks are executed at most once, never replayed
-        on a different executor.
+        Any exception ``fn`` raises propagates to the caller; each task
+        is executed at most once.
         """
         tasks = list(items)
         if not tasks:
@@ -152,48 +126,16 @@ class ParallelRunner:
         metrics = global_metrics()
         metrics.inc("exec.runner.maps")
         metrics.set_gauge("exec.runner.jobs", self.jobs)
-        if self.effective_jobs <= 1 or len(tasks) == 1 or self.mode == "serial":
+        if self.jobs <= 1 or len(tasks) == 1:
             return self._map_serial(fn, tasks, metrics)
-        if self.mode in ("auto", "process"):
-            try:
-                # Probe *picklability only*, before submitting anything:
-                # a pool worker that dies mid-deserialization breaks
-                # every in-flight future.  Execution errors are not
-                # probed here and never demote the executor.
-                pickle.dumps(fn)
-                pickle.dumps(tasks[0])
-            except Exception:
-                if self.mode == "process":
-                    raise
-                metrics.inc("exec.runner.pickle_rejects")
-            else:
-                if self.mode == "auto" and self.cheap_task_s > 0:
-                    # Time the first task serially; its result is kept
-                    # (never re-executed).  When the task is cheaper
-                    # than fork+pickle overhead, finish serially.
-                    first, elapsed = self._probe_first(fn, tasks, metrics)
-                    rest = tasks[1:]
-                    if elapsed < self.cheap_task_s:
-                        metrics.inc("exec.runner.cheap_fallbacks")
-                        return [first] + self._map_serial(fn, rest, metrics)
-                    return [first] + self._map_process(fn, rest, metrics)
-                return self._map_process(fn, tasks, metrics)
+        if self.mode == "process":
+            # Probe picklability before submitting anything: a pool
+            # worker that dies mid-deserialization breaks every
+            # in-flight future.
+            pickle.dumps(fn)
+            pickle.dumps(tasks[0])
+            return self._map_process(fn, tasks, metrics)
         return self._map_thread(fn, tasks, metrics)
-
-    def _probe_first(
-        self, fn: Callable[[Any], Any], tasks: List[Any],
-        metrics: MetricsRegistry,
-    ) -> Tuple[Any, float]:
-        """Execute ``tasks[0]`` serially and time it."""
-        metrics.inc("exec.runner.tasks.serial")
-        tracer = get_tracer()
-        start = time.perf_counter()
-        if tracer is None:
-            result = fn(tasks[0])
-        else:
-            with tracer.span("runner.task", mode="serial"):
-                result = fn(tasks[0])
-        return result, time.perf_counter() - start
 
     def _map_serial(
         self, fn: Callable[[Any], Any], tasks: List[Any],

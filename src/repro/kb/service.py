@@ -548,32 +548,38 @@ class _Handler(BaseHTTPRequestHandler):
         executor = self.server.executor
         service = self.service
         path = self.path.rstrip("/")
+        # a GET body is never read: the reply closes the connection
+        close = self._declares_body()
         if path == "/workloads":
             self._handle(
                 "workloads",
                 lambda: executor.submit(service.workloads, key="GET:/workloads"),
+                close=close,
             )
         elif path == "/metrics":
             # deliberately not queued: observability must answer even
             # when the request queue is saturated
-            self._handle("metrics", service.metrics)
+            self._handle("metrics", service.metrics, close=close)
         elif path == "/healthz":
-            self._handle("healthz", self._healthz)
+            self._handle("healthz", self._healthz, close=close)
         elif path == "/surrogate/status":
             self._handle(
                 "surrogate_status",
                 lambda: executor.submit(
                     service.surrogate_status, key="GET:/surrogate/status"
                 ),
+                close=close,
             )
         else:
-            self._reply(404, {"error": f"unknown path {self.path}"})
+            self._reply(404, {"error": f"unknown path {self.path}"},
+                        close=close)
 
     def do_POST(self) -> None:  # noqa: N802
         path = self.path.rstrip("/")
         endpoint = {"/recommend": "recommend", "/ingest": "ingest"}.get(path)
         if endpoint is None:
-            self._reply(404, {"error": f"unknown path {self.path}"})
+            self._reply(404, {"error": f"unknown path {self.path}"},
+                        close=self._declares_body())
             return
         body = self._read_json_body(endpoint)
         if body is None:
@@ -600,6 +606,14 @@ class _Handler(BaseHTTPRequestHandler):
             )
 
     # -- request plumbing ---------------------------------------------------
+    def _declares_body(self) -> bool:
+        """Whether the request declares a body.  A reply that leaves one
+        unread must close the connection: on a kept-alive connection
+        the unread bytes would be parsed as the next request."""
+        if "Transfer-Encoding" in self.headers:
+            return True
+        return self.headers.get("Content-Length", "0").strip() != "0"
+
     def _read_json_body(self, endpoint: str) -> Optional[Dict[str, Any]]:
         """Read and parse the request body, enforcing the size cap.
 
@@ -678,7 +692,8 @@ class _Handler(BaseHTTPRequestHandler):
         }
 
     def _handle(
-        self, endpoint: str, thunk: Callable[[], Dict[str, Any]]
+        self, endpoint: str, thunk: Callable[[], Dict[str, Any]],
+        close: bool = False,
     ) -> None:
         """Run one endpoint with latency/status accounting.
 
@@ -711,7 +726,7 @@ class _Handler(BaseHTTPRequestHandler):
         metrics.observe(f"kb.http.{endpoint}.seconds",
                         time.perf_counter() - start)
         metrics.inc(f"kb.http.{endpoint}.{status}")
-        self._reply(status, payload, headers=headers)
+        self._reply(status, payload, headers=headers, close=close)
 
     def _reply(
         self,

@@ -17,7 +17,6 @@ __all__ = [
     "penalized_runtime",
     "history_to_training_data",
     "candidate_pool",
-    "evaluate_prior_seeds",
     "ResponseReplay",
 ]
 
@@ -110,31 +109,6 @@ def history_to_training_data(
         X = np.vstack([prior_X, X])
         y = np.concatenate([prior_y, y])
     return X, y
-
-
-def evaluate_prior_seeds(
-    session: TuningSession, k: int = 3, reserve: int = 1
-) -> int:
-    """Evaluate the transfer prior's top configurations, if any.
-
-    The universal warm-start opening move: instead of burning the whole
-    init budget on random/space-filling samples, spend up to ``k`` runs
-    on configurations that won similar past sessions.  Keeps at least
-    ``reserve`` runs of budget untouched for the search proper.
-
-    Returns the number of seed runs actually executed (0 when the
-    session has no prior — cold-start behaviour is unchanged).
-    """
-    if session.prior is None:
-        return 0
-    evaluated = 0
-    for i, config in enumerate(session.prior_best_configs(k=k)):
-        if session.remaining_runs <= reserve:
-            break
-        if session.evaluate_if_budget(config, tag=f"prior-{i}") is None:
-            break
-        evaluated += 1
-    return evaluated
 
 
 class ResponseReplay:

@@ -25,13 +25,12 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.exec.runner import ParallelRunner
     from repro.kb.store import KnowledgeBase
 
 import numpy as np
 
 from repro.core.driver import Candidate, SearchState, SearchTuner
-from repro.core.parameters import Configuration, ConfigurationSpace
+from repro.core.parameters import ConfigurationSpace
 from repro.core.registry import register_tuner
 from repro.core.system import SystemUnderTune
 from repro.core.workload import Workload
@@ -167,7 +166,6 @@ def build_repository(
     workloads: Sequence[Workload],
     n_samples: int = 30,
     rng: Optional[np.random.Generator] = None,
-    runner: Optional["ParallelRunner"] = None,
     kb: Optional["KnowledgeBase"] = None,
 ) -> OtterTuneRepository:
     """Sample the system offline over several workloads.
@@ -176,12 +174,11 @@ def build_repository(
     existed *before* the target tuning session and is therefore not
     charged to its budget.
 
-    Repository samples are independent deterministic runs, so they fan
-    out across ``runner`` (default: a fresh
-    :class:`~repro.exec.runner.ParallelRunner`, serial unless
-    ``REPRO_JOBS`` asks for workers) and memoize through the process
-    evaluation cache; the seeded design — and therefore the repository
-    — is identical however many workers execute it.
+    Each workload's seeded LHS design runs as one batch through
+    :meth:`~repro.core.system.InstrumentedSystem.run_batch` over the
+    process evaluation cache (accounted lookups, the vectorized kernel
+    where the system has one), so the repository, and the cache's hits
+    and misses, equal a per-config ``system.run`` loop's.
 
     With ``kb`` given, each workload's samples are also persisted as a
     knowledge-base session (tuner ``"repository-sampler"``), making the
@@ -189,23 +186,17 @@ def build_repository(
     warm-started tuners in later processes.
     """
     from repro.core.measurement import Observation, TuningHistory
+    from repro.core.system import InstrumentedSystem
     from repro.exec.cache import global_cache
-    from repro.exec.runner import ParallelRunner
 
     rng = rng or np.random.default_rng(7)
     repo = OtterTuneRepository(metric_names=list(system.metric_names))
     space = system.config_space
-    own_runner = runner is None
-    runner = runner or ParallelRunner()
-    cache = global_cache()
-    try:
-        measured = _sample_workloads(
-            system, workloads, space, n_samples, rng, runner, cache
-        )
-    finally:
-        if own_runner:
-            runner.close()
-    for workload, configs, measurements in measured:
+    sampler = InstrumentedSystem(system, eval_cache=global_cache())
+    for workload in workloads:
+        design = latin_hypercube(n_samples, space.dimension, rng)
+        configs = space.from_arrays_feasible(design, rng)
+        measurements = sampler.run_batch(workload, configs)
         X_rows, y_rows, m_rows = [], [], []
         for config, measurement in zip(configs, measurements):
             X_rows.append(config.to_array())
@@ -234,60 +225,6 @@ def build_repository(
     if not repo.workloads:
         raise TuningError("repository construction produced no usable data")
     return repo
-
-
-def _repository_run(
-    system: SystemUnderTune, workload: Workload, config: Configuration
-):
-    """Top-level (picklable) worker task for repository sampling."""
-    return system.run(workload, config)
-
-
-def _sample_workloads(system, workloads, space, n_samples, rng, runner, cache):
-    """Execute each workload's seeded LHS design, possibly in parallel.
-
-    Configurations decode serially (they consume ``rng``), then the
-    deterministic runs fan out; results return in design order so the
-    repository is bit-identical to serial construction.
-    """
-    measured = []
-    for workload in workloads:
-        design = latin_hypercube(n_samples, space.dimension, rng)
-        configs = space.from_arrays_feasible(design, rng)
-        if cache is not None:
-            measurements = [None] * len(configs)
-            pending = [
-                (i, c) for i, c in enumerate(configs)
-            ]
-            if runner.effective_jobs > 1:
-                # Warm the cache concurrently for missing points only.
-                cold = []
-                for i, c in pending:
-                    try:
-                        if cache.key_for(system, workload, c) not in cache:
-                            cold.append(c)
-                    except Exception:
-                        cold = []
-                        break
-                if cold:
-                    for c, m in zip(
-                        cold,
-                        runner.starmap(
-                            _repository_run,
-                            [(system, workload, c) for c in cold],
-                        ),
-                    ):
-                        cache.store(cache.key_for(system, workload, c), m)
-            for i, c in pending:
-                measurements[i] = cache.run(system, workload, c)
-        elif runner.effective_jobs > 1:
-            measurements = runner.starmap(
-                _repository_run, [(system, workload, c) for c in configs]
-            )
-        else:
-            measurements = [system.run(workload, c) for c in configs]
-        measured.append((workload, configs, measurements))
-    return measured
 
 
 @register_tuner("ottertune")

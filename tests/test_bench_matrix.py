@@ -1,43 +1,82 @@
 """The bench harness (``repro.bench.matrix``) and the ``bench`` command."""
 
+import importlib
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
-import time
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from repro.bench.matrix import json_safe, run_matrix, write_report
+from repro.bench.matrix import json_safe, write_report
 from repro.cli import main
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def _toy_cell(name, x):
-    """A cell whose ``stamp`` and ``wall_s`` differ on every run."""
-    return {"name": name, "x": x, "stamp": time.perf_counter_ns(),
-            "wall_s": time.perf_counter()}
+#: One quick cell per matrix bench: (bench, run_cell arguments).
+_FRESH_CELLS = (
+    ("chaos", ("dbms", "experiment-driven", 0.3, True)),
+    ("fleet", ("dbms", 0.1, True)),
+    ("mf", ("dbms", "cem", True)),
+    ("surrogate", ("spark", "spark-kmeans", True)),
+    ("transfer", ("dbms", "ituned", True)),
+)
 
 
-class TestRunMatrix:
-    def test_diverging_compared_field_names_the_cell(self):
-        with pytest.raises(AssertionError,
-                           match="parallel toy pass diverged from serial: "
-                                 "a/1, b/2"):
-            run_matrix("toy", _toy_cell, [("a", 1), ("b", 2)],
-                       ("name", "x", "stamp"), jobs=2)
+def _compared(cell, compare):
+    # repr, so inf and nan compare equal to themselves; sorted items, so
+    # a dict's insertion order is not part of the contract
+    return [
+        repr(sorted(cell[f].items()) if isinstance(cell[f], dict) else cell[f])
+        for f in compare
+    ]
 
-    def test_only_wall_s_differing_passes(self):
-        cells = run_matrix("toy", _toy_cell, [("a", 1), ("b", 2)],
-                           ("name", "x"), jobs=2)
-        assert [(c["name"], c["x"]) for c in cells] == [("a", 1), ("b", 2)]
 
-    def test_one_job_runs_the_serial_pass_only(self):
-        cells = run_matrix("toy", _toy_cell, [("a", 1)],
-                           ("name", "x", "stamp"), jobs=1)
-        assert len(cells) == 1
+@pytest.fixture(scope="class")
+def spawned():
+    """Every fresh-process cell, submitted up front to one worker made
+    by the ``spawn`` start method under another hash seed: a new
+    interpreter with no inherited module state and a cold evaluation
+    cache.  The worker runs while the tests run their in-process cells.
+    """
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("PYTHONHASHSEED", seed)
+        pool = ProcessPoolExecutor(
+            max_workers=1, mp_context=multiprocessing.get_context("spawn")
+        )
+        futures = {"probe": pool.submit(hash, "probe")}
+        for name, args in _FRESH_CELLS:
+            module = importlib.import_module(f"repro.bench.{name}")
+            futures[name] = pool.submit(module.run_cell, *args)
+    yield futures
+    pool.shutdown(cancel_futures=True)
+
+
+class TestFreshProcessCells:
+    """A matrix bench's cell is a pure function of its arguments: a
+    freshly spawned process reproduces its ``COMPARE`` fields."""
+
+    def test_worker_hashes_strings_differently(self, spawned):
+        assert spawned["probe"].result(timeout=120) != hash("probe")
+
+    @pytest.mark.parametrize("name,args", _FRESH_CELLS,
+                             ids=[name for name, _ in _FRESH_CELLS])
+    def test_cell_matches_in_a_spawned_process(self, spawned, name, args):
+        module = importlib.import_module(f"repro.bench.{name}")
+        here = module.run_cell(*args)
+        there = spawned[name].result(timeout=300)
+        diverged = [
+            field for field, a, b in zip(
+                module.COMPARE, _compared(here, module.COMPARE),
+                _compared(there, module.COMPARE),
+            ) if a != b
+        ]
+        assert not diverged, f"{name} cell {args} diverged: {diverged}"
 
 
 class TestJsonReport:

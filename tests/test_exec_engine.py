@@ -43,9 +43,9 @@ class TestParallelRunner:
     def test_serial_thread_process_agree(self):
         items = list(range(12))
         expected = [_square(i) for i in items]
-        for mode in ("serial", "thread", "process", "auto"):
-            with ParallelRunner(jobs=3, mode=mode) as runner:
-                assert runner.map(_square, items) == expected, mode
+        for jobs, mode in ((1, "process"), (3, "thread"), (3, "process")):
+            with ParallelRunner(jobs=jobs, mode=mode) as runner:
+                assert runner.map(_square, items) == expected, (jobs, mode)
 
     def test_order_preserved_with_uneven_tasks(self):
         import time
@@ -62,13 +62,6 @@ class TestParallelRunner:
         with ParallelRunner(jobs=2, mode="thread") as runner:
             assert runner.starmap(_add, [(1, 2), (3, 4)]) == [3, 7]
 
-    def test_unpicklable_fn_falls_back(self):
-        # A closure cannot cross a process boundary; auto mode must
-        # degrade to threads and still return correct, ordered results.
-        offset = 100
-        with ParallelRunner(jobs=2, mode="auto") as runner:
-            assert runner.map(lambda x: x + offset, [1, 2, 3]) == [101, 102, 103]
-
     def test_resolve_jobs(self, monkeypatch):
         monkeypatch.delenv("REPRO_JOBS", raising=False)
         assert resolve_jobs(None) == 1
@@ -83,11 +76,12 @@ class TestParallelRunner:
             resolve_jobs(-1)
 
     def test_serial_mode_never_builds_pools(self):
-        runner = ParallelRunner(jobs=8, mode="serial")
-        assert runner.effective_jobs == 1
-        runner.map(_square, [1, 2, 3])
-        assert runner._process_pool is None
-        assert runner._thread_pool is None
+        """One worker is the serial path in either mode: no pool."""
+        for mode in ("process", "thread"):
+            runner = ParallelRunner(jobs=1, mode=mode)
+            assert runner.map(_square, [1, 2, 3]) == [1, 4, 9]
+            assert runner._process_pool is None
+            assert runner._thread_pool is None
 
 
 class TestFingerprint:

@@ -9,7 +9,7 @@ locks (one cold family must not serialize the others).  Also: ingest
 validation (no stored row can break a later recommend), reply latency
 on a keep-alive connection (no reply waits for a delayed ACK), and the
 append-only fingerprint index (equal to a full rescan, each row read
-once).
+once).  A reply that leaves a request body unread closes the connection.
 """
 
 import json
@@ -272,6 +272,53 @@ class TestContentLength:
     def test_server_survives_hostile_framing(self, server):
         status, body, _ = _request(server, "GET", "/workloads")
         assert status == 200
+
+
+# -- keep-alive framing: an unread body never becomes the next request --------
+_SMUGGLED = b"GET /workloads HTTP/1.1\r\nHost: x\r\n\r\n"
+
+
+def _replies(server, raw):
+    """Send ``raw`` on one socket and read until the server closes it;
+    returns each reply's (status, Connection header)."""
+    host, port = server.server_address[:2]
+    with socket.create_connection((host, port), timeout=10) as sock:
+        sock.sendall(raw)
+        data = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            data += chunk
+    replies = []
+    while data:
+        head, _, data = data.partition(b"\r\n\r\n")
+        lines = head.decode("latin-1").split("\r\n")
+        fields = dict(line.split(": ", 1) for line in lines[1:])
+        replies.append((int(lines[0].split()[1]), fields.get("Connection")))
+        data = data[int(fields["Content-Length"]):]
+    return replies
+
+
+class TestUnreadBody:
+    @pytest.mark.parametrize("method,path,status", [
+        ("POST", "/nope", 404),
+        ("GET", "/workloads", 200),
+        ("GET", "/nope", 404),
+    ])
+    def test_one_reply_then_close(self, server, method, path, status):
+        """The body used to be parsed as a second request, which got a
+        second reply (a 200 for the smuggled GET)."""
+        raw = (f"{method} {path} HTTP/1.1\r\nHost: x\r\n"
+               f"Content-Length: {len(_SMUGGLED)}\r\n\r\n").encode()
+        assert _replies(server, raw + _SMUGGLED) == [(status, "close")]
+
+    def test_bodiless_requests_keep_the_connection(self, server):
+        raw = (b"GET /nope HTTP/1.1\r\nHost: x\r\n\r\n"
+               b"POST /nope HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\n\r\n"
+               b"GET /workloads HTTP/1.1\r\nHost: x\r\nConnection: close"
+               b"\r\n\r\n")
+        assert _replies(server, raw) == [(404, None), (404, None), (200, None)]
 
 
 # -- satellite: broad exception handling → strict-JSON 500 --------------------

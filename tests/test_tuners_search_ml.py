@@ -202,3 +202,82 @@ class TestOtterTune:
         )
         mapped = result.extras["ottertune_mapped_workload"]
         assert "oltp" in mapped or "adhoc" in mapped
+
+
+def _looped_repository(system, workloads, n_samples, seed, cache):
+    """``build_repository``'s (name, X, y, metrics) rows from a
+    per-config ``cache.run`` loop, or a plain ``system.run`` loop when
+    ``cache`` is None."""
+    from repro.mlkit.sampling import latin_hypercube
+
+    run = system.run if cache is None else (
+        lambda w, c: cache.run(system, w, c)
+    )
+    rng = np.random.default_rng(seed)
+    space = system.config_space
+    rows = []
+    for workload in workloads:
+        configs = space.from_arrays_feasible(
+            latin_hypercube(n_samples, space.dimension, rng), rng
+        )
+        measured = [run(workload, c) for c in configs]
+        y = np.array([m.runtime_s if m.ok else np.inf for m in measured])
+        ok = np.isfinite(y)
+        if ok.sum() >= 5:
+            rows.append((
+                workload.name,
+                np.array([c.to_array() for c in configs]),
+                np.where(ok, y, y[ok].max() * 3.0),
+                np.array([m.metric_vector(system.metric_names)
+                          for m in measured]),
+            ))
+    return rows
+
+
+class TestRepositoryBatch:
+    """``build_repository`` runs each design as one batch; its arrays
+    and the cache's accounting equal a per-config loop's."""
+
+    WORKLOADS = {
+        "dbms": ("olap_analytics", "oltp_orders"),
+        "spark": ("spark_wordcount", "spark_sort"),
+        "hadoop": ("wordcount", "terasort"),
+    }
+
+    @pytest.fixture(autouse=True)
+    def _fresh_global_cache(self):
+        from repro.exec.cache import reset_global_cache
+
+        reset_global_cache()
+        yield
+        reset_global_cache()
+
+    @pytest.mark.parametrize("cached", [True, False], ids=["cache", "no-cache"])
+    @pytest.mark.parametrize("system_name", sorted(WORKLOADS))
+    def test_equals_a_per_config_loop(self, monkeypatch, system_name, cached):
+        import repro.workloads
+        from repro.core.registry import make_system
+        from repro.exec.cache import EvaluationCache, global_cache
+
+        monkeypatch.setenv("REPRO_EVAL_CACHE", "1" if cached else "0")
+        system = make_system(system_name)
+        workloads = [getattr(repro.workloads, name)()
+                     for name in self.WORKLOADS[system_name]]
+        reference = EvaluationCache() if cached else None
+        # twice over one cache: the second build is all hits
+        for _ in range(2):
+            repo = build_repository(system, workloads, n_samples=12,
+                                    rng=rng(5))
+            expected = _looped_repository(system, workloads, 12, 5, reference)
+            assert [w.name for w in repo.workloads] == [r[0] for r in expected]
+            for data, (_, X, y, M) in zip(repo.workloads, expected):
+                np.testing.assert_array_equal(data.X, X)
+                np.testing.assert_array_equal(data.y, y)
+                np.testing.assert_array_equal(data.metrics, M)
+        if cached:
+            stats, want = global_cache().stats(), reference.stats()
+            for field in ("entries", "hits", "misses", "evictions"):
+                assert stats[field] == want[field], (field, stats, want)
+            assert stats["hits"] == stats["misses"] == 24
+        else:
+            assert global_cache() is None
