@@ -25,7 +25,6 @@ from repro.core import (
     Candidate,
     Configuration,
     ConfigurationSpace,
-    Fidelity,
     InstrumentedSystem,
     Measurement,
     PromotionScheduler,
@@ -56,7 +55,6 @@ __all__ = [
     "Configuration",
     "ConfigurationSpace",
     "ExecutionPolicy",
-    "Fidelity",
     "InstrumentedSystem",
     "KnowledgeBase",
     "Measurement",

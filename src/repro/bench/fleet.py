@@ -22,7 +22,7 @@ Per (system, fault-intensity) cell:
    it keeps randomly-injected crash faults from swamping the tuning
    signal the way a raw deadline penalty would.
 4. Audit the guardrails: **zero bypasses** (no admitted proposal was
-   predicted worse than ``max_regression`` over the incumbent — the
+   predicted worse than ``MAX_REGRESSION`` over the incumbent — the
    gate's own certificate) and **guardrail saves** — rejected raw
    proposals re-executed *counterfactually* on the clean simulator (or
    checked against the deterministic chaos blackout region) that really
@@ -46,7 +46,7 @@ from repro.chaos.policies import ConfigBlackout
 from repro.core.registry import make_system
 from repro.core.workload import Workload
 from repro.fleet import FleetController, TenantSpec
-from repro.fleet.safety import VetoRecord
+from repro.fleet.safety import MAX_REGRESSION, VetoRecord
 from repro.kb import KnowledgeBase
 
 __all__ = ["run", "run_cell", "FLEET_CELLS"]
@@ -60,9 +60,6 @@ FLEET_CELLS: Tuple[Tuple[str, float], ...] = (
     ("spark", 0.1),
     ("spark", 0.3),
 )
-
-#: The safety gate's veto bar used throughout the benchmark.
-_MAX_REGRESSION = 0.25
 
 #: Fraction of cells the continuous arm must win on cumulative regret.
 _REQUIRED_WIN_FRACTION = 2 / 3
@@ -221,7 +218,7 @@ def _count_saves(
                 if (
                     bar is not None
                     and math.isfinite(bar)
-                    and measurement.runtime_s > bar * (1.0 + _MAX_REGRESSION)
+                    and measurement.runtime_s > bar * (1.0 + MAX_REGRESSION)
                 ):
                     stats["saves"] += 1
                     stats["save_regressions"] += 1
@@ -268,7 +265,6 @@ def run_cell(system_name: str, intensity: float, quick: bool) -> Dict[str, Any]:
                 kb=kb,
                 strategy="bayesopt",
                 strategy_kwargs=strategy_kwargs,
-                max_regression=_MAX_REGRESSION,
                 deadline_s=deadline_s,
                 retune_on_drift=retune,
             )
@@ -327,7 +323,7 @@ def run_cell(system_name: str, intensity: float, quick: bool) -> Dict[str, Any]:
         "gate_clipped": _gate_stat("clipped"),
         "gate_vetoes": _gate_stat("vetoes"),
         "max_allowed_delta": max_allowed_delta,
-        "max_regression": _MAX_REGRESSION,
+        "max_regression": MAX_REGRESSION,
         **saves,
         "digests_continuous": {
             name: t["history_digest"]
@@ -391,7 +387,7 @@ def run(quick: bool = True) -> Dict[str, Any]:
 
     return make_report(
         "fleet", quick, results, start,
-        max_regression=_MAX_REGRESSION,
+        max_regression=MAX_REGRESSION,
         n_cells_continuous_wins=len(winners),
         total_guardrail_saves=sum(c["saves"] for c in results),
     )

@@ -3,7 +3,7 @@
 Commands:
     list                   — tuners (by category), systems, workloads
     tune                   — run one tuning session and print the result
-    experiment             — run a benchmark experiment (E1..E13) and
+    experiment             — run a benchmark experiment (E1–E17) and
                              print its regenerated table
     sweep                  — one-at-a-time knob sweep on a system
     bench NAME             — run one benchmark (``repro.bench.NAME``),

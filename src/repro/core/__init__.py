@@ -1,6 +1,6 @@
 """Core abstractions: parameters, configurations, systems, tuners."""
 
-from repro.core.fidelity import Fidelity, FidelitySystem, with_fidelity
+from repro.core.fidelity import FidelitySystem, with_fidelity
 from repro.core.measurement import (
     Measurement,
     Observation,
@@ -59,7 +59,6 @@ __all__ = [
     "Configuration",
     "ConfigurationSpace",
     "Constraint",
-    "Fidelity",
     "FidelitySystem",
     "InstrumentedSystem",
     "PromotionScheduler",

@@ -61,7 +61,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, ClassVar, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -75,12 +75,17 @@ from repro.obs.trace import event as obs_event
 from repro.obs.trace import span as obs_span
 
 __all__ = [
+    "MAX_FRUITLESS_ASKS",
     "Candidate",
     "PromotionScheduler",
     "SearchState",
     "SearchDriver",
     "SearchTuner",
 ]
+
+#: Consecutive asks a guard vetoes whole before the driver ends the
+#: search.
+MAX_FRUITLESS_ASKS = 5
 
 
 @dataclass
@@ -204,14 +209,14 @@ class PromotionScheduler:
         min_fidelity: fidelity of the cheapest (first) rung.
         eta: halving rate; rung ``r`` keeps ``ceil(n / eta**(r+1))``
             of the original batch.
-        min_batch: asks smaller than this skip screening entirely —
-            halving a two-candidate batch just burns charge.
+        min_batch: asks smaller than this constant skip screening
+            entirely — halving a two-candidate batch just burns charge.
     """
 
     rungs: int = 3
     min_fidelity: float = 0.25
     eta: float = 2.0
-    min_batch: int = 4
+    min_batch: ClassVar[int] = 4
 
     def __post_init__(self) -> None:
         if self.rungs < 2:
@@ -222,8 +227,6 @@ class PromotionScheduler:
             )
         if self.eta <= 1.0:
             raise ValueError("eta must be > 1")
-        if self.min_batch < 2:
-            raise ValueError("min_batch must be >= 2")
 
     def ladder(self) -> List[float]:
         """Fidelity per rung, cheapest first, ending at exactly 1.0."""
@@ -243,7 +246,6 @@ class PromotionScheduler:
             rungs=int(getattr(strategy, "fidelity_rungs", 3)),
             min_fidelity=float(getattr(strategy, "fidelity_min", 0.25)),
             eta=float(getattr(strategy, "fidelity_eta", 2.0)),
-            min_batch=int(getattr(strategy, "fidelity_min_batch", 4)),
         )
 
 
@@ -288,8 +290,6 @@ class SearchTuner(Tuner):
     fidelity_min: float = 0.25
     #: Halving rate between rungs.
     fidelity_eta: float = 2.0
-    #: Smallest ask worth screening.
-    fidelity_min_batch: int = 4
 
     def setup(self, state: SearchState) -> None:
         """Initialize per-run state before any evaluation."""
@@ -331,6 +331,10 @@ class SearchTuner(Tuner):
 class SearchDriver:
     """Owns the evaluate loop between a strategy and a session.
 
+    A strategy that sets ``multi_fidelity=True`` gets a
+    :class:`PromotionScheduler` built from its ``fidelity_*``
+    attributes; otherwise every candidate runs at full fidelity.
+
     Args:
         guard: optional guardrail (e.g.,
             :class:`repro.fleet.SafetyGate`) consulted before any
@@ -338,29 +342,15 @@ class SearchDriver:
             returns the admitted (possibly clipped) subset; vetoed
             candidates are never executed, so with a guard installed a
             ``tell`` may cover fewer observations than the ask proposed
-            while the search still continues.
-        max_fruitless_asks: consecutive fully-vetoed asks after which
-            the driver ends the search (graceful degradation to the
+            while the search still continues.  After
+            :data:`MAX_FRUITLESS_ASKS` consecutive fully-vetoed asks the
+            driver ends the search (graceful degradation to the
             incumbent) instead of spinning on a strategy whose every
             proposal the guard rejects.
-        scheduler: optional :class:`PromotionScheduler` for
-            multi-fidelity screening.  When ``None`` (the default) one
-            is built from the strategy's ``fidelity_*`` attributes iff
-            the strategy sets ``multi_fidelity=True``; otherwise every
-            candidate runs at full fidelity exactly as before.
     """
 
-    def __init__(
-        self,
-        guard: Optional[Any] = None,
-        max_fruitless_asks: int = 5,
-        scheduler: Optional[PromotionScheduler] = None,
-    ):
-        if max_fruitless_asks < 1:
-            raise ValueError("max_fruitless_asks must be >= 1")
+    def __init__(self, guard: Optional[Any] = None):
         self.guard = guard
-        self.max_fruitless_asks = max_fruitless_asks
-        self.scheduler = scheduler
 
     def run(
         self, strategy: SearchTuner, session: TuningSession
@@ -369,8 +359,8 @@ class SearchDriver:
         strategy itself ends the search; returns its recommendation."""
         state = SearchState(session)
         metrics = global_metrics()
-        scheduler = self.scheduler
-        if scheduler is None and getattr(strategy, "multi_fidelity", False):
+        scheduler = None
+        if getattr(strategy, "multi_fidelity", False):
             scheduler = PromotionScheduler.for_strategy(strategy)
         with obs_span("driver", tuner=getattr(strategy, "name", "strategy")):
             strategy.setup(state)
@@ -396,7 +386,7 @@ class SearchDriver:
                     candidates = list(self.guard.filter(session, candidates))
                     if not candidates:
                         fruitless += 1
-                        if fruitless >= self.max_fruitless_asks:
+                        if fruitless >= MAX_FRUITLESS_ASKS:
                             metrics.inc("driver.guard_exhausted")
                             break
                         continue

@@ -3,16 +3,18 @@
 Multi-fidelity tuning (MFTune-style) screens most candidates on a cheap
 approximation of the workload — a scaled-down dataset, a coarser
 simulator resolution, a truncated run — and only pays full price for
-the survivors.  This module makes "cheap approximation" a first-class
-value:
+the survivors.  This module makes "cheap approximation" a value:
 
-* :class:`Fidelity` — a validated fraction in ``(0, 1]``; ``1.0`` is
-  the real thing.
-* :func:`with_fidelity` — wrap any :class:`~repro.core.system
-  .SystemUnderTune` into a fidelity-pinned view whose every run
-  measures the approximation.  Fidelity ``1.0`` returns the system
-  itself, so the full-fidelity path is *literally* today's code path
-  (byte-identical histories, pinned by digest parity tests).
+* a fidelity is a float in ``(0, 1]``: the fraction of the real
+  workload a run measures (scale factor, resolution, truncated-run
+  fraction), and the fraction of a full run it charges to the budget;
+  ``1.0`` is the real thing.
+* :func:`with_fidelity` — validate a fidelity and wrap any
+  :class:`~repro.core.system.SystemUnderTune` into a fidelity-pinned
+  view whose every run measures the approximation.  Fidelity ``1.0``
+  returns the system itself, so the full-fidelity path is *literally*
+  today's code path (byte-identical histories, pinned by digest parity
+  tests).
 
 The simulators are closed-form cost surfaces, so the approximation is
 modelled rather than executed: a fidelity-``f`` run costs ``f`` times
@@ -32,8 +34,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple
 
 from repro.core.measurement import Measurement
 from repro.core.parameters import Configuration
@@ -42,9 +43,7 @@ from repro.core.workload import Workload
 
 __all__ = [
     "DISTORTION_AMPLITUDE",
-    "Fidelity",
     "FidelitySystem",
-    "fidelity_value",
     "scale_measurement",
     "with_fidelity",
 ]
@@ -55,39 +54,6 @@ __all__ = [
 #: truth.  Wide enough that screening is genuinely approximate, narrow
 #: enough that successive halving promotes the right survivors.
 DISTORTION_AMPLITUDE = 0.18
-
-
-@dataclass(frozen=True)
-class Fidelity:
-    """A cheap-approximation level for one evaluation.
-
-    ``value`` is the fraction of the real workload the run measures
-    (scale factor / resolution / truncated-run fraction); it is also the
-    fraction of a full run the evaluation charges to the budget.
-    """
-
-    value: float = 1.0
-
-    def __post_init__(self) -> None:
-        v = float(self.value)
-        if not math.isfinite(v) or not (0.0 < v <= 1.0):
-            raise ValueError(f"fidelity must be in (0, 1], got {self.value!r}")
-        object.__setattr__(self, "value", v)
-
-    @property
-    def full(self) -> bool:
-        return self.value >= 1.0
-
-
-#: What fidelity-accepting APIs take: a bare float or a Fidelity.
-FidelityLike = Union[float, Fidelity]
-
-
-def fidelity_value(fidelity: FidelityLike) -> float:
-    """Normalize and validate a fidelity into a float in ``(0, 1]``."""
-    if isinstance(fidelity, Fidelity):
-        return fidelity.value
-    return Fidelity(float(fidelity)).value
 
 
 def _distortion(workload_name: str, config: Configuration) -> float:
@@ -106,38 +72,37 @@ def _distortion(workload_name: str, config: Configuration) -> float:
 
 def scale_measurement(
     measurement: Measurement,
-    fidelity: FidelityLike,
+    fidelity: float,
     workload: Workload,
     config: Configuration,
-    amplitude: float = DISTORTION_AMPLITUDE,
 ) -> Measurement:
-    """A fidelity-``f`` view of a full measurement.
+    """A fidelity-``f`` view of a full measurement (``f = fidelity``).
 
     Successful runs: runtime becomes ``true * f * (1 + err)`` with
-    ``err = amplitude * (1 - f) * u`` and ``u`` the deterministic
-    per-point distortion — cheaper *and* blurrier as ``f`` drops.
-    Failures stay failures (a config that crashes, crashes early too)
+    ``err = DISTORTION_AMPLITUDE * (1 - f) * u`` and ``u`` the
+    deterministic per-point distortion — cheaper *and* blurrier as
+    ``f`` drops.  Failures stay failures (a config that crashes, crashes early too)
     with the partial elapsed time scaled.  Cost units scale by ``f`` in
     both cases.  Fidelity ``1.0`` returns the measurement unchanged —
     the same object, not a copy.
 
     Internal metric counters are passed through unscaled: they model
     sampled rates (hit ratios, spill fractions), and sub-fidelity
-    observations never enter training data anyway.
+    observations never enter training data anyway.  ``fidelity`` is
+    taken as valid; :func:`with_fidelity` is where it is checked.
     """
-    f = fidelity_value(fidelity)
-    if f >= 1.0:
+    if fidelity >= 1.0:
         return measurement
     if measurement.failed:
         metrics = dict(measurement.metrics)
         elapsed = measurement.metric("elapsed_before_failure_s", 0.0)
         if math.isfinite(elapsed) and elapsed > 0:
-            metrics["elapsed_before_failure_s"] = elapsed * f
+            metrics["elapsed_before_failure_s"] = elapsed * fidelity
         return Measurement(
             runtime_s=math.inf,
             metrics=metrics,
             failed=True,
-            cost_units=measurement.cost_units * f,
+            cost_units=measurement.cost_units * fidelity,
         )
     if not math.isfinite(measurement.runtime_s):
         # A hung success: still hung at any fidelity.
@@ -145,15 +110,17 @@ def scale_measurement(
             runtime_s=measurement.runtime_s,
             metrics=measurement.metrics,
             failed=False,
-            cost_units=measurement.cost_units * f,
+            cost_units=measurement.cost_units * fidelity,
         )
-    err = amplitude * (1.0 - f) * _distortion(workload.name, config)
-    runtime = measurement.runtime_s * f * max(0.0, 1.0 + err)
+    err = DISTORTION_AMPLITUDE * (1.0 - fidelity) * _distortion(
+        workload.name, config
+    )
+    runtime = measurement.runtime_s * fidelity * max(0.0, 1.0 + err)
     return Measurement(
         runtime_s=runtime,
         metrics=measurement.metrics,
         failed=False,
-        cost_units=measurement.cost_units * f,
+        cost_units=measurement.cost_units * fidelity,
     )
 
 
@@ -167,29 +134,23 @@ class FidelitySystem(SystemWrapper):
     instrumented system without disturbing each other.
     """
 
-    def __init__(
-        self,
-        inner: SystemUnderTune,
-        fidelity: FidelityLike,
-        amplitude: float = DISTORTION_AMPLITUDE,
-    ):
-        f = fidelity_value(fidelity)
-        if f >= 1.0:
+    def __init__(self, inner: SystemUnderTune, fidelity: float):
+        f = float(fidelity)
+        if not 0.0 < f < 1.0:
             raise ValueError(
-                "FidelitySystem models sub-fidelity views; "
-                "use with_fidelity() which returns the system itself at 1.0"
+                f"FidelitySystem models fidelities in (0, 1), got "
+                f"{fidelity!r}; use with_fidelity() which returns the "
+                "system itself at 1.0"
             )
         super().__init__(inner, name=f"{inner.name}@f{f:g}")
         self.fidelity = f
-        self.amplitude = float(amplitude)
 
     def execution_context(self) -> Tuple[str, ...]:
         return (f"fidelity={self.fidelity!r}",) + self.inner.execution_context()
 
     def run(self, workload: Workload, config: Configuration) -> Measurement:
         return scale_measurement(
-            self.inner.run(workload, config),
-            self.fidelity, workload, config, self.amplitude,
+            self.inner.run(workload, config), self.fidelity, workload, config
         )
 
     def run_batch(
@@ -200,7 +161,7 @@ class FidelitySystem(SystemWrapper):
         # measurement, so vectorized and serial inner paths stay
         # bit-identical after scaling too.
         return [
-            scale_measurement(m, self.fidelity, workload, c, self.amplitude)
+            scale_measurement(m, self.fidelity, workload, c)
             for m, c in zip(self.inner.run_batch(workload, configs), configs)
         ]
 
@@ -208,18 +169,14 @@ class FidelitySystem(SystemWrapper):
         self, workload: Workload, configs: Sequence[Configuration]
     ) -> List[Measurement]:
         return [
-            scale_measurement(m, self.fidelity, workload, c, self.amplitude)
+            scale_measurement(m, self.fidelity, workload, c)
             for m, c in zip(
                 self.inner.run_batch_vectorized(workload, configs), configs
             )
         ]
 
 
-def with_fidelity(
-    system: SystemUnderTune,
-    fidelity: FidelityLike,
-    amplitude: float = DISTORTION_AMPLITUDE,
-) -> SystemUnderTune:
+def with_fidelity(system: SystemUnderTune, fidelity: float) -> SystemUnderTune:
     """A fidelity-``f`` view of ``system``.
 
     Fidelity ``1.0`` returns ``system`` itself — not a wrapper — so the
@@ -227,10 +184,15 @@ def with_fidelity(
     principle.  Fidelity is absolute, not relative: re-pinning an
     existing :class:`FidelitySystem` re-wraps its *inner* system at the
     requested level rather than compounding.
+
+    Raises:
+        ValueError: unless ``fidelity`` is a float in ``(0, 1]``.
     """
-    f = fidelity_value(fidelity)
+    f = float(fidelity)
+    if not 0.0 < f <= 1.0:
+        raise ValueError(f"fidelity must be in (0, 1], got {fidelity!r}")
     if isinstance(system, FidelitySystem):
         system = system.inner
     if f >= 1.0:
         return system
-    return FidelitySystem(system, f, amplitude=amplitude)
+    return FidelitySystem(system, f)

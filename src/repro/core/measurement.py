@@ -207,9 +207,6 @@ class TuningHistory:
             trajectory.append((charged, best))
         return trajectory
 
-    def total_cost_units(self) -> float:
-        return sum(o.measurement.cost_units for o in self.real_observations())
-
     def total_runtime_s(self) -> float:
         """Wall-clock spent executing real experiments (failed runs are
         charged their cost as recorded metrics, not inf)."""

@@ -467,9 +467,6 @@ class ConfigurationSpace:
     def dimension(self) -> int:
         return len(self._params)
 
-    def numeric_names(self) -> List[str]:
-        return [p.name for p in self.parameters() if p.is_numeric]
-
     # -- configurations ---------------------------------------------------
     def configuration(self, values: Mapping[str, Any]) -> Configuration:
         """Build a validated configuration from a full value mapping."""

@@ -84,7 +84,6 @@ def _ensure_loaded() -> None:
 #: understands them without any constructor changes.
 _FIDELITY_KWARGS = (
     "multi_fidelity", "fidelity_rungs", "fidelity_min", "fidelity_eta",
-    "fidelity_min_batch",
 )
 
 
@@ -92,9 +91,9 @@ def make_tuner(name: str, **kwargs) -> object:
     """Construct a registered tuner.
 
     Fidelity options (``multi_fidelity``, ``fidelity_rungs``,
-    ``fidelity_min``, ``fidelity_eta``, ``fidelity_min_batch``) are
-    recognized for every ask/tell tuner uniformly: they are set on the
-    constructed instance rather than passed to the constructor.
+    ``fidelity_min``, ``fidelity_eta``) are recognized for every
+    ask/tell tuner uniformly: they are set on the constructed instance
+    rather than passed to the constructor.
     Passing any rung/fidelity option implies ``multi_fidelity=True``
     unless it was explicitly disabled.  Validated eagerly, so bad
     values fail here instead of mid-session.

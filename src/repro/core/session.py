@@ -28,7 +28,7 @@ from repro.core.measurement import MODEL, REAL, Measurement, Observation, Tuning
 from repro.core.parameters import Configuration
 from repro.core.system import SystemUnderTune
 from repro.core.workload import Workload
-from repro.exceptions import BudgetExhausted, CircuitOpen
+from repro.exceptions import BudgetExhausted
 from repro.exec.resilience import CircuitBreaker, ExecutionPolicy, enforce_deadline
 from repro.obs.metrics import global_metrics
 from repro.obs.trace import event as obs_event
@@ -75,11 +75,7 @@ class TuningSession:
         # the policy — quarantine knowledge then outlives the session.
         self.breaker: Optional[CircuitBreaker] = breaker
         if breaker is None and self.execution.breaker_threshold is not None:
-            self.breaker = CircuitBreaker(
-                threshold=self.execution.breaker_threshold,
-                resolution=self.execution.breaker_resolution,
-                knobs=self.execution.breaker_knobs,
-            )
+            self.breaker = CircuitBreaker(self.execution.breaker_threshold)
         self.history = TuningHistory()
         self.extras: Dict[str, Any] = {}
         self.real_runs = 0
@@ -222,17 +218,14 @@ class TuningSession:
     def _quarantined(
         self, config: Configuration, tag: str, fidelity: float = 1.0
     ) -> Measurement:
-        """Handle a proposal into a circuit-open region.
+        """Skip a proposal into a circuit-open region.
 
-        ``skip`` mode charges one run (no wall-clock) and records a
-        synthetic failure, so search loops always terminate and models
-        still learn to avoid the region; ``raise`` mode surfaces
-        :class:`~repro.exceptions.CircuitOpen` to the caller.  A
-        quarantined low-fidelity screen charges only its fidelity
-        fraction — the run it skipped would have been cheap too.
+        The skip charges one run (no wall-clock) and records a synthetic
+        failure, so search loops always terminate and models still learn
+        to avoid the region.  A quarantined low-fidelity screen charges
+        only its fidelity fraction — the run it skipped would have been
+        cheap too.
         """
-        if self.execution.on_quarantine == "raise":
-            raise CircuitOpen(region=self.breaker.region(config))
         self.quarantine_skips += 1
         global_metrics().inc("session.quarantine_skips")
         obs_event("quarantine", tag=tag or "quarantined")
@@ -378,8 +371,6 @@ class TuningSession:
         Raises:
             BudgetExhausted: before running, if the budget cannot
                 afford one run at ``fidelity``.
-            CircuitOpen: when the config's region is quarantined and the
-                execution policy says ``on_quarantine="raise"``.
         """
         return self._pipeline([config], [tag], fidelity, retries=True)[0]
 

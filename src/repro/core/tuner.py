@@ -116,13 +116,6 @@ class Tuner(ABC):
     name: str = "tuner"
     category: str = "experiment-driven"
 
-    #: Optional per-tuner failure policy (one of
-    #: :data:`repro.exec.resilience.FAILURE_POLICIES`).  When set and no
-    #: explicit execution policy is passed to :meth:`tune`, the session
-    #: is created with this policy — the tuner's opt-in for how its
-    #: surrogate models digest failed runs.
-    failure_policy: Optional[str] = None
-
     #: Whether this tuner instance consumes a transfer prior when one is
     #: passed to :meth:`tune`.  Warm-start-capable tuners expose a
     #: ``warm_start=`` constructor flag that sets this; the prior is
@@ -139,8 +132,6 @@ class Tuner(ABC):
         prior: Optional["TransferPrior"] = None,
     ) -> TuningResult:
         rng = rng or np.random.default_rng(0)
-        if execution is None and self.failure_policy is not None:
-            execution = ExecutionPolicy(failure_policy=self.failure_policy)
         session = TuningSession(system, workload, budget, rng,
                                 execution=execution,
                                 prior=prior if self.warm_start else None)

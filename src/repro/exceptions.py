@@ -30,6 +30,11 @@ class ConstraintViolation(ValidationError):
         self.constraint = constraint
         super().__init__(message or f"constraint violated: {constraint}")
 
+    def __reduce__(self):
+        # The default rebuilds from ``args``, which holds the formatted
+        # message, so a pickled copy would format it a second time.
+        return (type(self), (self.constraint, str(self)))
+
 
 class BudgetExhausted(ReproError):
     """The tuning session ran out of its experiment or time budget.
@@ -47,27 +52,6 @@ class SurrogateError(ReproError):
     """A surrogate model could not be trained, loaded, or queried —
     e.g., too few successful observations for a workload family, or a
     fingerprint without a finite probe anchor."""
-
-
-class CircuitOpen(ReproError):
-    """A configuration falls in a quarantined (circuit-open) subspace.
-
-    The resilient execution layer opens a circuit for a config region
-    after repeated config-correlated failures there; sessions configured
-    with ``on_quarantine="raise"`` surface proposals into that region as
-    this exception instead of silently skipping them.
-
-    Attributes:
-        region: the quantized region key that is quarantined.
-    """
-
-    def __init__(self, message: str = "", region=None):
-        self.region = region
-        super().__init__(message or f"config region quarantined: {region}")
-
-
-class SimulationError(ReproError):
-    """A system simulator reached an invalid internal state."""
 
 
 class TuningError(ReproError):

@@ -178,27 +178,24 @@ class EvaluationCache:
     Args:
         max_entries: LRU capacity; the benchmark suite's working set is
             a few tens of thousands of points.
-        metrics: hit/miss/eviction accounting registry (default: a
-            private :class:`~repro.obs.MetricsRegistry`, so each cache's
-            stats stand alone).  Every event is *also* counted into the
-            process-wide :func:`~repro.obs.global_metrics` under
-            ``exec.cache.*`` for the ``GET /metrics`` endpoint.
+
+    Hits, misses and evictions are counted in a private
+    :class:`~repro.obs.MetricsRegistry`, so each cache's stats stand
+    alone, and *also* in the process-wide
+    :func:`~repro.obs.global_metrics` under ``exec.cache.*`` for the
+    ``GET /metrics`` endpoint.
 
     Measurements are frozen dataclasses, so sharing one instance across
     lookups is safe.  ``stats()`` reports hits/misses/evictions plus the
     running hit rate for the perf trajectory.
     """
 
-    def __init__(
-        self,
-        max_entries: int = 200_000,
-        metrics: Optional[MetricsRegistry] = None,
-    ):
+    def __init__(self, max_entries: int = 200_000):
         if max_entries < 1:
             raise ValueError("max_entries must be >= 1")
         self.max_entries = max_entries
         self._entries: "OrderedDict[Tuple[str, ...], Measurement]" = OrderedDict()
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
 
     # -- accounting --------------------------------------------------------
     # The counters live in a MetricsRegistry (thread-safe, snapshot-able)
@@ -218,22 +215,16 @@ class EvaluationCache:
 
     # -- keys --------------------------------------------------------------
     def key_for(
-        self,
-        system: Any,
-        workload: Any,
-        config: Configuration,
-        seed: Optional[int] = None,
+        self, system: Any, workload: Any, config: Configuration
     ) -> Tuple[str, ...]:
-        """Build the (system, workload, config, seed) cache key.
+        """Build the (system, workload, config) cache key.
 
         Systems that execute under an *execution context* — any wrapper
         state that changes what a run measures without changing the
         system's fingerprintable attributes, e.g., a fidelity view
         scaling the cost surface — append that context to the key, so
         two contexts of the same (system, workload, config) point can
-        never collide.  Context-free systems (the overwhelmingly common
-        case) produce exactly the historical key shape, so warm caches
-        stay valid across this change.
+        never collide.
 
         Raises:
             Unfingerprintable: the system or workload holds unstable
@@ -245,7 +236,6 @@ class EvaluationCache:
             _memoized_fingerprint(system),
             _memoized_fingerprint(workload),
             config_key,
-            repr(seed),
         )
         context = getattr(system, "execution_context", None)
         if callable(context):

@@ -11,13 +11,13 @@ declarative :class:`ExecutionPolicy` the
   charged exactly ``deadline_s`` of wall-clock;
 * **retry with exponential backoff** — failures marked as
   *environmental* (the ``injected_fault`` metric) are retried up to
-  ``max_retries`` times; every attempt and its backoff is charged to
+  ``max_retries`` times, with a backoff that doubles per retry up to
+  :data:`MAX_BACKOFF_S`; every attempt and its backoff is charged to
   the budget, because real clusters bill you for crashed runs too;
 * **circuit breaker** — after ``breaker_threshold`` consecutive
   *config-correlated* failures inside one quantized region of the knob
   space, the region is quarantined: further proposals there are skipped
-  (or raise :class:`~repro.exceptions.CircuitOpen`) without burning
-  wall-clock — the OOM-cliff mitigation;
+  without burning wall-clock — the OOM-cliff mitigation;
 * **failure policy** — how failed/NaN measurements enter surrogate
   models: ``penalize`` (large finite penalty, the historical default),
   ``discard`` (train on successes only), or ``impute`` (median of the
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.measurement import Measurement
 from repro.obs.metrics import global_metrics
@@ -42,6 +42,9 @@ __all__ = [
     "PENALIZE",
     "DISCARD",
     "IMPUTE",
+    "BACKOFF_FACTOR",
+    "BREAKER_RESOLUTION",
+    "MAX_BACKOFF_S",
     "ExecutionPolicy",
     "CircuitBreaker",
     "enforce_deadline",
@@ -54,7 +57,12 @@ IMPUTE = "impute"
 #: Valid strategies for feeding failed runs to surrogate models.
 FAILURE_POLICIES = (PENALIZE, DISCARD, IMPUTE)
 
-_QUARANTINE_MODES = ("skip", "raise")
+#: Each retry's backoff is this many times the previous one's ...
+BACKOFF_FACTOR = 2.0
+#: ... up to this cap, in seconds.
+MAX_BACKOFF_S = 60.0
+#: Grid cells per knob dimension of a circuit breaker's regions.
+BREAKER_RESOLUTION = 4
 
 
 @dataclass(frozen=True)
@@ -67,41 +75,31 @@ class ExecutionPolicy:
             finite deadline catches them).
         max_retries: how many times an *environmental* failure of one
             configuration is retried.  0 disables.
-        backoff_base_s: backoff charged before the first retry.
-        backoff_factor: multiplier per subsequent retry.
-        max_backoff_s: backoff cap.
+        backoff_base_s: backoff charged before the first retry; each
+            later retry's is :data:`BACKOFF_FACTOR` times the previous
+            one's, capped at :data:`MAX_BACKOFF_S`.
         failure_policy: one of :data:`FAILURE_POLICIES` — how failures
             enter model training data (see
             :func:`repro.tuners.common.history_to_training_data`).
         breaker_threshold: consecutive config-correlated failures in one
-            region before it is quarantined (``None`` disables).
-        breaker_resolution: quantization grid per knob dimension for
-            region bookkeeping.
-        breaker_knobs: knob names spanning the breaker's subspace
-            (default: every knob).
-        on_quarantine: ``"skip"`` records a synthetic failure for
-            quarantined proposals (charging a run but no wall-clock);
-            ``"raise"`` surfaces :class:`~repro.exceptions.CircuitOpen`.
+            region before it is quarantined (``None`` disables).  A
+            proposal into a quarantined region is skipped: it records a
+            synthetic failure, charging a run but no wall-clock.
     """
 
     deadline_s: Optional[float] = None
     max_retries: int = 0
     backoff_base_s: float = 1.0
-    backoff_factor: float = 2.0
-    max_backoff_s: float = 60.0
     failure_policy: str = PENALIZE
     breaker_threshold: Optional[int] = None
-    breaker_resolution: int = 4
-    breaker_knobs: Optional[Tuple[str, ...]] = None
-    on_quarantine: str = "skip"
 
     def __post_init__(self) -> None:
         if self.deadline_s is not None and self.deadline_s <= 0:
             raise ValueError("deadline_s must be positive")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if self.backoff_base_s < 0 or self.backoff_factor < 1:
-            raise ValueError("backoff_base_s >= 0 and backoff_factor >= 1")
+        if self.backoff_base_s < 0:
+            raise ValueError("backoff_base_s must be >= 0")
         if self.failure_policy not in FAILURE_POLICIES:
             raise ValueError(
                 f"failure_policy must be one of {FAILURE_POLICIES}, "
@@ -109,18 +107,11 @@ class ExecutionPolicy:
             )
         if self.breaker_threshold is not None and self.breaker_threshold < 1:
             raise ValueError("breaker_threshold must be >= 1")
-        if self.breaker_resolution < 1:
-            raise ValueError("breaker_resolution must be >= 1")
-        if self.on_quarantine not in _QUARANTINE_MODES:
-            raise ValueError(
-                f"on_quarantine must be one of {_QUARANTINE_MODES}"
-            )
 
     def backoff_s(self, attempt: int) -> float:
         """Backoff charged before retry number ``attempt`` (0-based)."""
         return min(
-            self.backoff_base_s * self.backoff_factor ** attempt,
-            self.max_backoff_s,
+            self.backoff_base_s * BACKOFF_FACTOR ** attempt, MAX_BACKOFF_S
         )
 
 
@@ -156,9 +147,10 @@ def enforce_deadline(
 class CircuitBreaker:
     """Quarantine knob-space regions that keep failing.
 
-    Configurations are quantized to a coarse grid cell per tracked knob;
-    ``threshold`` consecutive config-correlated failures in one cell
-    open the circuit for that cell.  Environmental failures (marked
+    Configurations are quantized to a coarse grid cell over every knob
+    (:data:`BREAKER_RESOLUTION` cells per dimension); ``threshold``
+    consecutive config-correlated failures in one cell open the circuit
+    for that cell.  Environmental failures (marked
     ``injected_fault``) never trip the breaker — a transient fault says
     nothing about the region.
 
@@ -173,9 +165,6 @@ class CircuitBreaker:
 
     Args:
         threshold: consecutive failures that open a cell's circuit.
-        resolution: grid cells per knob dimension.
-        knobs: knob names to track (default: all knobs of whatever
-            configurations are recorded).
         cooldown_runs: recorded runs after which an open region admits
             one probe config (``None``, the default, keeps regions
             quarantined forever — the historical behavior).
@@ -184,19 +173,13 @@ class CircuitBreaker:
     def __init__(
         self,
         threshold: int,
-        resolution: int = 4,
-        knobs: Optional[Sequence[str]] = None,
         cooldown_runs: Optional[int] = None,
     ):
         if threshold < 1:
             raise ValueError("threshold must be >= 1")
-        if resolution < 1:
-            raise ValueError("resolution must be >= 1")
         if cooldown_runs is not None and cooldown_runs < 1:
             raise ValueError("cooldown_runs must be >= 1")
         self.threshold = threshold
-        self.resolution = resolution
-        self.knobs = tuple(knobs) if knobs else None
         self.cooldown_runs = cooldown_runs
         self._consecutive: Dict[Tuple[int, ...], int] = {}
         self._open: set = set()
@@ -207,15 +190,9 @@ class CircuitBreaker:
 
     def region(self, config) -> Tuple[int, ...]:
         """The quantized grid cell a configuration falls in."""
-        arr = config.to_array()
-        if self.knobs is None:
-            indices: List[int] = list(range(len(arr)))
-        else:
-            names = config.space.names()
-            indices = [names.index(k) for k in self.knobs if k in names]
-        res = self.resolution
+        res = BREAKER_RESOLUTION
         return tuple(
-            min(int(float(arr[j]) * res), res - 1) for j in indices
+            min(int(float(u) * res), res - 1) for u in config.to_array()
         )
 
     def is_open(self, config) -> bool:
@@ -311,7 +288,7 @@ class CircuitBreaker:
     def summary(self) -> Dict[str, Any]:
         return {
             "threshold": self.threshold,
-            "resolution": self.resolution,
+            "resolution": BREAKER_RESOLUTION,
             "open_regions": len(self._open),
             "trips": self.trips,
         }
@@ -321,8 +298,6 @@ class CircuitBreaker:
         return {
             "kind": "circuit_breaker",
             "threshold": self.threshold,
-            "resolution": self.resolution,
-            "knobs": list(self.knobs) if self.knobs is not None else None,
             "cooldown_runs": self.cooldown_runs,
             "runs": self._runs,
             "trips": self.trips,
@@ -340,14 +315,15 @@ class CircuitBreaker:
 
     @classmethod
     def from_jsonable(cls, payload: Dict[str, Any]) -> "CircuitBreaker":
+        """Restore a snapshot.  Older snapshots also carry ``resolution``
+        and ``knobs``, which were always 4 and every knob; they load
+        with those keys ignored."""
         if payload.get("kind") != "circuit_breaker":
             raise ValueError(
                 f"not a circuit_breaker payload: {payload.get('kind')!r}"
             )
         breaker = cls(
             threshold=payload["threshold"],
-            resolution=payload["resolution"],
-            knobs=payload["knobs"],
             cooldown_runs=payload["cooldown_runs"],
         )
         breaker._runs = int(payload["runs"])

@@ -92,6 +92,15 @@ from repro.tuners.adaptive.drift import DriftDetector, MetricDriftDetector
 
 __all__ = ["TenantSpec", "FleetController"]
 
+#: Consecutive config-correlated failures that quarantine a region of a
+#: tenant's knob space.
+BREAKER_THRESHOLD = 2
+#: Recorded runs after which a quarantined region admits one probe.
+BREAKER_COOLDOWN_RUNS = 25
+#: A tenant's runtime detectors use :class:`DriftDetector`'s defaults;
+#: its metric detectors fire at this Page-Hinkley threshold.
+METRIC_DRIFT_THRESHOLD = 1.5
+
 #: Monitor bookkeeping metrics that must not feed drift detection.
 _BOOKKEEPING_METRICS = (
     INJECTED_FAULT_KEY,
@@ -188,20 +197,14 @@ class FleetController:
             :class:`~repro.core.driver.SearchTuner` (the episode runs
             through a guarded ``SearchDriver``).
         strategy_kwargs: extra constructor kwargs for the strategy.
-        max_regression: the safety gate's veto bar (fraction above the
-            incumbent a prediction may reach).
         deadline_s: per-run deadline for episodes *and* monitor runs.
-        breaker_threshold: consecutive config-correlated failures that
-            quarantine a region of a tenant's knob space.
-        breaker_cooldown_runs: half-open cooldown for the tenant
-            breakers (``None`` = quarantine forever).
         retune_on_drift: ``False`` gives the one-shot baseline — tune
             a single episode at epoch 0 (the first workload), never
             react to drift, and run later workload phases on the safe
             default (the benchmark's comparison arm).
-        checkpoint_path: JSON checkpoint location; when the file already
-            exists the controller *resumes* from it.
-        checkpoint_every: epochs between checkpoints.
+        checkpoint_path: JSON checkpoint location, written after every
+            epoch; when the file already exists the controller *resumes*
+            from it.
         on_tenant_complete: hook called as ``(epoch, tenant_name)``
             after each tenant's epoch — tests use a raising hook to
             simulate mid-epoch kills.
@@ -217,24 +220,14 @@ class FleetController:
         surrogate_store: Optional[SurrogateStore] = None,
         strategy: str = "bayesopt",
         strategy_kwargs: Optional[Mapping[str, Any]] = None,
-        max_regression: float = 0.25,
         deadline_s: Optional[float] = 600.0,
-        breaker_threshold: int = 2,
-        breaker_cooldown_runs: Optional[int] = 25,
         retune_on_drift: bool = True,
-        drift_delta: float = 0.05,
-        drift_threshold: float = 0.5,
-        metric_drift_delta: float = 0.1,
-        metric_drift_threshold: float = 1.5,
         checkpoint_path: Optional[str] = None,
-        checkpoint_every: int = 1,
         on_tenant_complete: Optional[Callable[[int, str], None]] = None,
         log: Optional[Callable[[str], None]] = None,
     ):
         if epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be >= 1")
         names = [spec.name for spec in tenants]
         if len(set(names)) != len(names):
             raise ValueError(f"tenant names must be unique, got {names}")
@@ -249,17 +242,9 @@ class FleetController:
         self.surrogate_store = surrogate_store
         self.strategy = strategy
         self.strategy_kwargs = dict(strategy_kwargs or {})
-        self.max_regression = max_regression
         self.deadline_s = deadline_s
-        self.breaker_threshold = breaker_threshold
-        self.breaker_cooldown_runs = breaker_cooldown_runs
         self.retune_on_drift = retune_on_drift
-        self.drift_delta = drift_delta
-        self.drift_threshold = drift_threshold
-        self.metric_drift_delta = metric_drift_delta
-        self.metric_drift_threshold = metric_drift_threshold
         self.checkpoint_path = checkpoint_path
-        self.checkpoint_every = checkpoint_every
         self.on_tenant_complete = on_tenant_complete
         self.log = log
         self._epochs_done = 0
@@ -290,29 +275,19 @@ class FleetController:
             rng=np.random.default_rng(
                 np.random.SeedSequence([self.seed, index])
             ),
-            gate=SafetyGate(max_regression=self.max_regression),
+            gate=SafetyGate(),
             breaker=CircuitBreaker(
-                threshold=self.breaker_threshold,
-                cooldown_runs=self.breaker_cooldown_runs,
+                BREAKER_THRESHOLD, cooldown_runs=BREAKER_COOLDOWN_RUNS
             ),
-        )
-
-    def _new_runtime_detector(self) -> DriftDetector:
-        return DriftDetector(
-            delta=self.drift_delta, threshold=self.drift_threshold
-        )
-
-    def _new_metric_detector(self) -> MetricDriftDetector:
-        return MetricDriftDetector(
-            delta=self.metric_drift_delta,
-            threshold=self.metric_drift_threshold,
         )
 
     def _reset_detectors(self, tenant: _Tenant, workload_name: str) -> None:
         """Fresh drift baselines for one workload (new incumbent =
         new expected level; the old baseline would fire spuriously)."""
-        tenant.runtime_drift[workload_name] = self._new_runtime_detector()
-        tenant.metric_drift[workload_name] = self._new_metric_detector()
+        tenant.runtime_drift[workload_name] = DriftDetector()
+        tenant.metric_drift[workload_name] = MetricDriftDetector(
+            threshold=METRIC_DRIFT_THRESHOLD
+        )
 
     # -- main loop ---------------------------------------------------------
     def run(self) -> Dict[str, Any]:
@@ -328,10 +303,7 @@ class FleetController:
                         self.on_tenant_complete(epoch, tenant.spec.name)
                 self._epochs_done += 1
                 metrics.inc("fleet.epochs")
-                if (
-                    self.checkpoint_path is not None
-                    and self._epochs_done % self.checkpoint_every == 0
-                ):
+                if self.checkpoint_path is not None:
                     self.save_checkpoint()
                 if self.log is not None:
                     self.log(self._epoch_line(epoch))

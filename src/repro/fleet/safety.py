@@ -14,7 +14,7 @@ transfer-prior seeds) before execution:
   breaker's half-open probe slot stays with the executing session;
 * **regression veto** — a distance-weighted k-NN surrogate over the
   episode's own finite observations predicts the candidate's runtime;
-  anything predicted more than ``max_regression`` worse than the
+  anything predicted more than :data:`MAX_REGRESSION` worse than the
   current incumbent is rejected;
 * **clipping** — before giving up on a too-aggressive candidate, the
   gate tries to *clip* it: blend it toward the incumbent
@@ -44,7 +44,17 @@ from repro.core.driver import Candidate
 from repro.obs.metrics import global_metrics
 from repro.obs.trace import event as obs_event
 
-__all__ = ["SafetyGate", "VetoRecord"]
+__all__ = ["MAX_REGRESSION", "SafetyGate", "VetoRecord"]
+
+#: Fraction above the incumbent's runtime a predicted candidate may
+#: reach before it is vetoed: "never deploy anything predicted >25%
+#: worse".
+MAX_REGRESSION = 0.25
+#: Neighbors of the distance-weighted k-NN surrogate.
+K_NEIGHBORS = 3
+#: Finite observations the episode must hold before the surrogate
+#: speaks; below this the gate only enforces quarantine.
+MIN_OBSERVATIONS = 3
 
 
 @dataclass
@@ -105,41 +115,22 @@ class SafetyGate:
     the surrogate itself is stateless — it reads the executing session's
     history on every decision.
 
+    Regression vetoes are recorded as uncharged model observations on
+    the session (tag ``gate-veto``), so they are auditable in the
+    history.
+
     Args:
-        max_regression: fraction above the incumbent's runtime a
-            predicted candidate may reach before it is vetoed (0.25 =
-            "never deploy anything predicted >25% worse").
-        k_neighbors: neighbors for the distance-weighted k-NN surrogate.
-        min_observations: finite observations the episode must hold
-            before the surrogate speaks; below this the gate only
-            enforces quarantine (nothing to predict from yet).
         clip: attempt incumbent-blended clipping before vetoing.
         clip_alphas: blend fractions tried in order (candidate weight).
-        record_vetoes: record regression vetoes as uncharged model
-            observations on the session (auditable in the history).
     """
 
     def __init__(
         self,
-        max_regression: float = 0.25,
-        k_neighbors: int = 3,
-        min_observations: int = 3,
         clip: bool = True,
         clip_alphas: Sequence[float] = (0.5, 0.25, 0.125),
-        record_vetoes: bool = True,
     ):
-        if max_regression <= 0:
-            raise ValueError("max_regression must be > 0")
-        if k_neighbors < 1:
-            raise ValueError("k_neighbors must be >= 1")
-        if min_observations < 2:
-            raise ValueError("min_observations must be >= 2")
-        self.max_regression = max_regression
-        self.k_neighbors = k_neighbors
-        self.min_observations = min_observations
         self.clip = clip
         self.clip_alphas = tuple(clip_alphas)
-        self.record_vetoes = record_vetoes
         # -- audit trail ---------------------------------------------------
         self.vetoes: List[VetoRecord] = []
         #: Raw proposals rejected in favour of an incumbent blend —
@@ -150,7 +141,7 @@ class SafetyGate:
         self.quarantine_vetoes = 0
         self.regression_vetoes = 0
         #: Worst predicted-vs-incumbent delta the gate ever admitted —
-        #: the "zero bypass" certificate: must stay <= max_regression.
+        #: the "zero bypass" certificate: must stay <= MAX_REGRESSION.
         self.max_allowed_delta = -math.inf
         self.predicted_admissions = 0
 
@@ -213,7 +204,7 @@ class SafetyGate:
         metrics.inc(f"fleet.gate.veto.{decision.reason}")
         obs_event("gate.veto", reason=decision.reason, tag=cand.tag,
                   predicted_runtime_s=decision.predicted)
-        if self.record_vetoes and decision.predicted is not None:
+        if decision.predicted is not None:
             # Auditable, uncharged: the prediction that justified the
             # veto enters the history as a model observation.
             session.predict(cand.config, decision.predicted, tag="gate-veto")
@@ -227,7 +218,7 @@ class SafetyGate:
         predicted = self._predict(session.history, config)
         if predicted is None or not math.isfinite(incumbent) or incumbent <= 0:
             return _Decision("allow", predicted=predicted, incumbent=incumbent)
-        limit = incumbent * (1.0 + self.max_regression)
+        limit = incumbent * (1.0 + MAX_REGRESSION)
         if predicted <= limit:
             return _Decision("allow", predicted=predicted, incumbent=incumbent)
         if self.clip:
@@ -263,13 +254,12 @@ class SafetyGate:
         """Distance-weighted k-NN runtime estimate from finite real
         observations (``None`` while too few exist)."""
         observations = history.finite_successful()
-        if len(observations) < self.min_observations:
+        if len(observations) < MIN_OBSERVATIONS:
             return None
         X = np.stack([o.config.to_array() for o in observations])
         y = np.array([o.runtime_s for o in observations], dtype=float)
         d = np.sqrt(((X - config.to_array()) ** 2).sum(axis=1))
-        k = min(self.k_neighbors, len(observations))
-        idx = np.argsort(d, kind="stable")[:k]
+        idx = np.argsort(d, kind="stable")[:K_NEIGHBORS]
         weights = 1.0 / (d[idx] + 1e-6)
         return float((weights * y[idx]).sum() / weights.sum())
 
@@ -286,19 +276,15 @@ class SafetyGate:
                 None if self.max_allowed_delta == -math.inf
                 else self.max_allowed_delta
             ),
-            "max_regression": self.max_regression,
+            "max_regression": MAX_REGRESSION,
         }
 
     def to_jsonable(self) -> Dict[str, Any]:
         """Snapshot the gate's audit state (checkpoint support)."""
         return {
             "kind": "safety_gate",
-            "max_regression": self.max_regression,
-            "k_neighbors": self.k_neighbors,
-            "min_observations": self.min_observations,
             "clip": self.clip,
             "clip_alphas": list(self.clip_alphas),
-            "record_vetoes": self.record_vetoes,
             "allowed": self.allowed,
             "clipped": self.clipped,
             "quarantine_vetoes": self.quarantine_vetoes,
@@ -314,15 +300,14 @@ class SafetyGate:
 
     @classmethod
     def from_jsonable(cls, payload: Mapping[str, Any]) -> "SafetyGate":
+        """Restore a snapshot.  Older snapshots also carry the veto bar,
+        the surrogate's neighbor and support counts and the veto
+        recording switch, which were always the module's constants;
+        they load with those keys ignored."""
         if payload.get("kind") != "safety_gate":
             raise ValueError(f"not a safety_gate payload: {payload.get('kind')!r}")
         gate = cls(
-            max_regression=payload["max_regression"],
-            k_neighbors=payload["k_neighbors"],
-            min_observations=payload["min_observations"],
-            clip=payload["clip"],
-            clip_alphas=tuple(payload["clip_alphas"]),
-            record_vetoes=payload["record_vetoes"],
+            clip=payload["clip"], clip_alphas=tuple(payload["clip_alphas"])
         )
         gate.allowed = int(payload["allowed"])
         gate.clipped = int(payload["clipped"])

@@ -145,18 +145,18 @@ def fingerprint_from_history(history: TuningHistory) -> Optional[WorkloadFingerp
 def rank_similar(
     target: WorkloadFingerprint,
     candidates: Sequence[Tuple[Any, WorkloadFingerprint]],
-    runtime_weight: float = 1.0,
 ) -> List[Tuple[Any, float]]:
     """Order candidate fingerprints by distance to the target.
+
+    The |log runtime ratio| term weighs as much as one standardized
+    metric dimension.  Runtime scale is the strongest single similarity
+    signal across workloads of one system; metric *shape* breaks ties
+    within a scale band.
 
     Args:
         target: the workload being tuned.
         candidates: (key, fingerprint) pairs — keys are opaque (session
             records, names, ids) and come back attached to distances.
-        runtime_weight: weight of the |log runtime ratio| term relative
-            to one standardized metric dimension.  Runtime scale is the
-            strongest single similarity signal across workloads of one
-            system; metric *shape* breaks ties within a scale band.
 
     Returns:
         (key, distance) pairs sorted ascending by distance.
@@ -184,7 +184,7 @@ def rank_similar(
             ratio = math.log(fp.probe_runtime_s / target.probe_runtime_s)
         else:
             ratio = 4.0  # unknown scale: heavily penalized, never excluded
-        distance = math.sqrt(metric_d2 + runtime_weight * ratio * ratio / dim)
+        distance = math.sqrt(metric_d2 + ratio * ratio / dim)
         scored.append((key, distance))
     scored.sort(key=lambda kv: kv[1])
     return scored

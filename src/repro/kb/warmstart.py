@@ -38,6 +38,12 @@ from repro.kb.store import KnowledgeBase, SessionRecord
 
 __all__ = ["PriorObservation", "TransferPrior", "warm_start_prior"]
 
+#: Nearest stored sessions a prior replays.
+PRIOR_SESSIONS = 3
+#: Cap on transferred pseudo-samples (nearest sessions contribute
+#: first); bounds surrogate fitting cost.
+PRIOR_ROWS = 60
+
 
 @dataclass(frozen=True)
 class PriorObservation:
@@ -121,19 +127,17 @@ def warm_start_prior(
     kb: KnowledgeBase,
     system: SystemUnderTune,
     workload: Workload,
-    k_sessions: int = 3,
-    max_observations: int = 60,
     exclude_workloads: Sequence[str] = (),
     fingerprint: Optional[WorkloadFingerprint] = None,
     session_filter: Optional[Callable[[SessionRecord], bool]] = None,
 ) -> TransferPrior:
     """Build a transfer prior for tuning ``workload`` on ``system``.
 
+    The prior replays the :data:`PRIOR_SESSIONS` nearest stored sessions
+    and keeps at most :data:`PRIOR_ROWS` of their rows.
+
     Args:
         kb: the knowledge base to draw from.
-        k_sessions: how many nearest stored sessions to replay.
-        max_observations: cap on transferred pseudo-samples (nearest
-            sessions contribute first); bounds surrogate fitting cost.
         exclude_workloads: source workload names to skip — benchmarks
             use this to force strictly cross-workload transfer.
         fingerprint: reuse an already-computed target fingerprint
@@ -160,15 +164,14 @@ def warm_start_prior(
         and record.workload_name not in excluded
         and (session_filter is None or session_filter(record))
     ]
-    ranked = rank_similar(fingerprint, candidates)[: max(k_sessions, 0)]
+    ranked = rank_similar(fingerprint, candidates)[:PRIOR_SESSIONS]
     prior = TransferPrior(target_fingerprint=fingerprint)
     for record, distance in ranked:
         prior.matched.append((record.workload_name, distance))
         prior.rows.extend(
             _transferred_rows(kb, record, space, fingerprint)
         )
-    if len(prior.rows) > max_observations:
-        prior.rows = prior.rows[:max_observations]
+    del prior.rows[PRIOR_ROWS:]
     return prior
 
 

@@ -20,7 +20,6 @@ from repro.mlkit.doe import (
     main_effects,
     plackett_burman,
 )
-from repro.mlkit.ensemble import MeanEnsemble
 from repro.mlkit.factor import PCA, FactorAnalysis
 from repro.mlkit.gp import GaussianProcess
 from repro.mlkit.kernels import RBF, ConstantTimes, Kernel, Matern52, Sum
@@ -40,7 +39,6 @@ __all__ = [
     "Lasso",
     "MLPRegressor",
     "Matern52",
-    "MeanEnsemble",
     "MinMaxScaler",
     "PCA",
     "RBF",

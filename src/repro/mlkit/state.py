@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Any, Dict
 
-from repro.mlkit.ensemble import MeanEnsemble
 from repro.mlkit.gp import GaussianProcess
 from repro.mlkit.linear import Lasso, RidgeRegression
 from repro.mlkit.neural import MLPRegressor
@@ -23,7 +22,6 @@ __all__ = ["MODEL_CLASSES", "dump_model", "load_model"]
 MODEL_CLASSES = {
     "gp": GaussianProcess,
     "lasso": Lasso,
-    "mean_ensemble": MeanEnsemble,
     "minmax_scaler": MinMaxScaler,
     "mlp": MLPRegressor,
     "random_forest": RandomForest,

@@ -83,19 +83,8 @@ class TrainingMatrix:
         return int(self.X_knobs.shape[0])
 
     @property
-    def n_ok(self) -> int:
-        return int((~self.failed).sum())
-
-    @property
     def n_failed(self) -> int:
         return int(self.failed.sum())
-
-    @property
-    def feature_names(self) -> Tuple[str, ...]:
-        """Names of the full feature layout: knobs, then fingerprint."""
-        return self.knob_names + tuple(
-            f"fp:{name}" for name in self.metric_names
-        ) + ("fp:log_probe_runtime",)
 
 
 def build_matrices(

@@ -78,10 +78,10 @@ def rank_knobs(
     y: np.ndarray,
     knob_names: Sequence[str],
     seed: int = 0,
-    n_trees: int = 25,
-    max_depth: int = 6,
 ) -> ImportanceReport:
     """Rank knobs by combined forest-impurity and lasso-path importance.
+
+    The forest has 25 trees of depth at most 6.
 
     Args:
         X: unit-scaled knob vectors (fingerprint columns excluded —
@@ -97,9 +97,7 @@ def rank_knobs(
         scores = [KnobScore(name, uniform, uniform, uniform) for name in knob_names]
         return ImportanceReport(scores=scores, n_rows=n)
 
-    forest = RandomForest(
-        n_trees=n_trees, max_depth=max_depth, seed=seed
-    ).fit(X, y)
+    forest = RandomForest(n_trees=25, max_depth=6, seed=seed).fit(X, y)
     forest_raw = np.asarray(forest.feature_importances_, dtype=float)
     peak = float(forest_raw.max())
     forest_norm = forest_raw / peak if peak > 0 else np.full(d, 1.0 / d)

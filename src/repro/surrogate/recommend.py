@@ -2,16 +2,14 @@
 
 The candidate set is deliberately conservative: the deduplicated,
 crash-vetoed configurations the family's stored sessions actually
-survived, plus opt-in Gaussian local refinements around the model's
-favourite support rows (jitter only on the top-k important knobs —
-off by default because it serves configurations no session has
-actually survived).  The surrogate
-re-ranks that set for the *target* fingerprint — free optimization over
-the whole space is the tuners' job; measured on the benchmark matrix it
-let the model's tail errors pick configurations that crashed outright.
-Every candidate is snapped to a real, constraint-feasible configuration
+survived.  The surrogate re-ranks that set for the *target* fingerprint
+— free optimization over the whole space is the tuners' job; measured
+on the benchmark matrix it let the model's tail errors pick
+configurations that crashed outright, and so did Gaussian refinements
+around the best support rows, which left the measured support.  Every
+candidate is snapped to a real, constraint-feasible configuration
 *before* scoring, and all candidates are scored in one vectorized model
-call per stage.
+call.
 
 Confidence gating: the model's posterior std in log-ratio space is a
 relative uncertainty, so a single threshold works across workloads of
@@ -23,7 +21,6 @@ region.
 from __future__ import annotations
 
 import math
-import zlib
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -43,7 +40,7 @@ __all__ = [
 ]
 
 #: Maximum relative posterior std for a recommendation to count as
-#: confident.  Calibrated on the surrogate bench matrix: committee
+#: confident.  Calibrated on the surrogate bench matrix: model
 #: spread at served KB-hit picks measured ≈0.14–0.57 in log space,
 #: while starved or off-support queries push past it.  (Forest ensemble
 #: spread is structurally conservative — it sits near the response
@@ -89,19 +86,10 @@ class SurrogateRecommendation:
         }
 
 
-def _seed_for(trained: TrainedSurrogate, seed: int) -> int:
-    """Deterministic per-(system, family, kb-version) search seed."""
-    key = f"{trained.system_kind}|{trained.family}|{trained.kb_version}|{seed}"
-    return zlib.crc32(key.encode())
-
-
-def _snap(
-    space: ConfigurationSpace,
-    unit_rows: np.ndarray,
-    seen: set,
-) -> List[Configuration]:
-    """Decode unit vectors to feasible configs, deduplicated via ``seen``."""
+def _snap(space: ConfigurationSpace, unit_rows: np.ndarray) -> List[Configuration]:
+    """Decode unit vectors to feasible, deduplicated configs."""
     configs: List[Configuration] = []
+    seen: set = set()
     for row in unit_rows:
         try:
             config = space.from_array(np.clip(row, 0.0, 1.0))
@@ -119,51 +107,20 @@ def rank_configs(
     trained: TrainedSurrogate,
     space: ConfigurationSpace,
     fingerprint: WorkloadFingerprint,
-    n_seeds: int = 8,
-    n_local: int = 0,
-    local_scale: float = 0.07,
-    seed: int = 0,
 ) -> List[Tuple[Configuration, float, Optional[float]]]:
-    """Candidate configurations ordered by predicted log runtime ratio.
+    """The stored observed support ordered by predicted log runtime ratio.
 
-    Stage 1 scores the stored observed support; with ``n_local > 0``, a
-    stage 2 adds Gaussian refinements (on the pruned knobs only) around
-    the ``n_seeds`` best predicted support rows.  Refinement is opt-in:
-    jittered candidates leave the measured support, and on the
-    benchmark matrix that let confident tail errors cross feasibility
-    cliffs and serve crashing configurations.  Returns (config,
-    predicted log ratio, relative std) triples, best-predicted first.
-    Empty when the space's knob catalog no longer matches the
-    surrogate's, or the support is empty.
+    Returns (config, predicted log ratio, relative std) triples,
+    best-predicted first.  Empty when the space's knob catalog no longer
+    matches the surrogate's, or the support is empty.
     """
     if tuple(space.names()) != trained.knob_names:
         return []
     if not trained.support_units:
         return []
-    rng = np.random.default_rng(_seed_for(trained, seed))
-    names = list(trained.knob_names)
-    pruned = [names.index(k) for k in trained.top_knobs]
-
-    seen: set = set()
-    support = _snap(space, np.asarray(trained.support_units, dtype=float), seen)
-    if not support:
+    configs = _snap(space, np.asarray(trained.support_units, dtype=float))
+    if not configs:
         return []
-    X1 = np.stack([c.to_array() for c in support])
-    mu1, _ = trained.predict(X1, fingerprint)
-
-    # Stage 2: local Gaussian refinement around the best predicted rows.
-    order = np.argsort(mu1, kind="stable")[: max(n_seeds, 0)]
-    refined: List[Configuration] = []
-    if len(order) and n_local > 0 and pruned:
-        blocks = []
-        for i in order:
-            jitter = rng.normal(0.0, local_scale, size=(n_local, len(pruned)))
-            block = np.tile(X1[i], (n_local, 1))
-            block[:, pruned] = np.clip(block[:, pruned] + jitter, 0.0, 1.0)
-            blocks.append(block)
-        refined = _snap(space, np.vstack(blocks), seen)
-
-    configs = support + refined
     X = np.stack([c.to_array() for c in configs])
     mu, sd = trained.predict(X, fingerprint)
     ranked = np.argsort(mu, kind="stable")
@@ -182,7 +139,6 @@ def recommend_config(
     space: ConfigurationSpace,
     fingerprint: WorkloadFingerprint,
     confidence_threshold: float = DEFAULT_CONFIDENCE,
-    **search_kwargs: Any,
 ) -> Optional[SurrogateRecommendation]:
     """Best surrogate recommendation for a fingerprinted workload.
 
@@ -190,7 +146,7 @@ def recommend_config(
     ``confident`` flag reflects the gate: models without an uncertainty
     estimate (MLP) gate on their holdout RMSE instead.
     """
-    ranked = rank_configs(trained, space, fingerprint, **search_kwargs)
+    ranked = rank_configs(trained, space, fingerprint)
     if not ranked:
         return None
     config, mu, sd = ranked[0]
@@ -223,7 +179,6 @@ def surrogate_prior(
     space: ConfigurationSpace,
     fingerprint: WorkloadFingerprint,
     k: int = 3,
-    **search_kwargs: Any,
 ) -> List[PriorObservation]:
     """Top-k surrogate picks as transfer-prior pseudo-observations.
 
@@ -236,9 +191,7 @@ def surrogate_prior(
     if not (math.isfinite(anchor) and anchor > 0):
         return []
     rows: List[PriorObservation] = []
-    for config, mu, _ in rank_configs(
-        trained, space, fingerprint, **search_kwargs
-    )[: max(k, 0)]:
+    for config, mu, _ in rank_configs(trained, space, fingerprint)[: max(k, 0)]:
         rows.append(
             PriorObservation(
                 values=dict(config.to_dict()),

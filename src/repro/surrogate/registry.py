@@ -96,7 +96,6 @@ class SurrogateStore:
         metric_names: Optional[Sequence[str]] = None,
         train: bool = True,
         session_filter: Optional[Callable[[SessionRecord], bool]] = None,
-        **train_kwargs: Any,
     ) -> Optional[TrainedSurrogate]:
         """A model trained at the KB's *current* version, or ``None``.
 
@@ -123,7 +122,7 @@ class SurrogateStore:
         if matrix is None:
             return None
         try:
-            trained = train_surrogate(matrix, kb_version=version, **train_kwargs)
+            trained = train_surrogate(matrix, kb_version=version)
         except SurrogateError:
             return None
         with self._lock:
@@ -137,15 +136,13 @@ class SurrogateStore:
         system_kind: str,
         space: ConfigurationSpace,
         metric_names: Optional[Sequence[str]] = None,
-        **train_kwargs: Any,
     ) -> Dict[str, TrainedSurrogate]:
         """Train (or freshen) every family of one system kind."""
         matrices = build_matrices(kb, system_kind, space, metric_names=metric_names)
         out: Dict[str, TrainedSurrogate] = {}
         for family in matrices:
             trained = self.get(
-                kb, system_kind, family, space,
-                metric_names=metric_names, **train_kwargs,
+                kb, system_kind, family, space, metric_names=metric_names
             )
             if trained is not None:
                 out[family] = trained

@@ -17,7 +17,6 @@ import numpy as np
 
 from repro.exceptions import SurrogateError
 from repro.kb.fingerprint import WorkloadFingerprint
-from repro.mlkit.ensemble import MeanEnsemble
 from repro.mlkit.gp import GaussianProcess
 from repro.mlkit.neural import MLPRegressor
 from repro.mlkit.scaler import MinMaxScaler
@@ -31,10 +30,7 @@ __all__ = ["TrainedSurrogate", "train_surrogate", "DEFAULT_MODELS"]
 #: Holdout candidates in preference order; earlier kinds win ties.  The
 #: forest leads: across the benchmark matrix its argmin picks were the
 #: most reliable, and its ensemble spread gives the confidence gate a
-#: real uncertainty signal.  The GP+forest committee ("committee") is
-#: available but off the default shortlist — on the benchmark matrix
-#: its smoother argmin collapsed onto the globally-best stored row,
-#: forfeiting the per-target re-ranking wins the forest finds.
+#: real uncertainty signal.
 DEFAULT_MODELS = ("forest", "gp", "mlp")
 
 #: Below this many successful rows a family cannot be fit usefully.
@@ -52,10 +48,6 @@ _SELECTION_MARGIN = 0.05
 
 
 def _make_model(kind: str, seed: int) -> Any:
-    if kind == "committee":
-        return MeanEnsemble(
-            [GaussianProcess(), RandomForest(n_trees=30, seed=seed)]
-        )
     if kind == "gp":
         return GaussianProcess()
     if kind == "forest":
@@ -90,9 +82,9 @@ class TrainedSurrogate:
     anchors: Dict[str, float]
     #: Deduplicated unit vectors of successful training rows, minus any
     #: configuration that failed on *any* variant (the family-crash
-    #: veto).  The recommender only ranks this observed support plus
-    #: local refinements of it — zero-probe serving never extrapolates
-    #: into regions no session has survived.
+    #: veto).  The recommender only ranks this observed support —
+    #: zero-probe serving never extrapolates into regions no session
+    #: has survived.
     support_units: Tuple[Tuple[float, ...], ...]
 
     def features(
@@ -123,7 +115,7 @@ class TrainedSurrogate:
         X = self.features(X_knobs, fingerprint)
         if isinstance(self.model, GaussianProcess):
             return self.model.predict(X, return_std=True)
-        if isinstance(self.model, (RandomForest, MeanEnsemble)):
+        if isinstance(self.model, RandomForest):
             return self.model.predict_std(X)
         return self.model.predict(X), None
 
@@ -287,7 +279,7 @@ def train_surrogate(
 
     # Observed support: successful rows, deduplicated, minus any config
     # that failed on some variant (best ratio first, so a truncated
-    # support keeps the rows worth refining around).
+    # support keeps the best rows).
     vetoed = {row.tobytes() for row in matrix.X_knobs[matrix.failed]}
     support: List[Tuple[float, ...]] = []
     seen = set(vetoed)

@@ -117,9 +117,6 @@ class Cluster:
     def mean_cpu_speed(self) -> float:
         return sum(n.cpu_speed for n in self.nodes) / len(self.nodes)
 
-    def mean_disk_read_mbps(self) -> float:
-        return sum(n.disk_read_mbps for n in self.nodes) / len(self.nodes)
-
     def straggler_factor(self) -> float:
         """Slowest-to-mean compute ratio (>= 1); 1.0 when homogeneous.
 

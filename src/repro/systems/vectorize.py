@@ -32,7 +32,6 @@ __all__ = [
     "knob_table",
     "metric_columns",
     "put_counts",
-    "metrics_row",
     "measurements_from_columns",
 ]
 
@@ -126,17 +125,6 @@ def put_counts(
         np.asarray(counts, dtype=np.int64).astype(object),
         columns[key].astype(object),
     )
-
-
-def metrics_row(
-    columns: Dict[str, List[float]], names: Sequence[str], i: int
-) -> Dict[str, float]:
-    """Row ``i`` of pre-``tolist()``-ed metric columns as a plain dict.
-
-    Values must already be Python floats (``ndarray.tolist()``) so the
-    emitted :class:`Measurement` hashes/reprs exactly like scalar ones.
-    """
-    return {k: columns[k][i] for k in names}
 
 
 def measurements_from_columns(

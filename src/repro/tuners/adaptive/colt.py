@@ -22,7 +22,6 @@ from repro.core.registry import register_tuner
 from repro.core.system import SystemUnderTune
 from repro.core.tuner import OnlineTuner, StreamResult, StreamStep
 from repro.core.workload import WorkloadStream
-from repro.exec.resilience import FAILURE_POLICIES
 from repro.tuners.adaptive.drift import DriftDetector
 from repro.tuners.rule_based import SpexValidator
 from repro.tuners.simulation import trace_replay_predict
@@ -57,22 +56,14 @@ class ColtOnlineTuner(OnlineTuner):
         n_candidates: int = 12,
         reconfig_cost_s: float = 5.0,
         step_scale: float = 0.15,
-        failure_policy: Optional[str] = None,
         warm_start: bool = False,
     ):
         if epoch < 1:
             raise ValueError("epoch must be >= 1")
-        if failure_policy is not None and failure_policy not in FAILURE_POLICIES:
-            raise ValueError(
-                f"failure_policy must be one of {FAILURE_POLICIES}"
-            )
         self.epoch = epoch
         self.n_candidates = n_candidates
         self.reconfig_cost_s = reconfig_cost_s
         self.step_scale = step_scale
-        #: Opt-in for the offline entry point (``tune``); the online
-        #: stream loop reacts to failures directly by retreating.
-        self.failure_policy = failure_policy
         self.warm_start = warm_start
 
     def tune_stream(

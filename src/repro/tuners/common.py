@@ -7,14 +7,13 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.measurement import Measurement, TuningHistory
+from repro.core.measurement import TuningHistory
 from repro.core.parameters import Configuration, ConfigurationSpace
 from repro.core.session import TuningSession
 
 __all__ = [
     "FAILURE_PENALTY_FACTOR",
     "failure_response",
-    "penalized_runtime",
     "history_to_training_data",
     "candidate_pool",
     "ResponseReplay",
@@ -33,6 +32,15 @@ def _finite_successes(history: TuningHistory) -> List[float]:
     ]
 
 
+def _stand_in(policy: str, successes: List[float]) -> Optional[float]:
+    """The failure stand-in given the finite successful runtimes."""
+    if policy == "discard":
+        return None
+    if policy == "impute":
+        return float(np.median(successes)) if successes else 100.0
+    return max(successes, default=100.0) * FAILURE_PENALTY_FACTOR
+
+
 def failure_response(history: TuningHistory, policy: str = "penalize") -> Optional[float]:
     """The training-data value standing in for one failed run.
 
@@ -40,25 +48,10 @@ def failure_response(history: TuningHistory, policy: str = "penalize") -> Option
     historical behaviour), ``impute`` to the median successful runtime
     (failures carry no slowness signal, only infeasibility), and
     ``discard`` to ``None`` — the caller drops the row entirely.
+    Without a finite success, penalize and impute use 100 s as the
+    worst and the median runtime.
     """
-    if policy == "discard":
-        return None
-    successes = _finite_successes(history)
-    if policy == "impute":
-        return float(np.median(successes)) if successes else 100.0
-    worst = max(successes, default=100.0)
-    return worst * FAILURE_PENALTY_FACTOR
-
-
-def penalized_runtime(measurement: Measurement, history: TuningHistory) -> float:
-    """Runtime for model fitting: failures map to a large finite penalty.
-
-    Hung runs (successful, infinite runtime) are treated as failures —
-    an unbounded observation would destroy any surrogate's scale.
-    """
-    if measurement.ok and math.isfinite(measurement.runtime_s):
-        return measurement.runtime_s
-    return failure_response(history, "penalize")
+    return _stand_in(policy, _finite_successes(history))
 
 
 def history_to_training_data(
@@ -68,10 +61,9 @@ def history_to_training_data(
     """All real observations as (X, y), failures handled per policy.
 
     The session's :attr:`~repro.core.session.TuningSession
-    .failure_policy` (``penalize`` / ``discard`` / ``impute``) decides
-    how failed or hung runs enter the training set — tuners opt in by
-    being constructed with a ``failure_policy`` or tuned under an
-    explicit :class:`~repro.exec.resilience.ExecutionPolicy`.
+    .failure_policy` (``penalize`` / ``discard`` / ``impute``, set by
+    the session's :class:`~repro.exec.resilience.ExecutionPolicy`)
+    decides how failed or hung runs enter the training set.
 
     With ``include_prior`` (warm-started tuners), the session's
     transfer-prior pseudo-observations are stacked *before* the real
@@ -140,15 +132,7 @@ class ResponseReplay:
         if measurement.ok and math.isfinite(measurement.runtime_s):
             self._successes.append(measurement.runtime_s)
             return measurement.runtime_s
-        if self.policy == "discard":
-            return None
-        if self.policy == "impute":
-            return (
-                float(np.median(self._successes))
-                if self._successes
-                else 100.0
-            )
-        return max(self._successes, default=100.0) * FAILURE_PENALTY_FACTOR
+        return _stand_in(self.policy, self._successes)
 
 
 def candidate_pool(

@@ -29,7 +29,6 @@ import numpy as np
 from repro.core.driver import Candidate, SearchState, SearchTuner
 from repro.core.parameters import Configuration
 from repro.core.registry import register_tuner
-from repro.exec.resilience import FAILURE_POLICIES
 from repro.mlkit.acquisition import expected_improvement
 from repro.mlkit.gp import GaussianProcess
 from repro.mlkit.kernels import Matern52
@@ -53,25 +52,17 @@ class ITunedTuner(SearchTuner):
         xi: float = 0.0,
         shrink_after: int = 20,
         batch_size: int = 1,
-        failure_policy: Optional[str] = None,
         warm_start: bool = False,
     ):
         if n_init < 2:
             raise ValueError("n_init must be >= 2")
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if failure_policy is not None and failure_policy not in FAILURE_POLICIES:
-            raise ValueError(
-                f"failure_policy must be one of {FAILURE_POLICIES}"
-            )
         self.n_init = n_init
         self.n_candidates = n_candidates
         self.xi = xi
         self.shrink_after = shrink_after
         self.batch_size = batch_size
-        #: How failed runs enter the GP (penalize is iTuned's published
-        #: answer; discard/impute are the chaos-benchmark alternatives).
-        self.failure_policy = failure_policy
         #: Consume a transfer prior: seed with its best configs, shrink
         #: the LHS design, and stack its rows into the GP's data.
         self.warm_start = warm_start

@@ -20,7 +20,6 @@ from repro.core.parameters import Configuration, ConfigurationSpace
 from repro.core.registry import register_tuner
 from repro.core.session import TuningSession
 from repro.exceptions import BudgetExhausted
-from repro.exec.resilience import FAILURE_POLICIES
 from repro.mlkit.doe import foldover, main_effects, plackett_burman
 from repro.mlkit.linear import lasso_rank_features
 from repro.tuners.common import ResponseReplay
@@ -146,23 +145,15 @@ class SardTuner(SearchTuner):
         levels: int = 3,
         use_foldover: bool = True,
         batch_size: int = 1,
-        failure_policy: Optional[str] = None,
         warm_start: bool = False,
     ):
         if top_k < 1:
             raise ValueError("top_k must be >= 1")
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if failure_policy is not None and failure_policy not in FAILURE_POLICIES:
-            raise ValueError(
-                f"failure_policy must be one of {FAILURE_POLICIES}"
-            )
         self.top_k = top_k
         self.levels = levels
         self.batch_size = batch_size
-        #: How failed screening rows enter the effect estimate (opt-in;
-        #: flows into the tuning session — see ``Tuner.failure_policy``).
-        self.failure_policy = failure_policy
         #: Rank knobs from transfer-prior data instead of running the
         #: PB screen — the screen is most of SARD's experiment cost, so
         #: a usable prior converts almost the whole budget into grid

@@ -35,7 +35,6 @@ from repro.core.registry import register_tuner
 from repro.core.system import SystemUnderTune
 from repro.core.workload import Workload
 from repro.exceptions import TuningError
-from repro.exec.resilience import FAILURE_POLICIES
 from repro.mlkit.acquisition import expected_improvement
 from repro.mlkit.cluster import KMeans
 from repro.mlkit.factor import FactorAnalysis
@@ -248,13 +247,8 @@ class OtterTuneTuner(SearchTuner):
         n_init: int = 5,
         n_candidates: int = 400,
         use_mapping: bool = True,
-        failure_policy: Optional[str] = None,
         warm_start: bool = False,
     ):
-        if failure_policy is not None and failure_policy not in FAILURE_POLICIES:
-            raise ValueError(
-                f"failure_policy must be one of {FAILURE_POLICIES}"
-            )
         self.repository = repository
         self.top_k_knobs = top_k_knobs
         self.n_init = n_init
@@ -262,9 +256,6 @@ class OtterTuneTuner(SearchTuner):
         #: Ablation switch: with mapping off, the GP trains on target
         #: observations only (history still drives pruning/ranking).
         self.use_mapping = use_mapping
-        #: How failed runs enter the GP when mapping is off (the mapped
-        #: branch trains on successful target observations only).
-        self.failure_policy = failure_policy
         #: Consume a knowledge-base transfer prior on top of the
         #: repository: the prior's best configurations replace part of
         #: the LHS init design (the repository already provides the

@@ -23,6 +23,7 @@ from repro.fleet import (
     write_checkpoint,
 )
 from repro.fleet.checkpoint import decode_runtime, encode_runtime
+from repro.fleet.safety import MAX_REGRESSION
 from repro.kb import KnowledgeBase
 from repro.systems.cluster import Cluster
 from repro.systems.dbms import DbmsSimulator, htap_mixed, olap_analytics
@@ -238,7 +239,7 @@ def _gate_session(workload, breaker=None, runs=20):
 class TestSafetyGate:
     def test_allows_near_good_cluster(self, workload):
         session = _gate_session(workload)
-        gate = SafetyGate(max_regression=0.25)
+        gate = SafetyGate()
         cand = Candidate(_config_at(session.space, 0.31), tag="p")
         kept = gate.filter(session, [cand])
         assert kept == [cand]
@@ -246,7 +247,7 @@ class TestSafetyGate:
 
     def test_vetoes_predicted_regression(self, workload):
         session = _gate_session(workload)
-        gate = SafetyGate(max_regression=0.25, clip=False)
+        gate = SafetyGate(clip=False)
         cand = Candidate(_config_at(session.space, 0.89), tag="p")
         assert gate.filter(session, [cand]) == []
         assert gate.regression_vetoes == 1
@@ -258,7 +259,7 @@ class TestSafetyGate:
         session = _gate_session(workload)
         real_before = session.real_runs
         best_before = session.best_runtime()
-        gate = SafetyGate(max_regression=0.25, clip=False)
+        gate = SafetyGate(clip=False)
         gate.filter(session, [Candidate(_config_at(session.space, 0.89), tag="p")])
         audit = [o for o in session.history.observations if o.tag == "gate-veto"]
         assert len(audit) == 1 and audit[0].source == MODEL
@@ -268,7 +269,7 @@ class TestSafetyGate:
     def test_clip_blends_toward_best(self, workload):
         session = _gate_session(workload)
         # alpha=0 blends fully back to the best config — deterministic.
-        gate = SafetyGate(max_regression=0.25, clip_alphas=(0.0,))
+        gate = SafetyGate(clip_alphas=(0.0,))
         kept = gate.filter(
             session, [Candidate(_config_at(session.space, 0.89), tag="p")]
         )
@@ -297,24 +298,24 @@ class TestSafetyGate:
         session = TuningSession(
             system, workload, Budget(max_runs=5), np.random.default_rng(0)
         )
-        gate = SafetyGate(min_observations=3)
+        gate = SafetyGate()
         cand = Candidate(_config_at(session.space, 0.9), tag="p")
         assert gate.filter(session, [cand]) == [cand]
 
     def test_zero_bypass_certificate(self, workload):
         session = _gate_session(workload)
-        gate = SafetyGate(max_regression=0.25)
+        gate = SafetyGate()
         rng = np.random.default_rng(7)
         candidates = [
             Candidate(_config_at(session.space, x))
             for x in rng.uniform(0.05, 0.95, size=40)
         ]
         gate.filter(session, candidates)
-        assert gate.max_allowed_delta <= gate.max_regression + 1e-9
+        assert gate.max_allowed_delta <= MAX_REGRESSION + 1e-9
 
     def test_audit_state_survives_serialization(self, workload):
         session = _gate_session(workload)
-        gate = SafetyGate(max_regression=0.25, clip=False)
+        gate = SafetyGate(clip=False)
         gate.filter(session, [
             Candidate(_config_at(session.space, 0.31), tag="a"),
             Candidate(_config_at(session.space, 0.89), tag="b"),
@@ -336,13 +337,9 @@ class TestDriverGuard:
         session = TuningSession(
             system, workload, Budget(max_runs=10), np.random.default_rng(0)
         )
-        driver = SearchDriver(guard=self._VetoAll(), max_fruitless_asks=3)
+        driver = SearchDriver(guard=self._VetoAll())
         driver.run(make_tuner("random-search"), session)
         assert session.real_runs == 1  # only the default evaluation ran
-
-    def test_max_fruitless_asks_validated(self):
-        with pytest.raises(ValueError):
-            SearchDriver(max_fruitless_asks=0)
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +371,37 @@ class TestCheckpointIO:
         assert decode_runtime(None) is None
         assert decode_runtime(encode_runtime(3.5)) == 3.5
 
+    def test_older_breaker_and_gate_payloads_load(self, workload):
+        """Checkpoints written while the breaker's resolution and the
+        gate's veto bar, neighbor and support counts and veto recording
+        were settings carry them; they load to the same state."""
+        system = _system()
+        breaker = CircuitBreaker(threshold=1, cooldown_runs=2)
+        bad = _config_at(system.config_space, 0.95)
+        breaker.record(bad, Measurement.failure())
+        older = {**breaker.to_jsonable(), "resolution": 4, "knobs": None}
+        restored = CircuitBreaker.from_jsonable(older)
+        assert restored.to_jsonable() == breaker.to_jsonable()
+        assert "resolution" not in restored.to_jsonable()
+        assert restored.summary() == breaker.summary()
+        assert restored.would_block(bad)
+
+        session = _gate_session(workload)
+        gate = SafetyGate(clip=False)
+        gate.filter(session, [
+            Candidate(_config_at(session.space, 0.31), tag="a"),
+            Candidate(_config_at(session.space, 0.89), tag="b"),
+        ])
+        older = {
+            **gate.to_jsonable(), "max_regression": 0.25, "k_neighbors": 3,
+            "min_observations": 3, "record_vetoes": True,
+        }
+        restored = SafetyGate.from_jsonable(older)
+        assert restored.to_jsonable() == gate.to_jsonable()
+        assert "max_regression" not in restored.to_jsonable()
+        assert restored.summary() == gate.summary()
+        assert restored.summary()["max_regression"] == 0.25
+
 
 # ---------------------------------------------------------------------------
 # Fleet controller
@@ -399,7 +427,6 @@ def _controller(specs, kb, epochs=4, retune=True, **kwargs):
         seed=11,
         kb=kb,
         strategy="random-search",
-        max_regression=0.25,
         deadline_s=2000.0,
         retune_on_drift=retune,
         **kwargs,

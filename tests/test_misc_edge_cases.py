@@ -1,11 +1,9 @@
 """Edge-case coverage across modules that larger tests skim over."""
 
-import math
-
 import numpy as np
 import pytest
 
-from repro.core import Budget, Measurement
+from repro.core import Budget
 from repro.core.parameters import (
     ConfigurationSpace,
     NumericParameter,
@@ -19,7 +17,7 @@ from repro.systems.cluster import Cluster
 from repro.systems.dbms import DbmsSimulator, olap_analytics
 from repro.systems.hadoop import HadoopSimulator, terasort
 from repro.tuners import GridSearchTuner
-from repro.tuners.common import candidate_pool, penalized_runtime
+from repro.tuners.common import candidate_pool
 
 
 class TestRegistryGuards:
@@ -86,17 +84,6 @@ class TestGridSearchInfeasibleCorners:
 
 
 class TestCommonHelpers:
-    def test_penalized_runtime_passthrough(self):
-        from repro.core.measurement import TuningHistory
-
-        assert penalized_runtime(Measurement(runtime_s=5.0), TuningHistory()) == 5.0
-
-    def test_penalized_runtime_for_failure_without_history(self):
-        from repro.core.measurement import TuningHistory
-
-        penalty = penalized_runtime(Measurement.failure(), TuningHistory())
-        assert math.isfinite(penalty) and penalty > 0
-
     def test_candidate_pool_anchors_stay_local(self):
         system = DbmsSimulator()
         space = system.config_space

@@ -10,7 +10,6 @@ from repro.exceptions import ModelNotFitted
 from repro.mlkit import (
     GaussianProcess,
     Lasso,
-    MeanEnsemble,
     MinMaxScaler,
     MLPRegressor,
     RandomForest,
@@ -188,21 +187,6 @@ class TestModelStateRoundTrips:
         np.testing.assert_allclose(
             model.predict(queries), restored.predict(queries), atol=1e-12
         )
-
-    def test_mean_ensemble(self, data, rng):
-        X, y = data
-        model = MeanEnsemble(
-            [GaussianProcess(), RandomForest(n_trees=6, seed=1)]
-        ).fit(X, y)
-        queries = rng.uniform(size=(25, 5))
-        restored = _round_trip(model)
-        np.testing.assert_allclose(
-            model.predict(queries), restored.predict(queries), atol=1e-10
-        )
-        mu_a, sd_a = model.predict_std(queries)
-        mu_b, sd_b = restored.predict_std(queries)
-        np.testing.assert_allclose(mu_a, mu_b, atol=1e-10)
-        np.testing.assert_allclose(sd_a, sd_b, atol=1e-10)
 
     def test_scalers(self, rng):
         X = rng.normal(size=(30, 4))

@@ -13,7 +13,6 @@ from repro.bench.harness import standard_cluster
 from repro.core import Budget, InstrumentedSystem, PromotionScheduler
 from repro.core.fidelity import (
     DISTORTION_AMPLITUDE,
-    Fidelity,
     FidelitySystem,
     _distortion,
     scale_measurement,
@@ -102,16 +101,13 @@ def _instrumented(system=None):
 
 
 class TestFidelityValue:
-    def test_validates_range(self):
+    def test_validates_range(self, system):
         for bad in (0.0, -0.5, 1.5, math.nan, math.inf):
             with pytest.raises(ValueError):
-                Fidelity(bad)
-        assert Fidelity(1.0).full
-        assert not Fidelity(0.25).full
+                with_fidelity(system, bad)
 
     def test_with_fidelity_identity_at_full(self, system):
         assert with_fidelity(system, 1.0) is system
-        assert with_fidelity(system, Fidelity(1.0)) is system
 
     def test_repin_is_absolute_not_compounding(self, system):
         half = with_fidelity(system, 0.5)
@@ -192,8 +188,6 @@ class TestPromotionScheduler:
             PromotionScheduler(min_fidelity=1.0)
         with pytest.raises(ValueError):
             PromotionScheduler(eta=1.0)
-        with pytest.raises(ValueError):
-            PromotionScheduler(min_batch=1)
 
 
 class TestDigestAndSerialization:
@@ -410,7 +404,7 @@ def _legacy_distortion(payload):
 def _mf_tuner(name="cem", **overrides):
     opts = dict(
         multi_fidelity=True, fidelity_rungs=2, fidelity_min=0.25,
-        fidelity_eta=2.0, fidelity_min_batch=4,
+        fidelity_eta=2.0,
     )
     opts.update(overrides)
     if name == "cem":

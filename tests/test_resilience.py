@@ -10,7 +10,6 @@ from repro.chaos import ChaosSystem, ConfigBlackout, Hangs, TransientFaults
 from repro.core import Budget, Measurement
 from repro.core.measurement import Observation, TuningHistory
 from repro.core.session import TuningSession
-from repro.exceptions import CircuitOpen
 from repro.exec.resilience import (
     FAILURE_POLICIES,
     CircuitBreaker,
@@ -18,7 +17,11 @@ from repro.exec.resilience import (
 )
 from repro.systems.cluster import Cluster
 from repro.systems.dbms import DbmsSimulator, htap_mixed
-from repro.tuners.common import history_to_training_data
+from repro.tuners.common import (
+    ResponseReplay,
+    failure_response,
+    history_to_training_data,
+)
 
 
 @pytest.fixture(scope="module")
@@ -45,17 +48,12 @@ class TestExecutionPolicy:
             ExecutionPolicy(max_retries=-1)
         with pytest.raises(ValueError):
             ExecutionPolicy(failure_policy="explode")
-        with pytest.raises(ValueError):
-            ExecutionPolicy(on_quarantine="shrug")
 
     def test_backoff_grows_and_caps(self):
-        policy = ExecutionPolicy(
-            max_retries=5, backoff_base_s=1.0, backoff_factor=2.0,
-            max_backoff_s=3.0,
-        )
-        assert policy.backoff_s(0) == 1.0
-        assert policy.backoff_s(1) == 2.0
-        assert policy.backoff_s(2) == 3.0  # capped
+        policy = ExecutionPolicy(max_retries=5, backoff_base_s=20.0)
+        assert policy.backoff_s(0) == 20.0
+        assert policy.backoff_s(1) == 40.0
+        assert policy.backoff_s(2) == 60.0  # 80 capped at 60
 
     def test_default_policy_is_passive(self, workload):
         session = _session(_inner(), workload)
@@ -128,7 +126,7 @@ class TestRetries:
 
 
 class TestCircuitBreaker:
-    def _blackout_setup(self, workload, on_quarantine="skip"):
+    def _blackout_setup(self, workload):
         system = _inner()
         space = system.config_space
         knobs = ("temp_buffers_mb", "wal_buffers_mb")
@@ -141,9 +139,7 @@ class TestCircuitBreaker:
         hot = space.from_array_feasible(unit, np.random.default_rng(0))
         session = _session(
             chaos, workload,
-            execution=ExecutionPolicy(
-                breaker_threshold=2, on_quarantine=on_quarantine
-            ),
+            execution=ExecutionPolicy(breaker_threshold=2),
         )
         return session, hot
 
@@ -162,13 +158,6 @@ class TestCircuitBreaker:
         summary = session.resilience_summary()
         assert summary["circuit"]["open_regions"] == 1
         assert summary["circuit"]["trips"] == 1
-
-    def test_raise_mode_surfaces_circuit_open(self, workload):
-        session, hot = self._blackout_setup(workload, on_quarantine="raise")
-        session.evaluate(hot)
-        session.evaluate(hot)
-        with pytest.raises(CircuitOpen):
-            session.evaluate(hot)
 
     def test_environmental_failures_do_not_trip(self, workload):
         chaos = ChaosSystem(_inner(), [TransientFaults(0.999)], seed=5)
@@ -246,26 +235,33 @@ class TestFailurePolicies:
         assert len(y) == 4
         assert y[-1] == pytest.approx(20.0)  # median of successes
 
-    def test_tuner_opt_in_flows_into_session(self, workload):
-        from repro.tuners import ITunedTuner
-
-        tuner = ITunedTuner(n_init=3, failure_policy="discard")
-        result = tuner.tune(
-            _inner(), workload, Budget(max_runs=5),
-            rng=np.random.default_rng(0),
-        )
-        assert result.extras["resilience"]["failure_policy"] == "discard"
-
-    def test_invalid_policy_rejected_by_tuners(self):
-        from repro.tuners import (
-            ColtOnlineTuner,
-            ITunedTuner,
-            SardTuner,
-        )
-
-        for cls in (ITunedTuner, SardTuner, ColtOnlineTuner):
-            with pytest.raises(ValueError):
-                cls(failure_policy="bogus")
+    @pytest.mark.parametrize("policy", FAILURE_POLICIES)
+    def test_replay_stand_in_matches_failure_response(self, policy):
+        """``ResponseReplay`` scores each failure as ``failure_response``
+        does against the same successes: before any, and after a hung
+        run that is no success."""
+        space = _inner().config_space
+        rng = np.random.default_rng(2)
+        history = TuningHistory()
+        replay = ResponseReplay(policy)
+        stand_ins = []
+        for measurement in (
+            Measurement.failure(), Measurement(runtime_s=10.0),
+            Measurement(runtime_s=math.inf), Measurement(runtime_s=40.0),
+            Measurement(runtime_s=20.0), Measurement.failure(),
+        ):
+            obs = Observation(space.sample_configuration(rng), measurement)
+            response = replay.account(obs)
+            if not (measurement.ok and math.isfinite(measurement.runtime_s)):
+                assert response == failure_response(history, policy)
+                stand_ins.append(response)
+            history.record(obs)
+        expected = {
+            "penalize": [300.0, 30.0, 120.0],
+            "impute": [100.0, 10.0, 20.0],
+            "discard": [None, None, None],
+        }
+        assert stand_ins == expected[policy]
 
 
 class TestInfiniteRuntimeAccounting:

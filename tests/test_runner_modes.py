@@ -13,7 +13,7 @@ import os
 
 import pytest
 
-from repro.exceptions import CircuitOpen
+from repro.exceptions import ConstraintViolation
 from repro.exec.runner import ParallelRunner
 from repro.obs.metrics import (
     MetricsRegistry,
@@ -50,7 +50,7 @@ def _record_then_maybe_fail(item):
 
 
 def _raise_fault(x):
-    raise CircuitOpen(region=("buffer_pool_mb", x))
+    raise ConstraintViolation("buffer_fits_ram")
 
 
 @pytest.fixture(autouse=True)
@@ -69,12 +69,14 @@ class TestExceptionPropagation:
 
     @pytest.mark.parametrize("jobs_mode", MODES)
     def test_chaos_fault_propagates_from_pool(self, jobs_mode):
-        """A typed ``ReproError`` with a custom ``__init__`` (the one a
-        session raises under ``on_quarantine="raise"``) keeps its type
-        and message when raised inside a pooled task."""
+        """A typed ``ReproError`` with a custom ``__init__`` keeps its
+        type, message and attributes when raised inside a pooled task:
+        a process pool pickles it on the way back."""
         with ParallelRunner(*jobs_mode) as runner:
-            with pytest.raises(CircuitOpen, match="region quarantined"):
+            with pytest.raises(ConstraintViolation) as info:
                 runner.map(_raise_fault, [3, 4])
+        assert str(info.value) == "constraint violated: buffer_fits_ram"
+        assert info.value.constraint == "buffer_fits_ram"
 
     def test_process_mode_rejects_unpicklable(self):
         """A task that does not pickle raises before anything is
