@@ -9,8 +9,9 @@ full price for every probe.
 Per (system, tuner) cell, over several seeds with identical budgets:
 
 1. Tune the workload single-fidelity (the tuner exactly as registered).
-2. Tune it multi-fidelity: same tuner with ``multi_fidelity=True``, so
-   the :class:`~repro.core.driver.PromotionScheduler` screens each
+2. Tune it multi-fidelity: same tuner built with the rung settings,
+   which turn screening on, so the
+   :class:`~repro.core.driver.PromotionScheduler` screens each
    generation through successive-halving rungs.
 3. Score **charged-budget-to-threshold**: per seed, the threshold is
    within 5% of that seed's single-fidelity final best; the metric is
@@ -73,7 +74,6 @@ _SEEDS_PER_CELL = 5
 #: full-price run.  Shallower ladders (25%/50% rungs, eta=2) spend too
 #: much on screening to clear the 30% savings bar on these simulators.
 _FIDELITY_OPTS = {
-    "multi_fidelity": True,
     "fidelity_rungs": 2,
     "fidelity_min": 0.1,
     "fidelity_eta": 8.0,

@@ -11,7 +11,7 @@ Per (system, tuner) cell:
    two *prior* workloads of the system (seeded, budgeted sessions —
    the "other tenants").
 2. Tune the *target* workload cold: same tuner, no prior.
-3. Tune the target warm: ``warm_start=True`` with a
+3. Tune the target warm: the same tuner, passed a
    :func:`~repro.kb.warmstart.warm_start_prior` built strictly from
    the other workloads' sessions.
 4. Score **evaluations-to-threshold**: the threshold is within 5% of
@@ -46,7 +46,7 @@ from repro.kb import KnowledgeBase, warm_start_prior
 
 __all__ = ["run", "run_cell", "TRANSFER_CELLS", "evals_to_threshold"]
 
-#: The tuner × system matrix: every warm-start-capable offline tuner on
+#: The tuner × system matrix: every offline tuner that uses priors on
 #: the DBMS simulator, plus the surrogate-model ones on Spark.
 TRANSFER_CELLS: Tuple[Tuple[str, str], ...] = (
     ("dbms", "ituned"),
@@ -114,12 +114,12 @@ def _populate_kb(
         kb.ingest_result(system, workload, result, seed=seed + i)
 
 
-def _cell_tuners(
+def _cell_tuner(
     name: str, kb: KnowledgeBase, system: SystemUnderTune, target: Workload,
     quick: bool,
-) -> Tuple[Tuner, Tuner]:
-    """(cold, warm) instances of one tuner — identical except for the
-    warm-start flag, so the prior is the only difference measured."""
+) -> Tuner:
+    """The cell's tuner; both arms run it, so the prior passed to the
+    warm arm is the only difference measured."""
     from repro.tuners import (
         BayesOptTuner,
         ITunedTuner,
@@ -129,27 +129,18 @@ def _cell_tuners(
     )
 
     if name == "ituned":
-        kwargs = {"n_init": 8 if quick else 10}
-        return ITunedTuner(**kwargs), ITunedTuner(warm_start=True, **kwargs)
+        return ITunedTuner(n_init=8 if quick else 10)
     if name == "sard":
-        return SardTuner(), SardTuner(warm_start=True)
+        return SardTuner()
     if name == "bayesopt":
-        kwargs = {"n_init": 6 if quick else 8}
-        return (
-            BayesOptTuner(**kwargs),
-            BayesOptTuner(warm_start=True, **kwargs),
-        )
+        return BayesOptTuner(n_init=6 if quick else 8)
     if name == "ottertune":
-        # Both arms share the KB-backed repository (satellite history);
+        # Both arms use the KB-backed repository (satellite history);
         # the warm arm additionally seeds from the transfer prior.
         repo = OtterTuneRepository.from_kb(
             kb, system, exclude_workloads=(target.name,)
         )
-        kwargs = {"n_init": 5}
-        return (
-            OtterTuneTuner(repo, **kwargs),
-            OtterTuneTuner(repo, warm_start=True, **kwargs),
-        )
+        return OtterTuneTuner(repo, n_init=5)
     raise ValueError(f"no transfer arm for tuner {name!r}")
 
 
@@ -178,15 +169,13 @@ def run_cell(system_name: str, tuner_name: str, quick: bool) -> Dict[str, Any]:
         prior = warm_start_prior(
             kb, system, target, exclude_workloads=(target.name,)
         )
-        cold_tuner, warm_tuner = _cell_tuners(
-            tuner_name, kb, system, target, quick
-        )
+        tuner = _cell_tuner(tuner_name, kb, system, target, quick)
         budget = Budget(max_runs=24 if quick else 40)
         start = time.perf_counter()
-        cold = cold_tuner.tune(
+        cold = tuner.tune(
             system, target, budget, rng=np.random.default_rng(seed)
         )
-        warm = warm_tuner.tune(
+        warm = tuner.tune(
             system, target, budget, rng=np.random.default_rng(seed),
             prior=prior,
         )

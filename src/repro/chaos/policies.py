@@ -52,6 +52,21 @@ INJECTED_FAULT_KEY = "injected_fault"
 #: circuit breaker — not retry — is the right mitigation.
 CONFIG_FAULT_KEY = "config_fault"
 
+#: Wall-clock seconds a transient or bursty failure wastes before dying.
+FAULT_ELAPSED_S = 10.0
+#: Wall-clock seconds a blacked-out run wastes.
+BLACKOUT_ELAPSED_S = 5.0
+#: Mean number of consecutive failures per burst.
+BURST_LENGTH = 3.0
+#: Pareto tail index of the straggler slowdown (smaller = heavier tail).
+STRAGGLER_SHAPE = 1.6
+#: Cap on the straggler slowdown multiple.
+STRAGGLER_CAP = 20.0
+#: Per-metric probabilities, given a corrupted run, that a metric comes
+#: back NaN and that it is dropped entirely.
+CORRUPT_NAN_SHARE = 0.3
+CORRUPT_DROP_SHARE = 0.3
+
 
 def _policy_rng(seed: int, index: int, slot: int) -> np.random.Generator:
     """Generator for one (run index, policy slot): order-independent."""
@@ -141,21 +156,21 @@ class TransientFaults(FaultPolicy):
 
     Args:
         rate: probability any one run fails, independent of all others.
-        partial_elapsed_s: wall-clock a failed run wastes before dying.
+
+    A failed run wastes :data:`FAULT_ELAPSED_S` before dying.
     """
 
     name = "transient"
 
-    def __init__(self, rate: float, partial_elapsed_s: float = 10.0):
+    def __init__(self, rate: float):
         self.rate = _rate_checked(rate)
-        self.partial_elapsed_s = partial_elapsed_s
 
     def apply(self, ctx: FaultContext, measurement: Measurement) -> Measurement:
         if measurement.failed or self.rate <= 0.0:
             return measurement
         if float(ctx.rng().random()) < self.rate:
             ctx.events.append(self.name)
-            return injected_failure(self.partial_elapsed_s)
+            return injected_failure(FAULT_ELAPSED_S)
         return measurement
 
 
@@ -163,29 +178,21 @@ class BurstyFaults(FaultPolicy):
     """Markov-correlated failure bursts (a bad rack stays bad a while).
 
     A two-state chain with stationary failure probability ``rate`` and
-    mean burst length ``burst_len``: once a run fails, the next run
-    fails with probability ``1 - 1/burst_len``.  The chain state for run
-    ``i`` is a pure function of the per-index uniforms ``u_0..u_i``, so
-    batched execution sees exactly the serial burst structure.
+    mean burst length :data:`BURST_LENGTH`: once a run fails, the next
+    run fails with probability ``1 - 1/BURST_LENGTH``.  The chain state
+    for run ``i`` is a pure function of the per-index uniforms
+    ``u_0..u_i``, so batched execution sees exactly the serial burst
+    structure.  A failed run wastes :data:`FAULT_ELAPSED_S`.
 
     Args:
         rate: stationary (long-run) failure fraction.
-        burst_len: mean number of consecutive failures per burst (>= 1).
-        partial_elapsed_s: wall-clock a failed run wastes before dying.
     """
 
     name = "bursty"
+    p_stay = 1.0 - 1.0 / BURST_LENGTH
 
-    def __init__(
-        self, rate: float, burst_len: float = 4.0,
-        partial_elapsed_s: float = 10.0,
-    ):
+    def __init__(self, rate: float):
         self.rate = _rate_checked(rate)
-        if burst_len < 1.0:
-            raise ValueError("burst_len must be >= 1")
-        self.burst_len = burst_len
-        self.partial_elapsed_s = partial_elapsed_s
-        self.p_stay = 1.0 - 1.0 / burst_len
         # Stationary probability p = p_enter / (p_enter + 1 - p_stay).
         self.p_enter = min(
             self.rate * (1.0 - self.p_stay) / max(1.0 - self.rate, 1e-12), 1.0
@@ -205,30 +212,24 @@ class BurstyFaults(FaultPolicy):
             return measurement
         if self._failing_at(ctx):
             ctx.events.append(self.name)
-            return injected_failure(self.partial_elapsed_s)
+            return injected_failure(FAULT_ELAPSED_S)
         return measurement
 
 
 class Stragglers(FaultPolicy):
     """Heavy-tailed slowdowns: the run completes, just much later.
 
+    The slowdown factor is ``1 + Pareto(STRAGGLER_SHAPE)``, capped at
+    :data:`STRAGGLER_CAP`.
+
     Args:
         rate: probability a run straggles.
-        shape: Pareto tail index of the slowdown factor (smaller =
-            heavier tail); the factor is ``1 + Pareto(shape)``.
-        max_factor: cap on the slowdown multiple.
     """
 
     name = "straggler"
 
-    def __init__(
-        self, rate: float, shape: float = 1.6, max_factor: float = 20.0
-    ):
+    def __init__(self, rate: float):
         self.rate = _rate_checked(rate)
-        if shape <= 0 or max_factor < 1:
-            raise ValueError("shape must be > 0 and max_factor >= 1")
-        self.shape = shape
-        self.max_factor = max_factor
 
     def apply(self, ctx: FaultContext, measurement: Measurement) -> Measurement:
         if (
@@ -240,7 +241,7 @@ class Stragglers(FaultPolicy):
         rng = ctx.rng()
         if float(rng.random()) >= self.rate:
             return measurement
-        factor = min(1.0 + float(rng.pareto(self.shape)), self.max_factor)
+        factor = min(1.0 + float(rng.pareto(STRAGGLER_SHAPE)), STRAGGLER_CAP)
         ctx.events.append(f"{self.name} x{factor:.2f}")
         metrics = dict(measurement.metrics)
         metrics["straggler_factor"] = factor
@@ -255,22 +256,20 @@ class Stragglers(FaultPolicy):
 class Hangs(FaultPolicy):
     """Runs that never finish on their own.
 
-    The measurement comes back *successful* but with an effectively
-    unbounded runtime (``math.inf`` by default) — only a per-run
-    deadline (see :class:`~repro.exec.resilience.ExecutionPolicy`)
-    converts a hang into a bounded, charged failure.  This is the fault
-    the per-run deadline exists for.
+    The measurement comes back *successful* but with an unbounded
+    runtime (``math.inf``) — only a per-run deadline (see
+    :class:`~repro.exec.resilience.ExecutionPolicy`) converts a hang
+    into a bounded, charged failure.  This is the fault the per-run
+    deadline exists for.
 
     Args:
         rate: probability a run hangs.
-        hang_s: reported runtime of a hung run (``None`` → ``inf``).
     """
 
     name = "hang"
 
-    def __init__(self, rate: float, hang_s: Optional[float] = None):
+    def __init__(self, rate: float):
         self.rate = _rate_checked(rate)
-        self.hang_s = hang_s
 
     def apply(self, ctx: FaultContext, measurement: Measurement) -> Measurement:
         if measurement.failed or self.rate <= 0.0:
@@ -281,7 +280,7 @@ class Hangs(FaultPolicy):
         metrics = dict(measurement.metrics)
         metrics["hung"] = 1.0
         return Measurement(
-            runtime_s=math.inf if self.hang_s is None else self.hang_s,
+            runtime_s=math.inf,
             metrics=metrics,
             failed=False,
             cost_units=measurement.cost_units,
@@ -295,25 +294,18 @@ class MetricCorruption(FaultPolicy):
     consuming metric vectors (OtterTune's workload mapping) must not
     crash or train on the garbage.
 
+    In a corrupted run each metric comes back NaN with probability
+    :data:`CORRUPT_NAN_SHARE` and is dropped with probability
+    :data:`CORRUPT_DROP_SHARE`.
+
     Args:
         rate: probability a run's metric bag is corrupted at all.
-        nan_fraction: per-metric probability of becoming NaN (given a
-            corrupted run).
-        drop_fraction: per-metric probability of being dropped entirely.
     """
 
     name = "metric-corruption"
 
-    def __init__(
-        self, rate: float, nan_fraction: float = 0.3,
-        drop_fraction: float = 0.3,
-    ):
+    def __init__(self, rate: float):
         self.rate = _rate_checked(rate)
-        if not (0 <= nan_fraction <= 1 and 0 <= drop_fraction <= 1
-                and nan_fraction + drop_fraction <= 1):
-            raise ValueError("nan/drop fractions must be in [0,1] and sum <= 1")
-        self.nan_fraction = nan_fraction
-        self.drop_fraction = drop_fraction
 
     def apply(self, ctx: FaultContext, measurement: Measurement) -> Measurement:
         if measurement.failed or self.rate <= 0.0 or not measurement.metrics:
@@ -325,10 +317,10 @@ class MetricCorruption(FaultPolicy):
         corrupted = 0
         for key in measurement.metrics:
             u = float(rng.random())
-            if u < self.nan_fraction:
+            if u < CORRUPT_NAN_SHARE:
                 metrics[key] = math.nan
                 corrupted += 1
-            elif u < self.nan_fraction + self.drop_fraction:
+            elif u < CORRUPT_NAN_SHARE + CORRUPT_DROP_SHARE:
                 corrupted += 1
             else:
                 metrics[key] = measurement.metrics[key]
@@ -353,12 +345,13 @@ class ConfigBlackout(FaultPolicy):
     they are marked so the circuit breaker (not the retry loop) handles
     them.
 
+    A blacked-out run wastes :data:`BLACKOUT_ELAPSED_S`.
+
     Args:
         knobs: knob names spanning the blackout subspace (default: the
             space's first two knobs).
         threshold: unit-space coordinate above which each selected knob
             contributes to the blackout.
-        partial_elapsed_s: wall-clock a blacked-out run wastes.
     """
 
     name = "blackout"
@@ -367,13 +360,11 @@ class ConfigBlackout(FaultPolicy):
         self,
         knobs: Optional[Sequence[str]] = None,
         threshold: float = 0.85,
-        partial_elapsed_s: float = 5.0,
     ):
         if not (0.0 < threshold < 1.0):
             raise ValueError("threshold must be in (0, 1)")
         self.knobs = tuple(knobs) if knobs else None
         self.threshold = threshold
-        self.partial_elapsed_s = partial_elapsed_s
 
     def _indices(self, config: Configuration) -> List[int]:
         names = config.space.names()
@@ -395,19 +386,15 @@ class ConfigBlackout(FaultPolicy):
         return Measurement(
             runtime_s=math.inf,
             metrics={
-                "elapsed_before_failure_s": self.partial_elapsed_s,
+                "elapsed_before_failure_s": BLACKOUT_ELAPSED_S,
                 CONFIG_FAULT_KEY: 1.0,
             },
             failed=True,
-            cost_units=self.partial_elapsed_s / 3600.0,
+            cost_units=BLACKOUT_ELAPSED_S / 3600.0,
         )
 
 
-def standard_policies(
-    intensity: float,
-    partial_elapsed_s: float = 10.0,
-    blackout_knobs: Optional[Sequence[str]] = None,
-) -> List[FaultPolicy]:
+def standard_policies(intensity: float) -> List[FaultPolicy]:
     """The benchmark fault mix at a given intensity dial.
 
     ``intensity`` scales every stochastic policy's rate; the
@@ -421,11 +408,10 @@ def standard_policies(
     if intensity == 0:
         return []
     return [
-        TransientFaults(0.4 * intensity, partial_elapsed_s),
-        BurstyFaults(0.25 * intensity, burst_len=3.0,
-                     partial_elapsed_s=partial_elapsed_s),
-        Stragglers(min(0.99, intensity), shape=1.6, max_factor=20.0),
+        TransientFaults(0.4 * intensity),
+        BurstyFaults(0.25 * intensity),
+        Stragglers(min(0.99, intensity)),
         Hangs(0.15 * intensity),
         MetricCorruption(0.5 * intensity),
-        ConfigBlackout(knobs=blackout_knobs),
+        ConfigBlackout(),
     ]

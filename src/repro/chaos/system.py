@@ -11,9 +11,7 @@ serial replay would.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Sequence, Tuple
 
 from repro.chaos.policies import FaultContext, FaultPolicy
 from repro.core.measurement import Measurement
@@ -40,10 +38,8 @@ class ChaosSystem(SystemWrapper):
         policies: fault policies, applied in order per run.  A policy
             that fails the measurement short-circuits the rest (later
             policies pass failed measurements through).
-        rng: seed source — one integer is drawn at construction and all
-            injection randomness derives from ``(that seed, run index,
-            policy slot)``.  Mutually exclusive with ``seed``.
-        seed: explicit injection seed (overrides ``rng``).
+        seed: injection seed — all injection randomness derives from
+            ``(seed, run index, policy slot)``.
 
     Injected failures come back as failed measurements marked
     ``injected_fault``, never as exceptions: a batch is atomic, and one
@@ -63,17 +59,13 @@ class ChaosSystem(SystemWrapper):
         self,
         inner: SystemUnderTune,
         policies: Sequence[FaultPolicy],
-        rng: Optional[np.random.Generator] = None,
-        seed: Optional[int] = None,
+        seed: int = 0,
     ):
         policies = list(policies)
         super().__init__(
             inner, name=f"{inner.name}+chaos({len(policies)} policies)"
         )
         self.policies = policies
-        if seed is None:
-            source = rng if rng is not None else np.random.default_rng(0)
-            seed = int(source.integers(0, 2**32))
         self.seed = int(seed)
         self.fault_log: List[Tuple[int, str]] = []
         self.fault_counts: Dict[str, int] = {}

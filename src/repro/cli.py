@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -113,17 +113,10 @@ def _cmd_list(_args: argparse.Namespace) -> int:
     return 0
 
 
-def _make_tuner_for(
-    name: str,
-    system,
-    warm_start: bool = False,
-    fidelity: Optional[dict] = None,
-) -> object:
+def _make_tuner_for(name: str, system, fidelity: dict) -> object:
     """Instantiate a tuner, satisfying special constructor needs."""
     from repro import make_tuner
 
-    kwargs = {"warm_start": True} if warm_start else {}
-    kwargs.update(fidelity or {})
     if name == "ottertune":
         from repro.tuners import build_repository
 
@@ -132,14 +125,8 @@ def _make_tuner_for(
         history = [wl for key, wl in catalog.items() if key != "htap"][:3]
         repo = build_repository(system, history, n_samples=20,
                                 rng=np.random.default_rng(7))
-        return make_tuner(name, repository=repo, **kwargs)
-    try:
-        return make_tuner(name, **kwargs)
-    except TypeError:
-        if warm_start:
-            print(f"note: {name} does not support warm starts; "
-                  "the prior will be ignored", file=sys.stderr)
-        return make_tuner(name, **(fidelity or {}))
+        return make_tuner(name, repository=repo, **fidelity)
+    return make_tuner(name, **fidelity)
 
 
 def _cmd_tune(args: argparse.Namespace) -> int:
@@ -173,16 +160,14 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         fidelity["fidelity_rungs"] = args.fidelity_rungs
     if args.fidelity_min is not None:
         fidelity["fidelity_min"] = args.fidelity_min
-    if fidelity:
-        fidelity["multi_fidelity"] = True
     try:
-        tuner = _make_tuner_for(
-            args.tuner, system, warm_start=prior is not None,
-            fidelity=fidelity,
-        )
+        tuner = _make_tuner_for(args.tuner, system, fidelity)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if prior is not None and not tuner.uses_prior:
+        print(f"note: {args.tuner} does not support warm starts; "
+              "the prior will be ignored", file=sys.stderr)
     from repro.obs.trace import Tracer, set_tracer, span
 
     tracer = None
@@ -323,25 +308,25 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     specs = _build_specs(
         args.system, args.chaos, args.tenants, args.phase_length, args.budget
     )
-    deadline_s = _cell_deadline(
-        _build_specs(args.system, args.chaos, args.tenants,
-                     args.phase_length, args.budget)
-    )
     with contextlib.ExitStack() as stack:
         kb = None
         if args.kb is not None:
             kb = stack.enter_context(KnowledgeBase(args.kb))
         elif args.checkpoint is None:
             kb = stack.enter_context(KnowledgeBase(":memory:"))
-        controller = FleetController(
-            specs,
-            epochs=args.epochs,
-            seed=args.seed,
-            kb=kb,
-            deadline_s=deadline_s,
-            checkpoint_path=args.checkpoint,
-            log=print,
-        )
+        try:
+            controller = FleetController(
+                specs,
+                epochs=args.epochs,
+                seed=args.seed,
+                kb=kb,
+                deadline_s=_cell_deadline(specs),
+                checkpoint_path=args.checkpoint,
+                log=print,
+            )
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         if controller.resumed_from_epoch is not None:
             print(f"resumed from {args.checkpoint} at epoch "
                   f"{controller.resumed_from_epoch}")

@@ -76,6 +76,7 @@ from repro.obs.trace import span as obs_span
 
 __all__ = [
     "MAX_FRUITLESS_ASKS",
+    "PRIOR_SEED_RESERVE",
     "Candidate",
     "PromotionScheduler",
     "SearchState",
@@ -86,6 +87,8 @@ __all__ = [
 #: Consecutive asks a guard vetoes whole before the driver ends the
 #: search.
 MAX_FRUITLESS_ASKS = 5
+#: Budget runs the transfer-prior seeding phase leaves untouched.
+PRIOR_SEED_RESERVE = 1
 
 
 @dataclass
@@ -268,21 +271,17 @@ class SearchTuner(Tuner):
     evaluate_default_first: bool = True
     #: Tag for that default evaluation.
     default_tag: str = "default"
-    #: Transfer-prior seed evaluations the driver runs after the
-    #: default (0 disables; only consulted when the tuner opted into
-    #: ``warm_start`` and the session carries a prior).
-    prior_seed_k: int = 0
-    #: Budget runs the seeding phase must leave untouched.
-    prior_seed_reserve: int = 1
     #: Declare multi-candidate asks atomic: charged whole even when a
     #: wall-clock cap is crossed mid-batch (iTuned §5 semantics).
     #: Leave False to preserve serial stop-at-the-cap behaviour.
     atomic_batches: bool = False
-    #: Opt into multi-fidelity screening: the driver builds a
+    #: Multi-fidelity screening: the driver builds a
     #: :class:`PromotionScheduler` and screens every large-enough ask
     #: at low fidelity, only telling the strategy full-fidelity
-    #: survivors.  Off by default — enabling it changes which runs
-    #: execute, so every existing digest stays untouched.
+    #: survivors.  :func:`~repro.core.registry.make_tuner` turns it on
+    #: whenever a ``fidelity_*`` option is passed.  Off by default —
+    #: enabling it changes which runs execute, so every existing digest
+    #: stays untouched.
     multi_fidelity: bool = False
     #: Rung count for the scheduler (only read when ``multi_fidelity``).
     fidelity_rungs: int = 3
@@ -322,7 +321,7 @@ class SearchTuner(Tuner):
         here (e.g., SARD checks whether it can rank knobs from prior
         data) before committing budget to seeds.
         """
-        return self.prior_seed_k if self.warm_start else 0
+        return 0
 
     def _tune(self, session: TuningSession) -> Optional[Configuration]:
         return SearchDriver().run(self, session)
@@ -562,7 +561,7 @@ class SearchDriver:
 
         This is the single site where transfer priors become real runs:
         strategies declare *how many* seeds they want, the driver
-        spends the budget (keeping ``prior_seed_reserve`` runs back)
+        spends the budget (keeping :data:`PRIOR_SEED_RESERVE` runs back)
         and tags the evaluations ``prior-{i}``.
         """
         if session.prior is None:
@@ -573,7 +572,7 @@ class SearchDriver:
         mark = len(session.history)
         seeded = 0
         for i, config in enumerate(session.prior_best_configs(k=k)):
-            if session.remaining_runs <= strategy.prior_seed_reserve:
+            if session.remaining_runs <= PRIOR_SEED_RESERVE:
                 break
             candidate = Candidate(config, tag=f"prior-{i}")
             if self.guard is not None:

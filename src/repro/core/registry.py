@@ -82,21 +82,18 @@ def _ensure_loaded() -> None:
 #: Multi-fidelity options ``make_tuner`` lifts off the constructor
 #: kwargs and applies as instance attributes — every ask/tell tuner
 #: understands them without any constructor changes.
-_FIDELITY_KWARGS = (
-    "multi_fidelity", "fidelity_rungs", "fidelity_min", "fidelity_eta",
-)
+_FIDELITY_KWARGS = ("fidelity_rungs", "fidelity_min", "fidelity_eta")
 
 
 def make_tuner(name: str, **kwargs) -> object:
     """Construct a registered tuner.
 
-    Fidelity options (``multi_fidelity``, ``fidelity_rungs``,
-    ``fidelity_min``, ``fidelity_eta``) are recognized for every
-    ask/tell tuner uniformly: they are set on the constructed instance
-    rather than passed to the constructor.
-    Passing any rung/fidelity option implies ``multi_fidelity=True``
-    unless it was explicitly disabled.  Validated eagerly, so bad
-    values fail here instead of mid-session.
+    Fidelity options (``fidelity_rungs``, ``fidelity_min``,
+    ``fidelity_eta``) are recognized for every ask/tell tuner
+    uniformly: they are set on the constructed instance rather than
+    passed to the constructor, and passing any of them turns on
+    multi-fidelity screening.  Validated eagerly, so bad values fail
+    here instead of mid-session.
     """
     _ensure_loaded()
     fidelity_opts = {
@@ -112,20 +109,17 @@ def make_tuner(name: str, **kwargs) -> object:
     if fidelity_opts:
         from repro.core.driver import PromotionScheduler, SearchTuner
 
-        fidelity_opts.setdefault("multi_fidelity", True)
-        if fidelity_opts["multi_fidelity"] and not isinstance(
-            tuner, SearchTuner
-        ):
+        if not isinstance(tuner, SearchTuner):
             raise ReproError(
                 f"tuner {name!r} is not an ask/tell search tuner; "
                 "multi-fidelity screening needs the SearchDriver"
             )
         for key, value in fidelity_opts.items():
             setattr(tuner, key, value)
-        if tuner.multi_fidelity:
-            # Surface bad rung parameters now, with the same
-            # validation the driver will apply.
-            PromotionScheduler.for_strategy(tuner)
+        tuner.multi_fidelity = True
+        # Surface bad rung parameters now, with the same validation
+        # the driver will apply.
+        PromotionScheduler.for_strategy(tuner)
     return tuner
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any, Dict, Mapping
+from typing import Any, Dict, Mapping, Optional
 
 from repro.core.measurement import Measurement, Observation, TuningHistory
 from repro.core.parameters import Configuration, ConfigurationSpace
@@ -18,6 +18,8 @@ from repro.core.tuner import StreamResult, TuningResult
 
 __all__ = [
     "FORMAT_VERSION",
+    "encode_runtime",
+    "decode_runtime",
     "to_jsonable",
     "dumps",
     "configuration_from_dict",
@@ -29,14 +31,18 @@ __all__ = [
 FORMAT_VERSION = 1
 
 
-def _encode_runtime(value: float) -> Any:
-    # JSON has no Infinity in strict mode; encode failures explicitly.
-    if math.isinf(value):
+def encode_runtime(value: Optional[float]) -> Any:
+    """A runtime for strict JSON: infinity (a failed or never measured
+    run) becomes the string ``"inf"``; ``None`` passes through."""
+    if value is not None and math.isinf(value):
         return "inf"
     return value
 
 
-def _decode_runtime(value: Any) -> float:
+def decode_runtime(value: Any) -> Optional[float]:
+    """Inverse of :func:`encode_runtime`."""
+    if value is None:
+        return None
     return math.inf if value == "inf" else float(value)
 
 
@@ -49,7 +55,7 @@ def to_jsonable(obj: Any) -> Dict[str, Any]:
         return {
             "version": FORMAT_VERSION,
             "kind": "measurement",
-            "runtime_s": _encode_runtime(obj.runtime_s),
+            "runtime_s": encode_runtime(obj.runtime_s),
             "failed": obj.failed,
             "cost_units": obj.cost_units,
             "metrics": dict(obj.metrics),
@@ -82,7 +88,7 @@ def to_jsonable(obj: Any) -> Dict[str, Any]:
             "tuner_name": obj.tuner_name,
             "category": obj.category,
             "best_config": dict(obj.best_config.to_dict()),
-            "best_runtime_s": _encode_runtime(obj.best_runtime_s),
+            "best_runtime_s": encode_runtime(obj.best_runtime_s),
             "n_real_runs": obj.n_real_runs,
             "experiment_time_s": obj.experiment_time_s,
             "history": to_jsonable(obj.history),
@@ -144,7 +150,7 @@ def measurement_from_jsonable(payload: Mapping[str, Any]) -> Measurement:
     ``metrics_dropped``, ...).
     """
     return Measurement(
-        runtime_s=_decode_runtime(payload["runtime_s"]),
+        runtime_s=decode_runtime(payload["runtime_s"]),
         metrics=dict(payload.get("metrics", {})),
         failed=payload["failed"],
         cost_units=payload.get("cost_units", 0.0),

@@ -48,7 +48,8 @@ class TuningSession:
     (:class:`~repro.kb.warmstart.TransferPrior`): observations mapped
     from similar workloads in a persistent knowledge base.  Prior data
     is never charged to the budget and never enters the history — it is
-    advisory training data that warm-start-aware tuners opt into via
+    advisory training data that tuners whose class uses priors
+    (:attr:`~repro.core.tuner.Tuner.uses_prior`) read via
     :meth:`prior_training_data` and :meth:`prior_best_configs`.
     """
 

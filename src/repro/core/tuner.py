@@ -116,11 +116,10 @@ class Tuner(ABC):
     name: str = "tuner"
     category: str = "experiment-driven"
 
-    #: Whether this tuner instance consumes a transfer prior when one is
-    #: passed to :meth:`tune`.  Warm-start-capable tuners expose a
-    #: ``warm_start=`` constructor flag that sets this; the prior is
-    #: simply ignored otherwise, so callers can pass one untuned.
-    warm_start: bool = False
+    #: Whether this tuner class consumes a transfer prior whenever one
+    #: is passed to :meth:`tune`.  Other tuners ignore the prior, so
+    #: callers can pass one to any tuner.
+    uses_prior: bool = False
 
     def tune(
         self,
@@ -134,7 +133,7 @@ class Tuner(ABC):
         rng = rng or np.random.default_rng(0)
         session = TuningSession(system, workload, budget, rng,
                                 execution=execution,
-                                prior=prior if self.warm_start else None)
+                                prior=prior if self.uses_prior else None)
         try:
             recommended = self._tune(session)
         except BudgetExhausted:
@@ -234,12 +233,6 @@ class OnlineTuner(Tuner):
 
     category = "adaptive"
 
-    #: Online tuners whose ``tune_stream`` accepts an
-    #: ``initial_config=`` keyword set this; the offline entry point
-    #: then seeds the stream with the transfer prior's best
-    #: configuration instead of the system default.
-    supports_initial_config: bool = False
-
     @abstractmethod
     def tune_stream(
         self,
@@ -279,13 +272,13 @@ class OnlineTuner(Tuner):
             if reps == 0:
                 return None
         stream = WorkloadStream.constant(session.workload, reps)
-        initial = None
-        if self.warm_start and self.supports_initial_config:
-            seeds = session.prior_best_configs(k=1)
-            initial = seeds[0] if seeds else None
-        if initial is not None:
+        # The session holds a prior only for a class that uses priors;
+        # its ``tune_stream`` then accepts ``initial_config=`` and
+        # starts from the prior's best configuration.
+        seeds = session.prior_best_configs(k=1)
+        if seeds:
             result = self.tune_stream(
-                session.system, stream, session.rng, initial_config=initial
+                session.system, stream, session.rng, initial_config=seeds[0]
             )
         else:
             result = self.tune_stream(session.system, stream, session.rng)

@@ -19,38 +19,18 @@ the stdlib's NaN literals are fine — unlike the strict wire format of
 from __future__ import annotations
 
 import json
-import math
 import os
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict
 
 __all__ = [
     "CHECKPOINT_KIND",
     "CHECKPOINT_VERSION",
     "write_checkpoint",
     "read_checkpoint",
-    "encode_runtime",
-    "decode_runtime",
 ]
 
 CHECKPOINT_KIND = "fleet_checkpoint"
 CHECKPOINT_VERSION = 1
-
-
-def encode_runtime(value: Optional[float]) -> Union[None, float, str]:
-    """Infinity-safe runtime encoding (mirrors repro.core.serialize)."""
-    if value is None:
-        return None
-    if math.isinf(value):
-        return "inf"
-    return float(value)
-
-
-def decode_runtime(value: Union[None, float, str]) -> Optional[float]:
-    if value is None:
-        return None
-    if value == "inf":
-        return math.inf
-    return float(value)
 
 
 def write_checkpoint(path: str, payload: Dict[str, Any]) -> None:

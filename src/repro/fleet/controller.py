@@ -65,8 +65,12 @@ from repro.chaos.system import ChaosSystem
 from repro.core.driver import SearchDriver, SearchTuner
 from repro.core.measurement import REAL, Measurement, Observation, TuningHistory
 from repro.core.registry import make_tuner
-from repro.core.serialize import to_jsonable
-from repro.core.serialize import history_from_jsonable
+from repro.core.serialize import (
+    decode_runtime,
+    encode_runtime,
+    history_from_jsonable,
+    to_jsonable,
+)
 from repro.core.session import TuningSession
 from repro.core.system import SystemUnderTune
 from repro.core.tuner import Budget
@@ -75,8 +79,6 @@ from repro.exec.resilience import CircuitBreaker, ExecutionPolicy, enforce_deadl
 from repro.fleet.checkpoint import (
     CHECKPOINT_KIND,
     CHECKPOINT_VERSION,
-    decode_runtime,
-    encode_runtime,
     read_checkpoint,
     write_checkpoint,
 )
@@ -87,7 +89,7 @@ from repro.kb.warmstart import warm_start_prior
 from repro.obs.metrics import global_metrics
 from repro.obs.trace import event as obs_event
 from repro.obs.trace import span as obs_span
-from repro.surrogate import SurrogateStore, surrogate_prior
+from repro.surrogate import SurrogateStore, family_of, surrogate_prior
 from repro.tuners.adaptive.drift import DriftDetector, MetricDriftDetector
 
 __all__ = ["TenantSpec", "FleetController"]
@@ -147,6 +149,16 @@ class TenantSpec:
     def workload_for(self, epoch: int) -> Workload:
         return self.workloads[(epoch // self.phase_length) % len(self.workloads)]
 
+    def settings(self) -> Dict[str, Any]:
+        """What a checkpoint records of this spec, so that a resume
+        under other tenant settings is refused."""
+        return {
+            "workloads": [w.name for w in self.workloads],
+            "phase_length": self.phase_length,
+            "chaos_intensity": self.chaos_intensity,
+            "episode_budget": self.episode_budget,
+        }
+
 
 @dataclass
 class _Tenant:
@@ -204,7 +216,8 @@ class FleetController:
             default (the benchmark's comparison arm).
         checkpoint_path: JSON checkpoint location, written after every
             epoch; when the file already exists the controller *resumes*
-            from it.
+            from it, and raises ``ValueError`` if it was written under
+            other tenant specs, seed, strategy or ``retune_on_drift``.
         on_tenant_complete: hook called as ``(epoch, tenant_name)``
             after each tenant's epoch — tests use a raising hook to
             simulate mid-epoch kills.
@@ -422,15 +435,7 @@ class FleetController:
         metrics = global_metrics()
         with obs_span("fleet.episode", tenant=spec.name, epoch=epoch):
             prior = self._transfer_prior(spec, workload, epoch)
-            kwargs = dict(self.strategy_kwargs)
-            strategy = None
-            if prior is not None:
-                try:
-                    strategy = make_tuner(self.strategy, warm_start=True, **kwargs)
-                except TypeError:
-                    pass  # strategy has no surrogate to stack the prior into
-            if strategy is None:
-                strategy = make_tuner(self.strategy, **kwargs)
+            strategy = make_tuner(self.strategy, **self.strategy_kwargs)
             if not isinstance(strategy, SearchTuner):
                 raise TypeError(
                     f"fleet episodes need a SearchTuner strategy; "
@@ -518,7 +523,7 @@ class FleetController:
         try:
             trained = self.surrogate_store.get(
                 self.kb, spec.system.kind,
-                SurrogateStore.family_of(workload.name), space,
+                family_of(workload.name), space,
                 session_filter=self._session_visible(spec.name, epoch),
             )
             if trained is None:
@@ -588,6 +593,9 @@ class FleetController:
                 "strategy": self.strategy,
                 "retune_on_drift": self.retune_on_drift,
                 "tenants": [t.spec.name for t in self._tenants],
+                "tenant_specs": {
+                    t.spec.name: t.spec.settings() for t in self._tenants
+                },
             },
             "tenants": {
                 t.spec.name: self._tenant_payload(t) for t in self._tenants
@@ -635,11 +643,29 @@ class FleetController:
                 f"checkpoint tenants {fleet['tenants']} do not match "
                 f"this controller's {expected}"
             )
-        if fleet["seed"] != self.seed or fleet["strategy"] != self.strategy:
-            raise ValueError(
-                "checkpoint was produced by a differently-configured fleet "
-                f"(seed={fleet['seed']}, strategy={fleet['strategy']!r})"
-            )
+        for key, value in (
+            ("seed", self.seed),
+            ("strategy", self.strategy),
+            ("retune_on_drift", self.retune_on_drift),
+        ):
+            if fleet[key] != value:
+                raise ValueError(
+                    f"checkpoint has {key}={fleet[key]!r}; "
+                    f"this fleet has {value!r}"
+                )
+        # Checkpoints written before tenant specs were recorded lack
+        # the key and are resumed unchecked.
+        stored_specs = fleet.get("tenant_specs", {})
+        for tenant in self._tenants:
+            stored = stored_specs.get(tenant.spec.name)
+            if stored is None:
+                continue
+            for key, value in tenant.spec.settings().items():
+                if stored[key] != value:
+                    raise ValueError(
+                        f"checkpoint has {key}={stored[key]!r} for tenant "
+                        f"{tenant.spec.name!r}; this fleet has {value!r}"
+                    )
         self._epochs_done = int(fleet["epochs_done"])
         for tenant in self._tenants:
             self._restore_tenant(tenant, payload["tenants"][tenant.spec.name])

@@ -28,6 +28,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.measurement import Measurement, TuningHistory
+from repro.core.serialize import decode_runtime, encode_runtime
 from repro.core.system import SystemUnderTune
 from repro.core.workload import Workload
 from repro.mlkit.gp import GaussianProcess
@@ -60,18 +61,18 @@ class WorkloadFingerprint:
                         dtype=float)
 
     def to_jsonable(self) -> Dict[str, Any]:
-        runtime = self.probe_runtime_s
         return {
             "metrics": dict(self.metrics),
-            "probe_runtime_s": "inf" if math.isinf(runtime) else runtime,
+            "probe_runtime_s": encode_runtime(self.probe_runtime_s),
         }
 
     @classmethod
     def from_jsonable(cls, payload: Mapping[str, Any]) -> "WorkloadFingerprint":
-        runtime = payload.get("probe_runtime_s", "inf")
+        runtime = decode_runtime(payload.get("probe_runtime_s", "inf"))
         return cls(
             metrics={k: float(v) for k, v in payload.get("metrics", {}).items()},
-            probe_runtime_s=math.inf if runtime == "inf" else float(runtime),
+            # float() refuses a null runtime with a TypeError.
+            probe_runtime_s=float(runtime),
         )
 
     @classmethod

@@ -430,16 +430,6 @@ class RecommendationService:
                 return fp
         raise ServiceError(f"unknown workload {name!r}")
 
-    def ingest(self, payload: Mapping[str, Any]) -> Dict[str, Any]:
-        """Synchronous ingest (in-process callers; bypasses the queue)."""
-        if not isinstance(payload, Mapping):
-            raise ServiceError("request body must be a JSON object")
-        try:
-            session_id = self.kb.ingest_payload(payload)
-        except _PAYLOAD_ERRORS as exc:
-            raise ServiceError(f"bad kb_session payload: {exc}") from exc
-        return {"session_id": session_id, "n_sessions": len(self.kb)}
-
     def ingest_async(
         self, writer: IngestWriter, payload: Mapping[str, Any]
     ) -> Dict[str, Any]:

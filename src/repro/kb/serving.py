@@ -47,6 +47,9 @@ __all__ = [
     "IngestAck",
 ]
 
+#: Baseline ``Retry-After`` hint, in seconds, on shed responses.
+RETRY_AFTER_S = 1.0
+
 
 class Overloaded(RuntimeError):
     """Request shed by admission control (maps to HTTP 429).
@@ -58,7 +61,7 @@ class Overloaded(RuntimeError):
         retry_after_s: suggested client backoff (``Retry-After``).
     """
 
-    def __init__(self, reason: str, retry_after_s: float = 1.0) -> None:
+    def __init__(self, reason: str, retry_after_s: float = RETRY_AFTER_S) -> None:
         super().__init__(f"overloaded: {reason}")
         self.reason = reason
         self.retry_after_s = retry_after_s
@@ -83,8 +86,6 @@ class ServingConfig:
     #: How long a connection thread waits for its queued request before
     #: abandoning it (shed with ``wait-timeout``).
     queue_wait_timeout_s: float = 30.0
-    #: Baseline ``Retry-After`` hint on shed responses.
-    retry_after_s: float = 1.0
     #: Coalesce concurrent requests with identical coalescing keys
     #: (same fingerprint/workload, system_kind, mode, k) into one
     #: computation.
@@ -162,7 +163,7 @@ class RequestExecutor:
         with self._lock:
             self.shed_counts[reason] = self.shed_counts.get(reason, 0) + 1
         global_metrics().inc(f"kb.serve.shed.{reason}")
-        retry = max(self.config.retry_after_s, min(predicted_wait_s, 30.0))
+        retry = max(RETRY_AFTER_S, min(predicted_wait_s, 30.0))
         raise Overloaded(reason, retry_after_s=retry)
 
     def submit(
@@ -179,7 +180,7 @@ class RequestExecutor:
         shed_reason, predicted = None, 0.0
         with self._lock:
             if self._closed:
-                raise Overloaded("shutdown", self.config.retry_after_s)
+                raise Overloaded("shutdown")
             if key is not None and self.config.coalesce:
                 existing = self._inflight.get(key)
                 if existing is not None and not existing.done:
@@ -207,7 +208,7 @@ class RequestExecutor:
         if not job.event.wait(self.config.queue_wait_timeout_s):
             with self._lock:
                 job.waiters -= 1
-            self._shed("wait-timeout", self.config.retry_after_s)
+            self._shed("wait-timeout")
         metrics.observe(
             "kb.serve.queue.wait_s", time.monotonic() - job.enqueued_at
         )
@@ -359,7 +360,7 @@ class IngestAck:
         if not self.event.wait(timeout):
             if self.cancel() or not self.event.wait(_COMMIT_GRACE_S):
                 global_metrics().inc("kb.serve.shed.ingest-slow")
-                raise Overloaded("ingest-slow", retry_after_s=1.0)
+                raise Overloaded("ingest-slow")
         if self.error is not None:
             raise self.error
         assert self.session_id is not None
@@ -416,14 +417,12 @@ class IngestWriter:
         with self._lock:
             if self._closed:
                 global_metrics().inc("kb.serve.shed.shutdown")
-                raise Overloaded("shutdown", self.config.retry_after_s)
+                raise Overloaded("shutdown")
         try:
             self._queue.put_nowait((payload, ack))
         except queue.Full:
             global_metrics().inc("kb.serve.shed.ingest-queue-full")
-            raise Overloaded(
-                "ingest-queue-full", retry_after_s=self.config.retry_after_s
-            ) from None
+            raise Overloaded("ingest-queue-full") from None
         global_metrics().inc("kb.serve.ingest.queued")
         return ack
 

@@ -32,6 +32,8 @@ from repro.core.measurement import TuningHistory
 from repro.core.parameters import ConfigurationSpace
 from repro.core.serialize import (
     FORMAT_VERSION,
+    decode_runtime,
+    encode_runtime,
     history_from_jsonable,
     to_jsonable,
 )
@@ -138,9 +140,7 @@ class SessionRecord:
             "tuner": self.tuner_name,
             "seed": self.seed,
             "n_runs": self.n_runs,
-            "best_runtime_s": (
-                "inf" if math.isinf(self.best_runtime_s) else self.best_runtime_s
-            ),
+            "best_runtime_s": encode_runtime(self.best_runtime_s),
             "best_config": dict(self.best_config),
         }
 
@@ -288,7 +288,7 @@ class KnowledgeBase:
             "tuner": tuner_name,
             "seed": seed,
             "n_runs": len(history.real_observations()),
-            "best_runtime_s": "inf" if best is None else best.runtime_s,
+            "best_runtime_s": encode_runtime(history.best_runtime()),
             "best_config": dict(best_config.to_dict()),
             "space_names": list(system.config_space.names()),
             "metric_names": list(system.metric_names),
@@ -373,8 +373,7 @@ class KnowledgeBase:
             raise TypeError("best_config must be an object of knob values")
         if payload.get("fingerprint") is not None:
             WorkloadFingerprint.parse(payload["fingerprint"])
-        best_runtime = payload["best_runtime_s"]
-        best_runtime = math.inf if best_runtime == "inf" else float(best_runtime)
+        best_runtime = decode_runtime(payload["best_runtime_s"])
         cursor = self._conn.execute(
             """
             INSERT INTO kb_sessions (

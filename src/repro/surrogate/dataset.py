@@ -91,10 +91,8 @@ def build_matrices(
     kb: KnowledgeBase,
     system_kind: str,
     space: ConfigurationSpace,
-    metric_names: Optional[Sequence[str]] = None,
     families: Optional[Sequence[str]] = None,
     session_filter: Optional[Callable[[SessionRecord], bool]] = None,
-    group: Callable[[str], str] = family_of,
 ) -> Dict[str, TrainingMatrix]:
     """Extract per-family training matrices from the knowledge base.
 
@@ -104,16 +102,13 @@ def build_matrices(
     pseudo-observations must not be re-learned — they were synthesized
     from other sessions and would double-count, self-reinforcing).
     Failed and hung runs are kept as masked rows so trainers can choose
-    to penalize the regions they came from.
+    to penalize the regions they came from.  Fingerprint metrics are
+    ordered by the newest contributing session's recorded catalog.
 
     Args:
-        metric_names: fingerprint metric ordering; defaults to the
-            newest contributing session's recorded metric catalog.
         families: restrict extraction to these families (None = all).
         session_filter: optional predicate; rejected sessions are
             invisible (the fleet controller's resume-visibility hook).
-        group: workload-name → family mapping, overridable for corpora
-            whose naming does not follow the built-in scale suffixes.
     """
     wanted = None if families is None else set(families)
     records = [
@@ -125,17 +120,15 @@ def build_matrices(
         and math.isfinite(record.fingerprint.probe_runtime_s)
         and record.fingerprint.probe_runtime_s > 0
         and (session_filter is None or session_filter(record))
-        and (wanted is None or group(record.workload_name) in wanted)
+        and (wanted is None or family_of(record.workload_name) in wanted)
     ]
     grouped: Dict[str, List[SessionRecord]] = {}
     for record in records:
-        grouped.setdefault(group(record.workload_name), []).append(record)
+        grouped.setdefault(family_of(record.workload_name), []).append(record)
 
     matrices: Dict[str, TrainingMatrix] = {}
     for family, family_records in sorted(grouped.items()):
-        matrix = _family_matrix(
-            kb, system_kind, family, family_records, space, metric_names
-        )
+        matrix = _family_matrix(kb, system_kind, family, family_records, space)
         if matrix is not None:
             matrices[family] = matrix
     return matrices
@@ -147,11 +140,8 @@ def _family_matrix(
     family: str,
     records: Sequence[SessionRecord],
     space: ConfigurationSpace,
-    metric_names: Optional[Sequence[str]],
 ) -> Optional[TrainingMatrix]:
-    if metric_names is None:
-        metric_names = records[0].metric_names
-    metric_names = tuple(metric_names)
+    metric_names = tuple(records[0].metric_names)
     xs: List[np.ndarray] = []
     fps: List[np.ndarray] = []
     ys: List[float] = []

@@ -15,12 +15,12 @@ import json
 import re
 import threading
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.parameters import ConfigurationSpace
 from repro.exceptions import SurrogateError
 from repro.kb.store import KnowledgeBase, SessionRecord, json_safe
-from repro.surrogate.dataset import build_matrices, family_of
+from repro.surrogate.dataset import build_matrices
 from repro.surrogate.trainer import TrainedSurrogate, train_surrogate
 
 __all__ = ["SurrogateStore"]
@@ -93,7 +93,6 @@ class SurrogateStore:
         system_kind: str,
         family: str,
         space: ConfigurationSpace,
-        metric_names: Optional[Sequence[str]] = None,
         train: bool = True,
         session_filter: Optional[Callable[[SessionRecord], bool]] = None,
     ) -> Optional[TrainedSurrogate]:
@@ -114,7 +113,6 @@ class SurrogateStore:
             kb,
             system_kind,
             space,
-            metric_names=metric_names,
             families=[family],
             session_filter=session_filter,
         )
@@ -135,15 +133,12 @@ class SurrogateStore:
         kb: KnowledgeBase,
         system_kind: str,
         space: ConfigurationSpace,
-        metric_names: Optional[Sequence[str]] = None,
     ) -> Dict[str, TrainedSurrogate]:
         """Train (or freshen) every family of one system kind."""
-        matrices = build_matrices(kb, system_kind, space, metric_names=metric_names)
+        matrices = build_matrices(kb, system_kind, space)
         out: Dict[str, TrainedSurrogate] = {}
         for family in matrices:
-            trained = self.get(
-                kb, system_kind, family, space, metric_names=metric_names
-            )
+            trained = self.get(kb, system_kind, family, space)
             if trained is not None:
                 out[family] = trained
         return out
@@ -182,8 +177,3 @@ class SurrogateStore:
             "trains": self.trains,
             "models": models,
         })
-
-    @staticmethod
-    def family_of(workload_name: str) -> str:
-        """Expose the family grouping used by the dataset builder."""
-        return family_of(workload_name)

@@ -39,16 +39,16 @@ class ColtOnlineTuner(OnlineTuner):
         reconfig_cost_s: charged (as projected cost, not wall time) per
             reconfiguration — warm-up, cache refill, connection churn.
         step_scale: relative size of local perturbations in unit space.
-        warm_start: when tuned offline with a transfer prior, start the
-            stream at the prior's best configuration instead of the
-            system default — COLT only ever moves by local
-            perturbations, so its starting point largely decides where
-            it converges.
+
+    Tuned offline with a transfer prior, the stream starts at the
+    prior's best configuration instead of the system default — COLT
+    only ever moves by local perturbations, so its starting point
+    largely decides where it converges.
     """
 
     name = "colt"
     category = "adaptive"
-    supports_initial_config = True
+    uses_prior = True
 
     def __init__(
         self,
@@ -56,7 +56,6 @@ class ColtOnlineTuner(OnlineTuner):
         n_candidates: int = 12,
         reconfig_cost_s: float = 5.0,
         step_scale: float = 0.15,
-        warm_start: bool = False,
     ):
         if epoch < 1:
             raise ValueError("epoch must be >= 1")
@@ -64,7 +63,6 @@ class ColtOnlineTuner(OnlineTuner):
         self.n_candidates = n_candidates
         self.reconfig_cost_s = reconfig_cost_s
         self.step_scale = step_scale
-        self.warm_start = warm_start
 
     def tune_stream(
         self,

@@ -76,6 +76,10 @@ def history_to_training_data(
     """
     policy = getattr(session, "failure_policy", "penalize")
     rows: List[Tuple[Configuration, float]] = []
+    # The history does not change in this loop, so every failed row
+    # gets the same stand-in; it is computed on the first one.
+    response: Optional[float] = None
+    scanned = False
     for o in session.history.real_observations():
         if not o.full_fidelity:
             # Low-fidelity screens measure a scaled approximation;
@@ -86,7 +90,9 @@ def history_to_training_data(
         if o.ok and math.isfinite(o.runtime_s):
             rows.append((o.config, o.runtime_s))
             continue
-        response = failure_response(session.history, policy)
+        if not scanned:
+            response = failure_response(session.history, policy)
+            scanned = True
         if response is not None:
             rows.append((o.config, response))
     prior_X, prior_y = (

@@ -44,6 +44,9 @@ class ITunedTuner(SearchTuner):
 
     name = "ituned"
     category = "experiment-driven"
+    #: A transfer prior seeds the search with its best configs, shrinks
+    #: the LHS design, and stacks its rows into the GP's data.
+    uses_prior = True
 
     def __init__(
         self,
@@ -52,7 +55,6 @@ class ITunedTuner(SearchTuner):
         xi: float = 0.0,
         shrink_after: int = 20,
         batch_size: int = 1,
-        warm_start: bool = False,
     ):
         if n_init < 2:
             raise ValueError("n_init must be >= 2")
@@ -63,9 +65,6 @@ class ITunedTuner(SearchTuner):
         self.xi = xi
         self.shrink_after = shrink_after
         self.batch_size = batch_size
-        #: Consume a transfer prior: seed with its best configs, shrink
-        #: the LHS design, and stack its rows into the GP's data.
-        self.warm_start = warm_start
 
     @property
     def atomic_batches(self) -> bool:
@@ -74,7 +73,7 @@ class ITunedTuner(SearchTuner):
         return self.batch_size > 1
 
     def wants_prior_seeds(self, state: SearchState) -> int:
-        return 3 if self.warm_start else 0
+        return 3
 
     def setup(self, state: SearchState) -> None:
         self._init_configs: Optional[List[Configuration]] = None

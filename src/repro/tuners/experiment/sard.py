@@ -138,6 +138,11 @@ class SardTuner(SearchTuner):
 
     name = "sard"
     category = "experiment-driven"
+    #: A transfer prior ranks the knobs in place of the PB screen — the
+    #: screen is most of SARD's experiment cost, so a usable prior
+    #: converts almost the whole budget into grid refinement over the
+    #: knobs that mattered on similar workloads.
+    uses_prior = True
 
     def __init__(
         self,
@@ -145,7 +150,6 @@ class SardTuner(SearchTuner):
         levels: int = 3,
         use_foldover: bool = True,
         batch_size: int = 1,
-        warm_start: bool = False,
     ):
         if top_k < 1:
             raise ValueError("top_k must be >= 1")
@@ -154,11 +158,6 @@ class SardTuner(SearchTuner):
         self.top_k = top_k
         self.levels = levels
         self.batch_size = batch_size
-        #: Rank knobs from transfer-prior data instead of running the
-        #: PB screen — the screen is most of SARD's experiment cost, so
-        #: a usable prior converts almost the whole budget into grid
-        #: refinement over the knobs that mattered on similar workloads.
-        self.warm_start = warm_start
         self.ranker = SardRanker(use_foldover=use_foldover)
 
     @property
@@ -180,8 +179,6 @@ class SardTuner(SearchTuner):
         return [(names[j], float(d - pos)) for pos, j in enumerate(order)]
 
     def wants_prior_seeds(self, state: SearchState) -> int:
-        if not self.warm_start:
-            return 0
         self._prior_ranked = self._prior_ranking(state)
         if self._prior_ranked is None:
             return 0

@@ -26,15 +26,15 @@ __all__ = ["BayesOptTuner"]
 class BayesOptTuner(SearchTuner):
     """GP-based Bayesian optimization over the full knob space.
 
-    With ``warm_start=True`` and a transfer prior on the session, the
-    driver (a) evaluates the prior's best configurations before random
-    init, the strategy then (b) shrinks random init accordingly, and
-    (c) stacks the prior's scaled pseudo-observations into the GP's
-    training data.
+    With a transfer prior on the session, the driver (a) evaluates the
+    prior's best configurations before random init, the strategy then
+    (b) shrinks random init accordingly, and (c) stacks the prior's
+    scaled pseudo-observations into the GP's training data.
     """
 
     name = "bayesopt"
     category = "machine-learning"
+    uses_prior = True
 
     def __init__(
         self,
@@ -43,7 +43,6 @@ class BayesOptTuner(SearchTuner):
         kappa: float = 2.0,
         xi: float = 0.0,
         n_candidates: int = 400,
-        warm_start: bool = False,
     ):
         if acquisition not in ("ei", "pi", "lcb"):
             raise ValueError(f"unknown acquisition {acquisition!r}")
@@ -52,10 +51,9 @@ class BayesOptTuner(SearchTuner):
         self.kappa = kappa
         self.xi = xi
         self.n_candidates = n_candidates
-        self.warm_start = warm_start
 
     def wants_prior_seeds(self, state: SearchState) -> int:
-        return min(3, self.n_init) if self.warm_start else 0
+        return min(3, self.n_init)
 
     def setup(self, state: SearchState) -> None:
         self._init_asked = False

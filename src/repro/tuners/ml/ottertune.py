@@ -239,6 +239,11 @@ class OtterTuneTuner(SearchTuner):
 
     name = "ottertune"
     category = "machine-learning"
+    #: A knowledge-base transfer prior on top of the repository: the
+    #: prior's best configurations replace part of the LHS init design
+    #: (the repository already provides the model-side history, so
+    #: seeding is the marginal win here).
+    uses_prior = True
 
     def __init__(
         self,
@@ -247,7 +252,6 @@ class OtterTuneTuner(SearchTuner):
         n_init: int = 5,
         n_candidates: int = 400,
         use_mapping: bool = True,
-        warm_start: bool = False,
     ):
         self.repository = repository
         self.top_k_knobs = top_k_knobs
@@ -256,11 +260,6 @@ class OtterTuneTuner(SearchTuner):
         #: Ablation switch: with mapping off, the GP trains on target
         #: observations only (history still drives pruning/ranking).
         self.use_mapping = use_mapping
-        #: Consume a knowledge-base transfer prior on top of the
-        #: repository: the prior's best configurations replace part of
-        #: the LHS init design (the repository already provides the
-        #: model-side history, so seeding is the marginal win here).
-        self.warm_start = warm_start
 
     # -- stage 4: workload mapping -------------------------------------------
     def _map_workload(
@@ -276,7 +275,7 @@ class OtterTuneTuner(SearchTuner):
         )
 
     def wants_prior_seeds(self, state: SearchState) -> int:
-        return 2 if self.warm_start else 0
+        return 2
 
     def setup(self, state: SearchState) -> None:
         space = state.space

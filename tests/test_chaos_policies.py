@@ -58,7 +58,7 @@ class TestPolicies:
 
     def test_bursty_failures_cluster(self, workload):
         chaos = ChaosSystem(
-            _inner(), [BurstyFaults(0.25, burst_len=4.0)], seed=3
+            _inner(), [BurstyFaults(0.25)], seed=3
         )
         config = chaos.inner.default_configuration()
         fails = [chaos.run(workload, config).failed for _ in range(400)]
@@ -77,7 +77,7 @@ class TestPolicies:
 
     def test_straggler_slows_but_succeeds(self, workload):
         chaos = ChaosSystem(
-            _inner(), [Stragglers(0.99, max_factor=20.0)], seed=4
+            _inner(), [Stragglers(0.99)], seed=4
         )
         config = chaos.inner.default_configuration()
         clean = chaos.inner.run(workload, config)
@@ -97,7 +97,7 @@ class TestPolicies:
     def test_metric_corruption_touches_metrics_only(self, workload):
         chaos = ChaosSystem(
             _inner(),
-            [MetricCorruption(0.99, nan_fraction=0.5, drop_fraction=0.5)],
+            [MetricCorruption(0.99)],
             seed=6,
         )
         config = chaos.inner.default_configuration()

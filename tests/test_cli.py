@@ -68,7 +68,23 @@ class TestTuneKnowledgeBase:
             "--warm-start", kb_path,
         ])
         assert rc == 0
-        assert "best" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "best" in captured.out
+        assert (
+            "note: rule-based does not support warm starts; "
+            "the prior will be ignored" in captured.err
+        )
+
+
+class TestFleetCheckpoint:
+    def test_resume_under_other_chaos_exits_2(self, capsys, tmp_path):
+        ckpt = str(tmp_path / "fleet.ckpt")
+        args = ["fleet", "--tenants", "2", "--checkpoint", ckpt]
+        assert main(args + ["--epochs", "1"]) == 0
+        capsys.readouterr()
+        assert main(args + ["--epochs", "2", "--chaos", "0.2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: checkpoint has chaos_intensity=0.0")
 
 
 class TestExperiment:

@@ -95,7 +95,8 @@ class TestFingerprint:
         from repro.exec import Unfingerprintable
 
         flaky = ChaosSystem(
-            _dbms(), [TransientFaults(0.2)], rng=np.random.default_rng(0)
+            _dbms(), [TransientFaults(0.2)],
+            seed=int(np.random.default_rng(0).integers(0, 2**32)),
         )
         with pytest.raises(Unfingerprintable):
             fingerprint(flaky)
@@ -144,7 +145,8 @@ class TestEvaluationCache:
     def test_uncacheable_system_runs_directly(self):
         cache = EvaluationCache()
         flaky = ChaosSystem(
-            _dbms(), [TransientFaults(0.5)], rng=np.random.default_rng(3)
+            _dbms(), [TransientFaults(0.5)],
+            seed=int(np.random.default_rng(3).integers(0, 2**32)),
         )
         wl = htap_mixed(0.3)
         config = flaky.default_configuration()

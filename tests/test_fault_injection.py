@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.chaos import ChaosSystem, TransientFaults
+from repro.chaos.policies import FAULT_ELAPSED_S
 from repro.core import Budget
 from repro.systems.cluster import Cluster
 from repro.systems.dbms import DbmsSimulator, htap_mixed
@@ -20,17 +21,19 @@ from repro.tuners import (
 from repro.core.workload import WorkloadStream
 
 
-def _flaky(inner, rate, rng=None, partial_elapsed_s=10.0):
-    """A system whose runs fail independently at ``rate``."""
+def _flaky(inner, rate, rng_seed=0):
+    """A system whose runs fail independently at ``rate``, seeded with
+    the first integer ``np.random.default_rng(rng_seed)`` draws."""
     return ChaosSystem(
-        inner, [TransientFaults(rate, partial_elapsed_s)], rng=rng
+        inner, [TransientFaults(rate)],
+        seed=int(np.random.default_rng(rng_seed).integers(0, 2**32)),
     )
 
 
 @pytest.fixture
 def flaky():
     inner = DbmsSimulator(Cluster.uniform(4))
-    return _flaky(inner, 0.3, rng=np.random.default_rng(5))
+    return _flaky(inner, 0.3, rng_seed=5)
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +51,7 @@ class TestFlakySystem:
 
     def test_injects_at_roughly_the_rate(self, workload):
         inner = DbmsSimulator(Cluster.uniform(4))
-        flaky = _flaky(inner, 0.3, rng=np.random.default_rng(1))
+        flaky = _flaky(inner, 0.3, rng_seed=1)
         config = inner.default_configuration()
         failures = sum(
             1 for _ in range(100) if not flaky.run(workload, config).ok
@@ -58,13 +61,10 @@ class TestFlakySystem:
 
     def test_failures_charge_partial_time(self, workload):
         inner = DbmsSimulator(Cluster.uniform(4))
-        flaky = _flaky(
-            inner, 0.99999, rng=np.random.default_rng(1),
-            partial_elapsed_s=42.0,
-        )
+        flaky = _flaky(inner, 0.99999, rng_seed=1)
         m = flaky.run(workload, inner.default_configuration())
         assert not m.ok
-        assert m.metric("elapsed_before_failure_s") == 42.0
+        assert m.metric("elapsed_before_failure_s") == FAULT_ELAPSED_S == 10.0
 
     def test_zero_rate_is_identity(self, workload):
         inner = DbmsSimulator(Cluster.uniform(4))
@@ -104,7 +104,7 @@ class TestTunersUnderFaults:
 
     def test_all_failures_still_produces_result(self, workload):
         inner = DbmsSimulator(Cluster.uniform(4))
-        always_fail = _flaky(inner, 0.999999, rng=np.random.default_rng(3))
+        always_fail = _flaky(inner, 0.999999, rng_seed=3)
         result = RandomSearchTuner().tune(
             always_fail, workload, Budget(max_runs=6), np.random.default_rng(0)
         )

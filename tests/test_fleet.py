@@ -12,6 +12,7 @@ from repro.chaos.policies import INJECTED_FAULT_KEY
 from repro.core import Budget, Measurement
 from repro.core.driver import Candidate, SearchDriver
 from repro.core.measurement import MODEL, REAL, Observation
+from repro.core.serialize import decode_runtime, encode_runtime
 from repro.core.session import TuningSession
 from repro.core.system import SystemWrapper
 from repro.exec.resilience import CircuitBreaker, ExecutionPolicy
@@ -22,7 +23,6 @@ from repro.fleet import (
     read_checkpoint,
     write_checkpoint,
 )
-from repro.fleet.checkpoint import decode_runtime, encode_runtime
 from repro.fleet.safety import MAX_REGRESSION
 from repro.kb import KnowledgeBase
 from repro.systems.cluster import Cluster
@@ -497,6 +497,25 @@ class TestFleetController:
                 _controller(_fleet_specs(), kb, epochs=2,
                             checkpoint_path=ckpt)
 
+    @pytest.mark.parametrize("specs, controller, field", [
+        ({"chaos": 0.0}, {}, "chaos_intensity=0.2 for tenant 't0'"),
+        ({"budget": 20, "phase_length": 1}, {}, "phase_length=2 for"),
+        ({}, {"retune": False}, "retune_on_drift=True"),
+    ])
+    def test_restore_rejects_other_settings(self, tmp_path, specs,
+                                            controller, field):
+        """A checkpoint resumes only under the settings that wrote it;
+        the error names the first field that differs."""
+        ckpt = str(tmp_path / "fleet.ckpt")
+        kb_path = str(tmp_path / "kb.sqlite")
+        with KnowledgeBase(kb_path) as kb:
+            _controller(_fleet_specs(chaos=0.2), kb, epochs=2,
+                        checkpoint_path=ckpt).run()
+        with KnowledgeBase(kb_path) as kb:
+            with pytest.raises(ValueError, match=field):
+                _controller(_fleet_specs(**{"chaos": 0.2, **specs}), kb,
+                            epochs=3, checkpoint_path=ckpt, **controller)
+
     @pytest.mark.parametrize("cost_units", [0.25, math.inf])
     def test_monitor_past_deadline_matches_session_kill(self, cost_units):
         """A monitor run past ``deadline_s`` is recorded as the same
@@ -582,3 +601,24 @@ class TestKillResumeDeterminism:
             assert resumed.tenant_digests() == reference
             # Replayed episodes were deduplicated, not double-ingested.
             assert len(kb) == reference_kb_sessions
+
+    def test_checkpoint_without_tenant_specs_resumes(self, tmp_path):
+        """A checkpoint written before tenant specs were recorded
+        resumes unchecked, to the uninterrupted run's digests."""
+        reference, _ = self._run_uninterrupted(tmp_path)
+        ckpt = str(tmp_path / "fleet.ckpt")
+        kb_path = str(tmp_path / "b.kb")
+        with KnowledgeBase(kb_path) as kb:
+            _controller(_fleet_specs(chaos=0.2), kb, epochs=self.KILL_EPOCH,
+                        checkpoint_path=ckpt).run()
+        payload = read_checkpoint(ckpt)
+        del payload["fleet"]["tenant_specs"]
+        write_checkpoint(ckpt, payload)
+        with KnowledgeBase(kb_path) as kb:
+            resumed = _controller(
+                _fleet_specs(chaos=0.2), kb, epochs=self.EPOCHS,
+                checkpoint_path=ckpt,
+            )
+            assert resumed.resumed_from_epoch == self.KILL_EPOCH
+            resumed.run()
+            assert resumed.tenant_digests() == reference

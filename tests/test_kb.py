@@ -207,7 +207,7 @@ class TestWarmStartTuning:
     def test_prior_never_charged_to_budget(self, kb, system):
         prior = warm_start_prior(kb, system, htap_mixed())
         budget = Budget(max_runs=8)
-        result = BayesOptTuner(n_init=2, n_candidates=40, warm_start=True).tune(
+        result = BayesOptTuner(n_init=2, n_candidates=40).tune(
             system, htap_mixed(), budget,
             rng=np.random.default_rng(5), prior=prior,
         )
@@ -217,23 +217,32 @@ class TestWarmStartTuning:
         assert any(t.startswith("prior-") for t in tags)
 
     def test_cold_tuner_ignores_prior(self, kb, system):
+        # A tuner whose class does not use priors drops a passed one.
         prior = warm_start_prior(kb, system, htap_mixed())
-        cold = BayesOptTuner(n_init=2, n_candidates=40)  # warm_start=False
-        result = cold.tune(
-            system, htap_mixed(), Budget(max_runs=6),
-            rng=np.random.default_rng(5), prior=prior,
-        )
-        assert "warm_start" not in result.extras
-        tags = [o.tag for o in result.history.real_observations()]
+        assert len(prior) and not RandomSearchTuner.uses_prior
+        runs = [
+            RandomSearchTuner().tune(
+                system, htap_mixed(), Budget(max_runs=6),
+                rng=np.random.default_rng(5), prior=given,
+            )
+            for given in (prior, None)
+        ]
+        assert "warm_start" not in runs[0].extras
+        tags = [o.tag for o in runs[0].history.real_observations()]
         assert not any(t.startswith("prior-") for t in tags)
+        assert runs[0].history.digest() == runs[1].history.digest()
 
     def test_warm_equals_cold_without_prior(self, system):
-        # warm_start=True with no prior must reproduce cold behaviour.
+        # Without a prior, a tuner that uses priors runs as one that
+        # does not.
+        class ColdITuned(ITunedTuner):
+            uses_prior = False
+
         budget = Budget(max_runs=8)
-        warm = ITunedTuner(n_init=3, n_candidates=40, warm_start=True).tune(
+        warm = ITunedTuner(n_init=3, n_candidates=40).tune(
             system, htap_mixed(), budget, rng=np.random.default_rng(9)
         )
-        cold = ITunedTuner(n_init=3, n_candidates=40).tune(
+        cold = ColdITuned(n_init=3, n_candidates=40).tune(
             system, htap_mixed(), budget, rng=np.random.default_rng(9)
         )
         assert warm.best_runtime_s == cold.best_runtime_s

@@ -88,8 +88,6 @@ class TestServiceInProcess:
             service.recommend({"workload": "never-stored"})
         with pytest.raises(ServiceError):
             service.recommend({"workload": "x", "k": 0})
-        with pytest.raises(ServiceError):
-            service.ingest({"kind": "nope"})
 
     def test_index_cache_tracks_version(self, kb):
         service = RecommendationService(kb)

@@ -402,10 +402,7 @@ def _legacy_distortion(payload):
 
 
 def _mf_tuner(name="cem", **overrides):
-    opts = dict(
-        multi_fidelity=True, fidelity_rungs=2, fidelity_min=0.25,
-        fidelity_eta=2.0,
-    )
+    opts = dict(fidelity_rungs=2, fidelity_min=0.25, fidelity_eta=2.0)
     opts.update(overrides)
     if name == "cem":
         return make_tuner("cem", batch=6, **opts)
@@ -478,7 +475,7 @@ class TestMultiFidelitySearch:
 
     def test_make_tuner_rejects_non_search_tuners(self):
         with pytest.raises(ReproError):
-            make_tuner("rule-based", multi_fidelity=True)
+            make_tuner("rule-based", fidelity_rungs=2)
 
     def test_make_tuner_validates_schedule_eagerly(self):
         with pytest.raises(ValueError):

@@ -17,6 +17,7 @@ from repro.exec.resilience import (
 )
 from repro.systems.cluster import Cluster
 from repro.systems.dbms import DbmsSimulator, htap_mixed
+from repro.tuners import common
 from repro.tuners.common import (
     ResponseReplay,
     failure_response,
@@ -213,6 +214,62 @@ class TestFailurePolicies:
             workload=workload.name,
         ))
         return session
+
+    def _mixed_session(self, workload, policy):
+        """Successes, failures, hung runs and sub-fidelity screens."""
+        session = _session(
+            _inner(), workload,
+            execution=ExecutionPolicy(failure_policy=policy),
+        )
+        rng = np.random.default_rng(3)
+        for measurement, fidelity in (
+            (Measurement.failure(), 1.0), (Measurement(runtime_s=12.0), 1.0),
+            (Measurement(runtime_s=3.0), 0.25),
+            (Measurement(runtime_s=math.inf), 1.0),
+            (Measurement.failure(), 0.25), (Measurement(runtime_s=30.0), 1.0),
+            (Measurement.failure(), 1.0), (Measurement(runtime_s=18.0), 1.0),
+            (Measurement(runtime_s=math.inf), 1.0),
+            (Measurement.failure(), 1.0),
+        ):
+            session.history.record(Observation(
+                session.space.sample_configuration(rng), measurement,
+                workload=workload.name, fidelity=fidelity,
+            ))
+        return session
+
+    def test_training_data_scans_successes_once(self, workload, monkeypatch):
+        """One call works out the failure stand-in once, however many
+        failed rows (five here) the history holds."""
+        session = self._mixed_session(workload, "penalize")
+        scan = common._finite_successes
+        scans = []
+
+        def spy(history):
+            scans.append(history)
+            return scan(history)
+
+        monkeypatch.setattr(common, "_finite_successes", spy)
+        history_to_training_data(session)
+        assert scans == [session.history]
+
+    @pytest.mark.parametrize("policy", FAILURE_POLICIES)
+    def test_training_data_matches_per_row_reference(self, workload, policy):
+        """(X, y) equal a loop that asks ``failure_response`` for every
+        failed full-fidelity row."""
+        session = self._mixed_session(workload, policy)
+        rows = []
+        for o in session.history.real_observations():
+            if not o.full_fidelity:
+                continue
+            if o.ok and math.isfinite(o.runtime_s):
+                rows.append((o.config.to_array(), o.runtime_s))
+                continue
+            response = failure_response(session.history, policy)
+            if response is not None:
+                rows.append((o.config.to_array(), response))
+        X, y = history_to_training_data(session)
+        assert np.array_equal(X, np.stack([x for x, _ in rows]))
+        assert np.array_equal(y, np.array([v for _, v in rows]))
 
     def test_policy_names_are_closed(self):
         assert FAILURE_POLICIES == ("penalize", "discard", "impute")

