@@ -40,6 +40,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Dict, List
 
@@ -139,6 +140,10 @@ def _cmd_tune(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     workload = catalog[args.workload]
+    if args.warm_start and not os.path.exists(args.warm_start):
+        # KnowledgeBase() would create an empty store at a mistyped path
+        print(f"error: no knowledge base at {args.warm_start!r}", file=sys.stderr)
+        return 2
 
     baseline = system.run(workload, system.default_configuration())
     print(f"{args.system}/{workload.name}: default {baseline.runtime_s:.1f}s")

@@ -16,10 +16,13 @@ It draws exactly what a per-row loop of ``p.sample(rng)`` calls would
 draw (for numpy's ``PCG64``, from one ``random_raw`` call per round) and
 decodes whole columns with the same IEEE operations as
 ``from_unit``/``to_unit``, so a batch of ``n`` is bit-identical to ``n``
-single samples.  :meth:`ConfigurationSpace.from_arrays_feasible` decodes
-a matrix of given unit rows through the same columns.  Configurations
-the space decoded itself skip the second validation and carry their
-unit row, so ``to_array`` does not encode them again.
+single samples.  It returns a :class:`ConfigurationBatch`, which keeps
+the decoded columns and the unit matrix and builds a row's
+configuration only when a caller takes it.
+:meth:`ConfigurationSpace.from_arrays_feasible` decodes a matrix of
+given unit rows through the same columns.  Configurations the space
+decoded itself skip the second validation and carry their unit row, so
+``to_array`` does not encode them again.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ __all__ = [
     "BooleanParameter",
     "Constraint",
     "Configuration",
+    "ConfigurationBatch",
     "ConfigurationSpace",
 ]
 
@@ -171,10 +175,11 @@ class NumericParameter(Parameter):
     def sample(self, rng: np.random.Generator) -> Any:
         return self.from_unit(float(rng.random()))
 
-    def _decode_column(self, u: np.ndarray) -> Tuple[List[Any], np.ndarray]:
+    def _decode_column(self, u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """:meth:`from_unit` then :meth:`to_unit` over a column of codes in [0, 1].
 
-        Returns the values and their unit codes, bit-identical to the
+        Returns the values (as floats; :meth:`_python_column` gives the
+        Python objects) and their unit codes, bit-identical to the
         scalar calls: the same IEEE operations in the same order,
         ``math.exp``/``math.log`` per element (numpy's SIMD kernels may
         differ in the last ulp), and clamps written as ``np.where``
@@ -191,14 +196,19 @@ class NumericParameter(Parameter):
         v = np.where(v < self.high, v, self.high)
         if self.integer:
             v = np.clip(np.rint(v), math.ceil(self.low), math.floor(self.high))
-            values = list(map(int, v.tolist()))
-        else:
-            values = v.tolist()
         if self.log_scale:
             unit = (np.fromiter(map(math.log, v.tolist()), float, len(v)) - lo) / span
         else:
             unit = (v - self.low) / (self.high - self.low)
-        return values, unit
+        return v, unit
+
+    def _python_column(self, column: np.ndarray) -> List[Any]:
+        """The values of a decoded column as :meth:`from_unit` returns them."""
+        return list(map(int, column.tolist())) if self.integer else column.tolist()
+
+    def _python_value(self, x: float) -> Any:
+        """One decoded value as :meth:`from_unit` returns it."""
+        return int(x) if self.integer else x
 
     def grid(self, k: int) -> List[Any]:
         if k < 1:
@@ -253,12 +263,19 @@ class CategoricalParameter(Parameter):
     def sample(self, rng: np.random.Generator) -> Any:
         return self.choices[int(rng.integers(len(self.choices)))]
 
-    def _decode_column(self, codes: np.ndarray) -> Tuple[List[Any], np.ndarray]:
-        """The choices at drawn indices ``codes``, and their unit codes as
+    def _decode_column(self, codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The drawn choice indices ``codes``, and their unit codes as
         :meth:`to_unit` gives them (the index of the first equal choice)."""
         first = np.array([self.choices.index(c) for c in self.choices])
-        values = [self.choices[i] for i in codes.tolist()]
-        return values, first[codes] / (len(self.choices) - 1)
+        return codes, first[codes] / (len(self.choices) - 1)
+
+    def _python_column(self, column: np.ndarray) -> List[Any]:
+        """The choices at a column of decoded indices."""
+        return list(map(self.choices.__getitem__, column.astype(np.intp).tolist()))
+
+    def _python_value(self, x: float) -> Any:
+        """The choice at one decoded index."""
+        return self.choices[int(x)]
 
     def grid(self, k: int) -> List[Any]:
         return list(self.choices[: max(k, 0)]) if k < len(self.choices) else list(self.choices)
@@ -280,6 +297,11 @@ class BooleanParameter(CategoricalParameter):
 
 class Constraint:
     """A named cross-parameter predicate a configuration must satisfy.
+
+    A plain constraint sees every value of the row it checks.  One
+    built by :func:`make_constraint` carries the names it ``touches``;
+    its predicate must read only those, and batched feasibility checks
+    pass it a mapping of only those names, in parameter order.
 
     Args:
         name: identifier used in error messages.
@@ -409,6 +431,83 @@ class Configuration(Mapping[str, Any]):
         return f"Configuration({body})"
 
 
+class ConfigurationBatch(Sequence[Configuration]):
+    """A read-only sequence of configurations a space decoded by column.
+
+    It holds each column's decoded values (floats for numeric knobs,
+    choice indices for categorical ones) and the unit matrix ``X``, and
+    builds a row's :class:`Configuration` only when a caller takes that
+    row, then keeps it.  A model-based ``ask`` scores every row of ``X``
+    but proposes one, so the other rows are never built.  Iterating
+    builds every row left with one conversion per column.  Each built
+    configuration holds its own copy of its unit row.  Equality with
+    any sequence of configurations is element by element.
+    """
+
+    __slots__ = ("_space", "_values", "_rows", "X")
+
+    def __init__(
+        self,
+        space: "ConfigurationSpace",
+        values: np.ndarray,
+        X: np.ndarray,
+        rows: Optional[List[Optional[Configuration]]] = None,
+    ):
+        # rows past len(values) are built configurations appended by
+        # ``+``; their unit rows follow the decoded ones in X
+        self._space = space
+        self._values = values
+        self._rows = [None] * len(values) if rows is None else rows
+        self.X = X
+        X.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, index):
+        rows = range(len(self._rows))[index]
+        if isinstance(rows, range):
+            return [self._row(i) for i in rows]
+        return self._row(rows)
+
+    def _row(self, i: int) -> Configuration:
+        config = self._rows[i]
+        if config is None:
+            params = self._space.parameters()
+            values = {
+                p.name: p._python_value(x) for p, x in zip(params, self._values[i].tolist())
+            }
+            config = Configuration._trusted(self._space, values, self.X[i].copy())
+            self._rows[i] = config
+        return config
+
+    def __iter__(self) -> Iterator[Configuration]:
+        if any(config is None for config in self._rows):
+            params = self._space.parameters()
+            names = [p.name for p in params]
+            columns = [p._python_column(self._values[:, j]) for j, p in enumerate(params)]
+            for i, row in enumerate(_zip_columns(columns, len(self._values))):
+                if self._rows[i] is None:
+                    self._rows[i] = Configuration._trusted(
+                        self._space, dict(zip(names, row)), self.X[i].copy()
+                    )
+        return iter(self._rows)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __add__(self, other: Sequence[Configuration]) -> "ConfigurationBatch":
+        """This batch followed by ``other``'s configurations, their unit
+        rows stacked after ``X``."""
+        added = list(other)
+        if not added:
+            return self
+        X = np.concatenate([self.X, [c.to_array() for c in added]])
+        return ConfigurationBatch(self._space, self._values, X, self._rows + added)
+
+
 class ConfigurationSpace:
     """An ordered collection of parameters plus validity constraints.
 
@@ -438,6 +537,11 @@ class ConfigurationSpace:
         return self
 
     def add_constraint(self, constraint: Constraint) -> "ConfigurationSpace":
+        unknown = [n for n in getattr(constraint, "touches", None) or () if n not in self._params]
+        if unknown:
+            raise ParameterError(
+                f"constraint {constraint.name!r} touches unknown parameters {unknown}"
+            )
         self._constraints.append(constraint)
         return self
 
@@ -489,6 +593,33 @@ class ConfigurationSpace:
     def is_feasible(self, values: Mapping[str, Any]) -> bool:
         return all(c.holds(values) for c in self._constraints)
 
+    def _feasible_rows(self, values: np.ndarray, columns: Dict[int, List[Any]]) -> List[bool]:
+        """Whether each row of decoded ``values`` (rows × parameters, as
+        :func:`_decode` gives them) satisfies every constraint.
+
+        A constraint sees a mapping of only the columns its ``touches``
+        names, in parameter order (every column for a plain
+        :class:`Constraint`), for the rows every earlier constraint
+        accepted, as :meth:`is_feasible` calls it.  ``columns`` holds the
+        Python values of each column converted so far; the check adds
+        the ones it converts, so a caller can reuse them.
+        """
+        params = self.parameters()
+        index = {p.name: j for j, p in enumerate(params)}
+        feasible = [True] * len(values)
+        for c in self._constraints:
+            touches = getattr(c, "touches", None)
+            touched = range(len(params)) if touches is None else sorted({index[n] for n in touches})
+            for j in touched:
+                if j not in columns:
+                    columns[j] = params[j]._python_column(values[:, j])
+            names = [params[j].name for j in touched]
+            rows = _zip_columns([columns[j] for j in touched], len(values))
+            feasible = [
+                ok and c.holds(dict(zip(names, row))) for ok, row in zip(feasible, rows)
+            ]
+        return feasible
+
     # -- vector encoding ---------------------------------------------------
     def to_array(self, config: Mapping[str, Any]) -> np.ndarray:
         return np.array(
@@ -532,7 +663,8 @@ class ConfigurationSpace:
 
         Rows decode column by column: ``from_unit``'s clamp (NaN and
         -0.0 become 0.0), ``rint(u * (n - 1))`` for a categorical, then
-        ``_decode_column``.  Only the rows that violate a constraint
+        ``_decode_column``.  Every feasible row is built, with one
+        conversion per column.  Only the rows that violate a constraint
         are repaired, in row order, through :meth:`from_array_feasible`,
         so ``rng`` is drawn exactly as a per-row loop draws it.
         """
@@ -547,29 +679,41 @@ class ConfigurationSpace:
         u = np.where(X > 0.0, X, 0.0)
         u = np.where(u < 1.0, u, 1.0)
         codes = np.rint(u[:, categorical] * (choices[categorical] - 1)).astype(np.int64)
-        configs = []
-        for x, (values, unit) in zip(X, self._decode_rows(params, u[:, ~categorical], codes)):
-            if self.is_feasible(values):
-                configs.append(Configuration._trusted(self, values, unit.copy()))
-            else:
-                configs.append(self.from_array_feasible(x, rng))
-        return configs
+        values, units = _decode(params, u[:, ~categorical], codes)
+        columns: Dict[int, List[Any]] = {}
+        feasible = self._feasible_rows(values, columns)
+        names = [p.name for p in params]
+        rows = _zip_columns([
+            columns[j] if j in columns else p._python_column(values[:, j])
+            for j, p in enumerate(params)
+        ], len(X))
+        return [
+            Configuration._trusted(self, dict(zip(names, row)), unit.copy())
+            if ok else self.from_array_feasible(x, rng)
+            for x, ok, row, unit in zip(X, feasible, rows, units)
+        ]
 
     # -- sampling ---------------------------------------------------------
     def sample_configuration(
         self, rng: np.random.Generator, max_tries: int = 256
     ) -> Configuration:
-        """Uniformly sample a feasible configuration (rejection sampling)."""
-        sampled = self.sample_configurations(1, rng, max_tries)
-        if not sampled:
-            raise ValidationError(
-                f"could not sample a feasible configuration in {max_tries} tries"
-            )
-        return sampled[0]
+        """Uniformly sample a feasible configuration (rejection sampling).
+
+        Each row decodes value by value (``from_unit``): for one row
+        that costs less than setting up columns.
+        """
+        params = self.parameters()
+        for _ in range(max_tries):
+            values, _ = _draw_row(params, rng)
+            if self.is_feasible(values):
+                return Configuration._trusted(self, values)
+        raise ValidationError(
+            f"could not sample a feasible configuration in {max_tries} tries"
+        )
 
     def sample_configurations(
         self, n: int, rng: np.random.Generator, max_tries: int = 256
-    ) -> List[Configuration]:
+    ) -> ConfigurationBatch:
         """Uniformly sample ``n`` feasible configurations (rejection sampling).
 
         Each of the ``n`` slots draws rows until one is feasible; a slot
@@ -578,63 +722,41 @@ class ConfigurationSpace:
         those of ``n`` loops of ``{p.name: p.sample(rng) ...}`` rows:
         each round draws one row per open slot, the fewest the loops
         could still need, so no row is drawn that they would not draw.
+
+        A round of several rows decodes column by column and checks
+        feasibility on the touched columns (:meth:`_feasible_rows`); a
+        round of one row decodes value by value, as
+        :meth:`sample_configuration` does.  The feasible rows come back
+        as a :class:`ConfigurationBatch`, which builds a configuration
+        only for a row a caller takes.
         """
-        sampled: List[Configuration] = []
+        params = self.parameters()
+        empty = np.empty((0, len(params)))
+        values, units = [empty], [empty]
         open_slots = n if max_tries > 0 else 0
         tries = 0
         while open_slots > 0:
-            for values, unit in self._sample_rows(open_slots, rng):
+            if open_slots == 1:
+                row, codes = _draw_row(params, rng)
+                feasible = [self.is_feasible(row)]
+                if feasible[0]:
+                    chosen = iter(codes)
+                    values.append(np.array([[
+                        next(chosen) if isinstance(p, CategoricalParameter) else row[p.name]
+                        for p in params
+                    ]], dtype=float))
+                    units.append(self.to_array(row)[None])
+            else:
+                round_values, round_units = _decode(params, *_draw(params, open_slots, rng))
+                feasible = self._feasible_rows(round_values, {})
+                values.append(round_values[feasible])
+                units.append(round_units[feasible])
+            for ok in feasible:
                 tries += 1
-                if self.is_feasible(values):
-                    sampled.append(Configuration._trusted(
-                        self, values, None if unit is None else unit.copy()
-                    ))
-                elif tries < max_tries:
-                    continue
-                open_slots -= 1
-                tries = 0
-        return sampled
-
-    def _sample_rows(
-        self, k: int, rng: np.random.Generator
-    ) -> List[Tuple[Dict[str, Any], Optional[np.ndarray]]]:
-        """Draw and decode ``k`` rows: (values, unit row or None) each.
-
-        A single row decodes value by value (``from_unit``), which costs
-        less than setting up columns; larger draws decode column by
-        column (:meth:`_decode_rows`).
-        """
-        params = self.parameters()
-        draws, codes = _draw(params, k, rng)
-        if k == 1:
-            numeric, chosen = iter(draws[0].tolist()), iter(codes[0].tolist())
-            values = {
-                p.name: p.choices[next(chosen)]
-                if isinstance(p, CategoricalParameter) else p.from_unit(next(numeric))
-                for p in params
-            }
-            return [(values, None)]
-        return self._decode_rows(params, draws, codes)
-
-    @staticmethod
-    def _decode_rows(
-        params: Sequence[Parameter], numeric: np.ndarray, codes: np.ndarray
-    ) -> List[Tuple[Dict[str, Any], np.ndarray]]:
-        """Decode rows given as numeric codes in [0, 1] (rows × numeric)
-        and choice indices (rows × categorical), column by column.
-
-        Returns (values, unit row) per row, each unit row a view of one
-        matrix.
-        """
-        numeric_columns, chosen = iter(numeric.T), iter(codes.T)
-        columns: List[List[Any]] = []
-        units = np.empty((len(numeric), len(params)))
-        for j, p in enumerate(params):
-            source = chosen if isinstance(p, CategoricalParameter) else numeric_columns
-            column, units[:, j] = p._decode_column(next(source))
-            columns.append(column)
-        names = [p.name for p in params]
-        return [(dict(zip(names, row)), unit) for unit, *row in zip(units, *columns)]
+                if ok or tries >= max_tries:
+                    open_slots -= 1
+                    tries = 0
+        return ConfigurationBatch(self, np.concatenate(values), np.concatenate(units))
 
     # -- derived spaces -----------------------------------------------------
     def subspace(self, names: Sequence[str], name: str = "") -> "ConfigurationSpace":
@@ -677,6 +799,45 @@ def _choice_counts(params: Sequence[Parameter]) -> np.ndarray:
     return np.array([
         len(p.choices) if isinstance(p, CategoricalParameter) else 0 for p in params
     ], np.int64)
+
+
+def _decode(
+    params: Sequence[Parameter], numeric: np.ndarray, codes: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Decode rows given as numeric codes in [0, 1] (rows × numeric)
+    and choice indices (rows × categorical), column by column.
+
+    Returns the decoded values (floats for numeric knobs, choice indices
+    for categorical ones) and the unit rows, each rows × parameters.
+    """
+    numeric_columns, chosen = iter(numeric.T), iter(codes.T)
+    values = np.empty((len(numeric), len(params)))
+    units = np.empty_like(values)
+    for j, p in enumerate(params):
+        source = chosen if isinstance(p, CategoricalParameter) else numeric_columns
+        values[:, j], units[:, j] = p._decode_column(next(source))
+    return values, units
+
+
+def _zip_columns(columns: List[List[Any]], n: int) -> Iterable[Tuple[Any, ...]]:
+    """The ``n`` rows of ``columns``, also when there are no columns."""
+    return zip(*columns) if columns else [()] * n
+
+
+def _draw_row(
+    params: Sequence[Parameter], rng: np.random.Generator
+) -> Tuple[Dict[str, Any], List[int]]:
+    """One row of :func:`_draw`, decoded value by value (``from_unit``):
+    the values by name, and the drawn choice indices."""
+    draws, codes = _draw(params, 1, rng)
+    row_codes = codes[0].tolist()
+    numeric, chosen = iter(draws[0].tolist()), iter(row_codes)
+    values = {
+        p.name: p.choices[next(chosen)]
+        if isinstance(p, CategoricalParameter) else p.from_unit(next(numeric))
+        for p in params
+    }
+    return values, row_codes
 
 
 def _draw(
@@ -830,8 +991,12 @@ def make_constraint(
 ) -> Constraint:
     """Build a constraint annotated with the parameter names it touches.
 
-    The annotation lets :meth:`ConfigurationSpace.subspace` carry the
-    constraint over when all touched parameters survive the projection.
+    ``predicate`` must read only the ``touches`` names: a batched
+    feasibility check passes it a mapping of only those, in parameter
+    order.  The annotation also lets :meth:`ConfigurationSpace.subspace`
+    carry the constraint over when all touched parameters survive the
+    projection.  A space refuses a constraint that touches a name it
+    lacks.
     """
     c = Constraint(name, predicate, description)
     c.touches = tuple(touches)  # type: ignore[attr-defined]

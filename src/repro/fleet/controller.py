@@ -48,6 +48,7 @@ resume continues the exact fault sequence.
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import zlib
@@ -217,7 +218,8 @@ class FleetController:
         checkpoint_path: JSON checkpoint location, written after every
             epoch; when the file already exists the controller *resumes*
             from it, and raises ``ValueError`` if it was written under
-            other tenant specs, seed, strategy or ``retune_on_drift``.
+            other tenant specs, seed, strategy, ``strategy_kwargs``,
+            ``deadline_s`` or ``retune_on_drift``.
         on_tenant_complete: hook called as ``(epoch, tenant_name)``
             after each tenant's epoch — tests use a raising hook to
             simulate mid-epoch kills.
@@ -591,6 +593,8 @@ class FleetController:
                 "epochs": self.epochs,
                 "epochs_done": self._epochs_done,
                 "strategy": self.strategy,
+                "strategy_kwargs": self.strategy_kwargs,
+                "deadline_s": encode_runtime(self.deadline_s),
                 "retune_on_drift": self.retune_on_drift,
                 "tenants": [t.spec.name for t in self._tenants],
                 "tenant_specs": {
@@ -643,12 +647,18 @@ class FleetController:
                 f"checkpoint tenants {fleet['tenants']} do not match "
                 f"this controller's {expected}"
             )
-        for key, value in (
-            ("seed", self.seed),
-            ("strategy", self.strategy),
-            ("retune_on_drift", self.retune_on_drift),
+        # Checkpoints written before the strategy's kwargs and the
+        # deadline were recorded lack those keys and are resumed
+        # unchecked on them.  The kwargs are compared after a JSON round
+        # trip, so a tuple-valued kwarg equals its stored list.
+        for key, value, required in (
+            ("seed", self.seed, True),
+            ("strategy", self.strategy, True),
+            ("retune_on_drift", self.retune_on_drift, True),
+            ("strategy_kwargs", json.loads(json.dumps(self.strategy_kwargs)), False),
+            ("deadline_s", encode_runtime(self.deadline_s), False),
         ):
-            if fleet[key] != value:
+            if (required or key in fleet) and fleet[key] != value:
                 raise ValueError(
                     f"checkpoint has {key}={fleet[key]!r}; "
                     f"this fleet has {value!r}"

@@ -9,7 +9,8 @@ impact tiers, giving ranking experiments an oracle to score against.
 
 from __future__ import annotations
 
-from typing import Dict
+from dataclasses import dataclass
+from typing import Any, Dict, Mapping
 
 from repro.core.parameters import (
     BooleanParameter,
@@ -62,6 +63,24 @@ GROUND_TRUTH_IMPACT: Dict[str, int] = {
 
 #: The knobs a focused tuning session usually exposes (impact >= 1).
 DBMS_TUNING_KNOBS = [k for k, v in GROUND_TRUTH_IMPACT.items() if v >= 1]
+
+
+@dataclass(frozen=True)
+class StaticMemoryBudget:
+    """The ``static_memory_budget`` predicate: the buffer pool, WAL
+    buffers and temp buffers fit in 97% of ``memory_mb``.
+
+    A module-level callable rather than a closure, so the space pickles
+    and the evaluation cache's fingerprint sees the limit.
+    """
+
+    memory_mb: float
+
+    def __call__(self, v: Mapping[str, Any]) -> bool:
+        return (
+            v["buffer_pool_mb"] + v["wal_buffers_mb"] + v["temp_buffers_mb"]
+            <= self.memory_mb * 0.97
+        )
 
 
 def build_dbms_space(memory_mb: int = 16384) -> ConfigurationSpace:
@@ -196,10 +215,7 @@ def build_dbms_space(memory_mb: int = 16384) -> ConfigurationSpace:
     space.add_constraint(make_constraint(
         "static_memory_budget",
         touches=("buffer_pool_mb", "wal_buffers_mb", "temp_buffers_mb"),
-        predicate=lambda v: (
-            v["buffer_pool_mb"] + v["wal_buffers_mb"] + v["temp_buffers_mb"]
-            <= memory_mb * 0.97
-        ),
+        predicate=StaticMemoryBudget(memory_mb),
         description="Statically allocated memory must fit in RAM.",
     ))
     return space

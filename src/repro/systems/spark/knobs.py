@@ -9,7 +9,8 @@ long tail of knobs is inert.
 
 from __future__ import annotations
 
-from typing import Dict
+from dataclasses import dataclass
+from typing import Any, Dict, Mapping
 
 from repro.core.parameters import (
     BooleanParameter,
@@ -56,6 +57,21 @@ GROUND_TRUTH_IMPACT: Dict[str, int] = {
 }
 
 SPARK_TUNING_KNOBS = [k for k, v in GROUND_TRUTH_IMPACT.items() if v >= 1]
+
+
+@dataclass(frozen=True)
+class ExecutorFitsNode:
+    """The ``executor_fits_node`` predicate: one executor's memory fits
+    in 95% of ``node_memory_mb``.
+
+    A module-level callable rather than a closure, so the space pickles
+    and the evaluation cache's fingerprint sees the limit.
+    """
+
+    node_memory_mb: float
+
+    def __call__(self, v: Mapping[str, Any]) -> bool:
+        return v["executor_memory_mb"] <= self.node_memory_mb * 0.95
 
 
 def build_spark_space(node_memory_mb: int = 16384) -> ConfigurationSpace:
@@ -170,7 +186,7 @@ def build_spark_space(node_memory_mb: int = 16384) -> ConfigurationSpace:
     space.add_constraint(make_constraint(
         "executor_fits_node",
         touches=("executor_memory_mb",),
-        predicate=lambda v: v["executor_memory_mb"] <= node_memory_mb * 0.95,
+        predicate=ExecutorFitsNode(node_memory_mb),
         description="One executor must fit on a node.",
     ))
     return space

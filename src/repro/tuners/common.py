@@ -8,7 +8,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.core.measurement import TuningHistory
-from repro.core.parameters import Configuration, ConfigurationSpace
+from repro.core.parameters import Configuration, ConfigurationBatch, ConfigurationSpace
 from repro.core.session import TuningSession
 
 __all__ = [
@@ -147,7 +147,7 @@ def candidate_pool(
     n_random: int = 256,
     anchors: Optional[List[Configuration]] = None,
     jitter: float = 0.08,
-) -> Tuple[List[Configuration], np.ndarray]:
+) -> Tuple[ConfigurationBatch, np.ndarray]:
     """Random candidates plus local perturbations of anchor configs.
 
     The mix lets acquisition optimizers both explore globally and refine
@@ -156,15 +156,17 @@ def candidate_pool(
     dropped.
 
     Returns:
-        (candidates, X): the configurations and their unit rows stacked
-        in the same order, shape ``(len(candidates), space.dimension)``.
+        (candidates, X): the candidates as a
+        :class:`~repro.core.parameters.ConfigurationBatch`, which builds
+        only the configurations a caller takes, and its read-only unit
+        matrix, shape ``(len(candidates), space.dimension)``.
     """
     candidates = space.sample_configurations(n_random, rng)
+    local = []
     for anchor in anchors or []:
         base = anchor.to_array()
         for _ in range(16):
             x = np.clip(base + rng.normal(scale=jitter, size=base.shape), 0.0, 1.0)
-            candidates.append(space.from_array_feasible(x, rng))
-    if not candidates:
-        return candidates, np.zeros((0, space.dimension))
-    return candidates, np.stack([c.to_array() for c in candidates])
+            local.append(space.from_array_feasible(x, rng))
+    candidates += local
+    return candidates, candidates.X

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import main
+from repro.kb import KnowledgeBase
 
 
 class TestList:
@@ -62,6 +63,7 @@ class TestTuneKnowledgeBase:
 
     def test_warm_start_with_empty_kb_still_tunes(self, capsys, tmp_path):
         kb_path = str(tmp_path / "empty.kb")
+        KnowledgeBase(kb_path).close()
         rc = main([
             "tune", "--system", "dbms", "--workload", "olap",
             "--tuner", "rule-based", "--runs", "2",
@@ -74,6 +76,22 @@ class TestTuneKnowledgeBase:
             "note: rule-based does not support warm starts; "
             "the prior will be ignored" in captured.err
         )
+
+
+    def test_warm_start_from_a_missing_path_exits_2_and_creates_nothing(
+        self, capsys, tmp_path
+    ):
+        kb_path = tmp_path / "typo.kb"
+        rc = main([
+            "tune", "--system", "dbms", "--workload", "htap",
+            "--tuner", "ituned", "--runs", "2",
+            "--warm-start", str(kb_path),
+        ])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: no knowledge base at {str(kb_path)!r}\n"
+        assert captured.out == ""
+        assert not kb_path.exists()
 
 
 class TestFleetCheckpoint:

@@ -1,9 +1,12 @@
 """Tests for the execution engine: ParallelRunner, EvaluationCache,
 batched session evaluation, ordered run-all, and incremental GP fits."""
 
+import pickle
+
 import numpy as np
 import pytest
 
+from repro import make_system, workloads
 from repro.bench.harness import standard_cluster
 from repro.bench.run_all import run_all_experiments
 from repro.core import Budget
@@ -19,7 +22,10 @@ from repro.exec import (
 )
 from repro.mlkit.gp import GaussianProcess
 from repro.mlkit.kernels import Matern52
-from repro.systems.dbms import DbmsSimulator, htap_mixed
+from repro.obs.metrics import global_metrics
+from repro.systems.dbms import DbmsSimulator, build_dbms_space, htap_mixed
+from repro.systems.hadoop import build_hadoop_space
+from repro.systems.spark import build_spark_space
 
 
 def _square(x):
@@ -169,6 +175,46 @@ class TestEvaluationCache:
             serial_rt = [m.runtime_s for m in serial.run_batch(wl, configs)]
             parallel_rt = [m.runtime_s for m in parallel.run_batch(wl, configs)]
         assert parallel_rt == serial_rt
+
+
+class TestPicklableSimulators:
+    """The catalogs' constraint predicates are module-level callables
+    that carry their limits, so a simulator pickles and the cache key
+    sees the limit."""
+
+    @pytest.mark.parametrize("kind, workload", [
+        ("dbms", workloads.htap_mixed(0.3)),
+        ("spark", workloads.spark_sql_join(6.0)),
+        ("hadoop", workloads.terasort(8.0)),
+    ])
+    def test_pickle_round_trip_measures_the_same(self, kind, workload):
+        system = make_system(kind)
+        clone = pickle.loads(pickle.dumps(system))
+        for config in system.config_space.sample_configurations(4, np.random.default_rng(3)):
+            assert clone.run(workload, config) == system.run(workload, config)
+
+    @pytest.mark.parametrize("build", [build_dbms_space, build_spark_space])
+    def test_constraint_fingerprint_carries_the_memory_limit(self, build):
+        def key(memory_mb):
+            return fingerprint(build(memory_mb).constraints()[0])
+
+        assert key(16384) == key(16384)
+        assert key(16384) != key(8192)
+        assert fingerprint(build_hadoop_space().constraints()[0]) == fingerprint(
+            build_hadoop_space().constraints()[0]
+        )
+
+    def test_batch_over_a_process_pool_equals_serial(self):
+        wl = htap_mixed(0.3)
+        configs = _configs(_dbms(), 6, seed=1)
+        serial = InstrumentedSystem(_dbms(), noise=0.1, rng=np.random.default_rng(5),
+                                    vectorize=False)
+        before = global_metrics().value("exec.runner.tasks.process")
+        with ParallelRunner(jobs=2, mode="process") as runner:
+            pooled = InstrumentedSystem(_dbms(), noise=0.1, rng=np.random.default_rng(5),
+                                        runner=runner, vectorize=False)
+            assert pooled.run_batch(wl, configs) == serial.run_batch(wl, configs)
+        assert global_metrics().value("exec.runner.tasks.process") == before + len(configs)
 
 
 class TestEvaluateBatch:

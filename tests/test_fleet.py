@@ -420,14 +420,14 @@ def _fleet_specs(chaos=0.0, budget=4, phase_length=2):
     ]
 
 
-def _controller(specs, kb, epochs=4, retune=True, **kwargs):
+def _controller(specs, kb, epochs=4, retune=True, deadline_s=2000.0, **kwargs):
     return FleetController(
         specs,
         epochs=epochs,
         seed=11,
         kb=kb,
         strategy="random-search",
-        deadline_s=2000.0,
+        deadline_s=deadline_s,
         retune_on_drift=retune,
         **kwargs,
     )
@@ -501,6 +501,10 @@ class TestFleetController:
         ({"chaos": 0.0}, {}, "chaos_intensity=0.2 for tenant 't0'"),
         ({"budget": 20, "phase_length": 1}, {}, "phase_length=2 for"),
         ({}, {"retune": False}, "retune_on_drift=True"),
+        ({}, {"strategy_kwargs": {"n_init": 2, "n_candidates": 50}},
+         "strategy_kwargs={}"),
+        ({}, {"deadline_s": 5.0}, "deadline_s=2000.0"),
+        ({}, {"deadline_s": math.inf}, "deadline_s=2000.0; this fleet has 'inf'"),
     ])
     def test_restore_rejects_other_settings(self, tmp_path, specs,
                                             controller, field):
@@ -515,6 +519,18 @@ class TestFleetController:
             with pytest.raises(ValueError, match=field):
                 _controller(_fleet_specs(**{"chaos": 0.2, **specs}), kb,
                             epochs=3, checkpoint_path=ckpt, **controller)
+
+    @pytest.mark.parametrize("deadline_s", [None, math.inf, 600])
+    def test_restore_accepts_the_settings_that_wrote_it(self, tmp_path, deadline_s):
+        """A tuple-valued strategy kwarg, stored as a list, and a
+        ``None`` or infinite deadline resume."""
+        ckpt = str(tmp_path / "fleet.ckpt")
+        settings = dict(strategy_kwargs={"hidden": (8, 8)}, deadline_s=deadline_s,
+                        checkpoint_path=ckpt)
+        with KnowledgeBase(str(tmp_path / "kb.sqlite")) as kb:
+            _controller(_fleet_specs(), kb, **settings).save_checkpoint()
+            resumed = _controller(_fleet_specs(), kb, **settings)
+        assert resumed.resumed_from_epoch == 0
 
     @pytest.mark.parametrize("cost_units", [0.25, math.inf])
     def test_monitor_past_deadline_matches_session_kill(self, cost_units):
@@ -601,6 +617,28 @@ class TestKillResumeDeterminism:
             assert resumed.tenant_digests() == reference
             # Replayed episodes were deduplicated, not double-ingested.
             assert len(kb) == reference_kb_sessions
+
+    def test_checkpoint_without_episode_settings_resumes(self, tmp_path):
+        """A checkpoint written before ``strategy_kwargs`` and
+        ``deadline_s`` were recorded resumes unchecked, to the
+        uninterrupted run's digests."""
+        reference, _ = self._run_uninterrupted(tmp_path)
+        ckpt = str(tmp_path / "fleet.ckpt")
+        kb_path = str(tmp_path / "b.kb")
+        with KnowledgeBase(kb_path) as kb:
+            _controller(_fleet_specs(chaos=0.2), kb, epochs=self.KILL_EPOCH,
+                        checkpoint_path=ckpt).run()
+        payload = read_checkpoint(ckpt)
+        del payload["fleet"]["strategy_kwargs"], payload["fleet"]["deadline_s"]
+        write_checkpoint(ckpt, payload)
+        with KnowledgeBase(kb_path) as kb:
+            resumed = _controller(
+                _fleet_specs(chaos=0.2), kb, epochs=self.EPOCHS,
+                checkpoint_path=ckpt,
+            )
+            assert resumed.resumed_from_epoch == self.KILL_EPOCH
+            resumed.run()
+            assert resumed.tenant_digests() == reference
 
     def test_checkpoint_without_tenant_specs_resumes(self, tmp_path):
         """A checkpoint written before tenant specs were recorded

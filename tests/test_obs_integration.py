@@ -38,8 +38,8 @@ def _tuned_session(jobs, tracer, chaos=False, runs=14):
 
     Vectorized batching is disabled so jobs>1 exercises the *runner*
     path these tests pin down; vectorized-path parity has its own
-    suite.  The runner is a thread pool: the simulators' knob catalogs
-    hold closures, which do not pickle.
+    suite.  The runner is a thread pool; a process-mode runner over a
+    simulator is checked in ``tests/test_exec_engine.py``.
     """
     sim = make_system("dbms")
     runner = ParallelRunner(jobs=jobs, mode="thread") if jobs > 1 else None

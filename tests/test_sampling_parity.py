@@ -1,17 +1,19 @@
 """Batched sampling and decoding against the per-row reference loop.
 
 ``ConfigurationSpace.sample_configurations`` draws whole batches (for
-``PCG64``, from one block of raw words) and decodes them column by
-column; ``from_array`` decodes once and builds a trusted configuration;
-``from_arrays_feasible`` decodes a matrix of given rows.  These
-properties pin them to the plain loops they replace —
+``PCG64``, from one block of raw words), decodes them column by column
+and returns a ``ConfigurationBatch`` that builds a row's configuration
+only when it is taken; ``from_array`` decodes once and builds a trusted
+configuration; ``from_arrays_feasible`` decodes a matrix of given rows.
+These properties pin them to the plain loops they replace —
 ``{p.name: p.sample(rng) ...}`` rows, ``is_feasible``, a validating
 ``Configuration``, per-parameter ``to_unit`` and one
 ``from_array_feasible`` call per row — on generated spaces that mix
-every parameter kind: equal values, types and reprs, equal unit bytes,
-and the generator left in the same state.
+every parameter kind: equal values, types, reprs and identity strings,
+equal unit bytes, and the generator left in the same state.
 """
 
+import importlib
 import math
 import types
 import zlib
@@ -30,10 +32,11 @@ from repro.core.parameters import (
     CategoricalParameter,
     Configuration,
     ConfigurationSpace,
+    Constraint,
     NumericParameter,
     make_constraint,
 )
-from repro.exceptions import ConstraintViolation, ValidationError
+from repro.exceptions import ConstraintViolation, ParameterError, ValidationError
 from repro.systems.dbms import DbmsSimulator, htap_mixed
 from repro.tuners.common import candidate_pool
 from repro.tuners.ml.ottertune import build_repository
@@ -88,7 +91,7 @@ def assert_same(got, want):
     for g, w in zip(got, want):
         assert ([(k, type(v), repr(v)) for k, v in g.items()]
                 == [(k, type(v), repr(v)) for k, v in w.items()])
-        assert repr(g) == repr(w)
+        assert repr(g) == repr(w) and g.identity() == w.identity()
         assert g == w and hash(g) == hash(w)
         assert g.to_array().tobytes() == reference_unit(w).tobytes()
 
@@ -193,6 +196,95 @@ class TestBatchedSampling:
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
+def _subset_share(names, percent):
+    """Like :func:`_accept_share`, reading only ``names``."""
+    def predicate(values):
+        key = repr([(name, values[name]) for name in names]).encode()
+        return zlib.crc32(key) % 1000 < percent * 10
+    return predicate
+
+
+@st.composite
+def constrained_spaces(draw):
+    """A generated space that also has a constraint touching a random
+    subset of its names, listed in random order, and a plain
+    :class:`Constraint`, which sees the whole row.
+
+    The subset keeps the real-valued knob, so its rows are distinct.
+    """
+    space = draw(spaces(min_accept=50))
+    subset = [n for n in space.names() if n == "real" or draw(st.booleans())]
+    touches = draw(st.permutations(subset))
+    shares = st.integers(min_value=50, max_value=100)
+    space.add_constraint(
+        make_constraint("subset", touches, _subset_share(touches, draw(shares)))
+    )
+    space.add_constraint(Constraint("plain", _accept_share(draw(shares))))
+    return space
+
+
+def _indices(n):
+    """Every index of ``n`` rows once, in random order, each as a
+    Python or numpy integer, non-negative or negative."""
+    return st.permutations(range(n)).flatmap(lambda order: st.tuples(*(
+        st.sampled_from([i, i - n, np.int64(i), np.intp(i - n)]) for i in order
+    )))
+
+
+class TestLazyBatch:
+    @given(space=constrained_spaces(), n=st.integers(min_value=0, max_value=64),
+           seed=st.integers(min_value=0, max_value=2**32 - 1), data=st.data())
+    @settings(**_SETTINGS)
+    def test_rows_taken_in_any_way_equal_per_row_loop(self, space, n, seed, data):
+        want_rng = np.random.default_rng(seed)
+        want = reference_pool(space, want_rng, n)
+        got_rng = np.random.default_rng(seed)
+        batch = space.sample_configurations(n, got_rng)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        indices = data.draw(_indices(len(want)))
+        taken = {int(i) % len(want): batch[i] for i in indices}
+        assert_same([taken[i] for i in range(len(want))], want)
+        assert_same(list(space.sample_configurations(n, np.random.default_rng(seed))), want)
+        rows = slice(*data.draw(st.tuples(*[st.none() | st.integers(-70, 70)] * 2)),
+                     data.draw(st.none() | st.sampled_from([1, 2, 3, -1, -2])))
+        batch = space.sample_configurations(n, np.random.default_rng(seed))
+        assert_same(batch[rows], want[rows])
+
+    def test_constraints_see_their_columns_in_parameter_order(self):
+        space = _fixed_space(accept_percent=100)
+        seen = {"touched": set(), "plain": set()}
+
+        def recorder(key):
+            def predicate(values):
+                seen[key].add(tuple(values))
+                return True
+            return predicate
+
+        space.add_constraint(
+            make_constraint("touched", ["delta", "mem", "spec"], recorder("touched"))
+        )
+        space.add_constraint(Constraint("plain", recorder("plain")))
+        space.sample_configurations(64, np.random.default_rng(3))
+        space.from_arrays_feasible(np.full((4, space.dimension), 0.4),
+                                   np.random.default_rng(3))
+        assert seen == {"touched": {("mem", "spec", "delta")},
+                        "plain": {tuple(space.names())}}
+
+    def test_add_constraint_refuses_unknown_touches(self):
+        space = _fixed_space(accept_percent=100)
+        with pytest.raises(ParameterError, match="nope"):
+            space.add_constraint(make_constraint("bad", ["mem", "nope"], bool))
+        assert [c.name for c in space.constraints()] == ["share"]
+
+    def test_unit_matrix_is_read_only(self):
+        pool, X = candidate_pool(_fixed_space(accept_percent=100),
+                                 np.random.default_rng(2), n_random=8)
+        with pytest.raises(ValueError):
+            X[0, 0] = 0.5
+        row = pool[0].to_array()
+        row[0] = 0.5  # a configuration's own row stays writable
+
+
 class TestExhaustedSlots:
     def test_rejecting_every_row_drops_slots_and_raises_like_loop(self):
         space = _fixed_space(accept_percent=0)
@@ -268,9 +360,11 @@ class TestColumnDecode:
         # clamp must pick the operand Python's max/min pick
         param = NumericParameter("z", low, low, high, integer=integer)
         draws = np.array([0.0, 0.25, 0.5, 1.0 - 2.0**-53])
-        values, unit = param._decode_column(draws)
+        column, unit = param._decode_column(draws)
         want = [param.from_unit(u) for u in draws.tolist()]
-        assert [repr(v) for v in values] == [repr(v) for v in want]
+        for values in (param._python_column(column),
+                       [param._python_value(x) for x in column.tolist()]):
+            assert [repr(v) for v in values] == [repr(v) for v in want]
         assert unit.tobytes() == np.array([param.to_unit(v) for v in want]).tobytes()
 
 
@@ -506,8 +600,8 @@ def _ottertune():
     return make_tuner("ottertune", repository=repository, n_init=4, n_candidates=40)
 
 
-#: Every tuner whose whole-design decode moved to ``from_arrays_feasible``.
-_PORTED = {
+_TUNERS = {
+    "bayesopt": lambda: make_tuner("bayesopt", n_init=5, n_candidates=40),
     "genetic": lambda: make_tuner("genetic", population=6, elite=2),
     "ituned": lambda: make_tuner("ituned", n_init=5, batch_size=3, n_candidates=40),
     "ottertune": _ottertune,
@@ -521,20 +615,87 @@ _PORTED = {
     "sard": lambda: make_tuner("sard", batch_size=2),
 }
 
+#: Every tuner whose whole-design decode moved to ``from_arrays_feasible``.
+_PORTED = sorted(set(_TUNERS) - {"bayesopt"})
+
+#: Every tuner that scores a candidate pool, with the module that
+#: imports ``candidate_pool``.
+_POOL_USERS = {
+    "adaptive-sampling": "repro.tuners.experiment.adaptive_sampling",
+    "bayesopt": "repro.tuners.ml.gp_tuner",
+    "ensemble": "repro.tuners.ml.ensemble",
+    "ituned": "repro.tuners.experiment.ituned",
+    "nn-tuner": "repro.tuners.ml.nn_tuner",
+    "ottertune": "repro.tuners.ml.ottertune",
+}
+
 
 def _session_digest(name):
-    result = _PORTED[name]().tune(
+    result = _TUNERS[name]().tune(
         DbmsSimulator(standard_cluster()), htap_mixed(0.3), Budget(max_runs=14),
         rng=np.random.default_rng(7),
     )
     return result.history.digest()
 
 
-@pytest.mark.parametrize("name", sorted(_PORTED))
+@pytest.mark.parametrize("name", _PORTED)
 def test_ported_tuner_digest_equals_per_row_decode(name, monkeypatch):
     batched = _session_digest(name)
     monkeypatch.setattr(ConfigurationSpace, "from_arrays_feasible", reference_decode)
     assert _session_digest(name) == batched
+
+
+def reference_candidate_pool(space, rng, n_random=256, anchors=None, jitter=0.08):
+    """``candidate_pool`` built eagerly: the per-row loop's pool, then the
+    anchors' repaired perturbations, and every ``to_array`` row stacked."""
+    candidates = reference_pool(space, rng, n_random)
+    for anchor in anchors or []:
+        base = anchor.to_array()
+        for _ in range(16):
+            x = np.clip(base + rng.normal(scale=jitter, size=base.shape), 0.0, 1.0)
+            candidates.append(space.from_array_feasible(x, rng))
+    X = np.array([c.to_array() for c in candidates]).reshape(-1, space.dimension)
+    return candidates, X
+
+
+@pytest.mark.parametrize("name", sorted(_POOL_USERS))
+def test_pool_user_digest_equals_eager_pool(name, monkeypatch):
+    lazy = _session_digest(name)
+    calls = []
+
+    def eager(*args, **kwargs):
+        calls.append(name)
+        return reference_candidate_pool(*args, **kwargs)
+
+    monkeypatch.setattr(importlib.import_module(_POOL_USERS[name]), "candidate_pool", eager)
+    assert _session_digest(name) == lazy
+    assert calls
+
+
+def test_sequential_ei_ask_builds_only_the_proposed_configuration(monkeypatch):
+    built = []
+    trusted = Configuration._trusted.__func__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args[1])
+        return trusted(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Configuration, "_trusted", classmethod(counting))
+    tuner = make_tuner("ituned", n_init=5, n_candidates=400)
+    asks = []
+    ask = type(tuner).ask
+
+    def counted_ask(self, state):
+        before = len(built)
+        proposed = ask(self, state)
+        asks.append(([c.tag for c in proposed], len(built) - before))
+        return proposed
+
+    monkeypatch.setattr(type(tuner), "ask", counted_ask)
+    tuner.tune(DbmsSimulator(standard_cluster()), htap_mixed(0.3), Budget(max_runs=8),
+               rng=np.random.default_rng(7))
+    ei = [n for tags, n in asks if tags[0].startswith("ei-")]
+    assert len(ei) == 2 and set(ei) == {1}
 
 
 def test_genetic_generation_zero_raises_on_a_dropped_slot():
