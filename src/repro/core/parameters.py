@@ -697,19 +697,13 @@ class ConfigurationSpace:
     def sample_configuration(
         self, rng: np.random.Generator, max_tries: int = 256
     ) -> Configuration:
-        """Uniformly sample a feasible configuration (rejection sampling).
-
-        Each row decodes value by value (``from_unit``): for one row
-        that costs less than setting up columns.
-        """
-        params = self.parameters()
-        for _ in range(max_tries):
-            values, _ = _draw_row(params, rng)
-            if self.is_feasible(values):
-                return Configuration._trusted(self, values)
-        raise ValidationError(
-            f"could not sample a feasible configuration in {max_tries} tries"
-        )
+        """Uniformly sample a feasible configuration (rejection sampling)."""
+        sampled = self.sample_configurations(1, rng, max_tries)
+        if not sampled:
+            raise ValidationError(
+                f"could not sample a feasible configuration in {max_tries} tries"
+            )
+        return sampled[0]
 
     def sample_configurations(
         self, n: int, rng: np.random.Generator, max_tries: int = 256
@@ -725,27 +719,24 @@ class ConfigurationSpace:
 
         A round of several rows decodes column by column and checks
         feasibility on the touched columns (:meth:`_feasible_rows`); a
-        round of one row decodes value by value, as
-        :meth:`sample_configuration` does.  The feasible rows come back
-        as a :class:`ConfigurationBatch`, which builds a configuration
-        only for a row a caller takes.
+        round of one row decodes value by value, which costs less than
+        setting up columns for one row.  The feasible rows come back as
+        a :class:`ConfigurationBatch`, which builds a configuration only
+        for a row a caller takes.
         """
         params = self.parameters()
         empty = np.empty((0, len(params)))
         values, units = [empty], [empty]
+        tail: List[Configuration] = []
         open_slots = n if max_tries > 0 else 0
         tries = 0
         while open_slots > 0:
             if open_slots == 1:
-                row, codes = _draw_row(params, rng)
+                # open slots only decrease, so this is the batch's last row
+                row = _draw_row(params, rng)
                 feasible = [self.is_feasible(row)]
                 if feasible[0]:
-                    chosen = iter(codes)
-                    values.append(np.array([[
-                        next(chosen) if isinstance(p, CategoricalParameter) else row[p.name]
-                        for p in params
-                    ]], dtype=float))
-                    units.append(self.to_array(row)[None])
+                    tail.append(Configuration._trusted(self, row))
             else:
                 round_values, round_units = _decode(params, *_draw(params, open_slots, rng))
                 feasible = self._feasible_rows(round_values, {})
@@ -756,7 +747,7 @@ class ConfigurationSpace:
                 if ok or tries >= max_tries:
                     open_slots -= 1
                     tries = 0
-        return ConfigurationBatch(self, np.concatenate(values), np.concatenate(units))
+        return ConfigurationBatch(self, np.concatenate(values), np.concatenate(units)) + tail
 
     # -- derived spaces -----------------------------------------------------
     def subspace(self, names: Sequence[str], name: str = "") -> "ConfigurationSpace":
@@ -824,20 +815,15 @@ def _zip_columns(columns: List[List[Any]], n: int) -> Iterable[Tuple[Any, ...]]:
     return zip(*columns) if columns else [()] * n
 
 
-def _draw_row(
-    params: Sequence[Parameter], rng: np.random.Generator
-) -> Tuple[Dict[str, Any], List[int]]:
-    """One row of :func:`_draw`, decoded value by value (``from_unit``):
-    the values by name, and the drawn choice indices."""
+def _draw_row(params: Sequence[Parameter], rng: np.random.Generator) -> Dict[str, Any]:
+    """One row of :func:`_draw`, decoded value by value (``from_unit``)."""
     draws, codes = _draw(params, 1, rng)
-    row_codes = codes[0].tolist()
-    numeric, chosen = iter(draws[0].tolist()), iter(row_codes)
-    values = {
+    numeric, chosen = iter(draws[0].tolist()), iter(codes[0].tolist())
+    return {
         p.name: p.choices[next(chosen)]
         if isinstance(p, CategoricalParameter) else p.from_unit(next(numeric))
         for p in params
     }
-    return values, row_codes
 
 
 def _draw(

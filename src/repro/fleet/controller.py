@@ -48,7 +48,6 @@ resume continues the exact fault sequence.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import zlib
@@ -76,6 +75,7 @@ from repro.core.session import TuningSession
 from repro.core.system import SystemUnderTune
 from repro.core.tuner import Budget
 from repro.core.workload import Workload
+from repro.exec.cache import Unfingerprintable, fingerprint
 from repro.exec.resilience import CircuitBreaker, ExecutionPolicy, enforce_deadline
 from repro.fleet.checkpoint import (
     CHECKPOINT_KIND,
@@ -111,6 +111,17 @@ _BOOKKEEPING_METRICS = (
     "elapsed_before_failure_s",
     "deadline_exceeded",
 )
+
+
+def _kwargs_fingerprint(kwargs: Mapping[str, Any]) -> Optional[str]:
+    """The value-based fingerprint a checkpoint records for a strategy's
+    kwargs, JSON or not (a repository object, a numpy scalar); ``None``
+    when a kwarg holds state with no stable value, such as a live RNG,
+    so the kwargs cannot be compared."""
+    try:
+        return fingerprint(kwargs)
+    except Unfingerprintable:
+        return None
 
 
 @dataclass(frozen=True)
@@ -209,7 +220,10 @@ class FleetController:
         strategy: registered tuner name used for episodes; must be a
             :class:`~repro.core.driver.SearchTuner` (the episode runs
             through a guarded ``SearchDriver``).
-        strategy_kwargs: extra constructor kwargs for the strategy.
+        strategy_kwargs: extra constructor kwargs for the strategy; a
+            checkpoint records their value-based fingerprint
+            (:func:`~repro.exec.cache.fingerprint`), so any kwarg, a
+            repository object too, checkpoints and is compared.
         deadline_s: per-run deadline for episodes *and* monitor runs.
         retune_on_drift: ``False`` gives the one-shot baseline — tune
             a single episode at epoch 0 (the first workload), never
@@ -257,7 +271,7 @@ class FleetController:
         self.surrogate_store = surrogate_store
         self.strategy = strategy
         self.strategy_kwargs = dict(strategy_kwargs or {})
-        self.deadline_s = deadline_s
+        self.deadline_s = None if deadline_s is None else float(deadline_s)
         self.retune_on_drift = retune_on_drift
         self.checkpoint_path = checkpoint_path
         self.on_tenant_complete = on_tenant_complete
@@ -593,7 +607,7 @@ class FleetController:
                 "epochs": self.epochs,
                 "epochs_done": self._epochs_done,
                 "strategy": self.strategy,
-                "strategy_kwargs": self.strategy_kwargs,
+                "strategy_kwargs": _kwargs_fingerprint(self.strategy_kwargs),
                 "deadline_s": encode_runtime(self.deadline_s),
                 "retune_on_drift": self.retune_on_drift,
                 "tenants": [t.spec.name for t in self._tenants],
@@ -649,13 +663,12 @@ class FleetController:
             )
         # Checkpoints written before the strategy's kwargs and the
         # deadline were recorded lack those keys and are resumed
-        # unchecked on them.  The kwargs are compared after a JSON round
-        # trip, so a tuple-valued kwarg equals its stored list.
+        # unchecked on them.
         for key, value, required in (
             ("seed", self.seed, True),
             ("strategy", self.strategy, True),
             ("retune_on_drift", self.retune_on_drift, True),
-            ("strategy_kwargs", json.loads(json.dumps(self.strategy_kwargs)), False),
+            ("strategy_kwargs", _kwargs_fingerprint(self.strategy_kwargs), False),
             ("deadline_s", encode_runtime(self.deadline_s), False),
         ):
             if (required or key in fleet) and fleet[key] != value:

@@ -9,7 +9,6 @@ sort buffer, compression, slot memory — dominate job latency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, Mapping
 
 from repro.core.parameters import (
@@ -52,19 +51,13 @@ GROUND_TRUTH_IMPACT: Dict[str, int] = {
 HADOOP_TUNING_KNOBS = [k for k, v in GROUND_TRUTH_IMPACT.items() if v >= 1]
 
 
-@dataclass(frozen=True)
-class SortBufferFitsContainer:
+def sort_buffer_fits_container(v: Mapping[str, Any]) -> bool:
     """The ``sort_buffer_fits_container`` predicate: the sort buffer
-    takes at most ``heap_share`` of the map container's memory.
+    takes at most 70% of the map container's memory.
 
-    A module-level callable rather than a closure, so the space pickles
-    and the evaluation cache's fingerprint sees the limit.
+    A module-level function rather than a closure, so the space pickles.
     """
-
-    heap_share: float
-
-    def __call__(self, v: Mapping[str, Any]) -> bool:
-        return v["io_sort_mb"] <= self.heap_share * v["mapreduce_map_memory_mb"]
+    return v["io_sort_mb"] <= 0.7 * v["mapreduce_map_memory_mb"]
 
 
 def build_hadoop_space(node_memory_mb: int = 16384) -> ConfigurationSpace:
@@ -172,7 +165,7 @@ def build_hadoop_space(node_memory_mb: int = 16384) -> ConfigurationSpace:
     space.add_constraint(make_constraint(
         "sort_buffer_fits_container",
         touches=("io_sort_mb", "mapreduce_map_memory_mb"),
-        predicate=SortBufferFitsContainer(0.7),
+        predicate=sort_buffer_fits_container,
         description="The sort buffer must fit inside the map JVM heap.",
     ))
     return space

@@ -178,9 +178,9 @@ class TestEvaluationCache:
 
 
 class TestPicklableSimulators:
-    """The catalogs' constraint predicates are module-level callables
-    that carry their limits, so a simulator pickles and the cache key
-    sees the limit."""
+    """The catalogs' constraint predicates are module-level callables,
+    so a simulator pickles; the dbms and spark ones carry their memory
+    limit, so the cache key sees it."""
 
     @pytest.mark.parametrize("kind, workload", [
         ("dbms", workloads.htap_mixed(0.3)),

@@ -28,6 +28,7 @@ from repro.kb import KnowledgeBase
 from repro.systems.cluster import Cluster
 from repro.systems.dbms import DbmsSimulator, htap_mixed, olap_analytics
 from repro.tuners.adaptive.drift import DriftDetector, MetricDriftDetector
+from repro.tuners.ml.ottertune import OtterTuneRepository
 
 
 def _system():
@@ -502,7 +503,7 @@ class TestFleetController:
         ({"budget": 20, "phase_length": 1}, {}, "phase_length=2 for"),
         ({}, {"retune": False}, "retune_on_drift=True"),
         ({}, {"strategy_kwargs": {"n_init": 2, "n_candidates": 50}},
-         "strategy_kwargs={}"),
+         "strategy_kwargs='"),
         ({}, {"deadline_s": 5.0}, "deadline_s=2000.0"),
         ({}, {"deadline_s": math.inf}, "deadline_s=2000.0; this fleet has 'inf'"),
     ])
@@ -520,10 +521,10 @@ class TestFleetController:
                 _controller(_fleet_specs(**{"chaos": 0.2, **specs}), kb,
                             epochs=3, checkpoint_path=ckpt, **controller)
 
-    @pytest.mark.parametrize("deadline_s", [None, math.inf, 600])
+    @pytest.mark.parametrize("deadline_s", [None, math.inf, 600, np.float32(600.5)])
     def test_restore_accepts_the_settings_that_wrote_it(self, tmp_path, deadline_s):
-        """A tuple-valued strategy kwarg, stored as a list, and a
-        ``None`` or infinite deadline resume."""
+        """A tuple-valued strategy kwarg and a ``None``, infinite or
+        numpy deadline resume."""
         ckpt = str(tmp_path / "fleet.ckpt")
         settings = dict(strategy_kwargs={"hidden": (8, 8)}, deadline_s=deadline_s,
                         checkpoint_path=ckpt)
@@ -531,6 +532,45 @@ class TestFleetController:
             _controller(_fleet_specs(), kb, **settings).save_checkpoint()
             resumed = _controller(_fleet_specs(), kb, **settings)
         assert resumed.resumed_from_epoch == 0
+
+    def test_non_json_strategy_kwargs_checkpoint_and_compare(self, tmp_path):
+        """OtterTune's ``repository=`` object and a numpy scalar are
+        not JSON: the checkpoint records their value fingerprint, so an
+        equal repository resumes and one holding other data raises."""
+
+        def repository(y):
+            repo = OtterTuneRepository(metric_names=["m"])
+            repo.add("w", np.zeros((2, 3)), np.array([1.0, y]), np.ones((2, 1)))
+            return repo
+
+        ckpt = str(tmp_path / "fleet.ckpt")
+        kb_path = str(tmp_path / "kb.sqlite")
+
+        def controller(y):
+            return _controller(
+                _fleet_specs(), kb, checkpoint_path=ckpt,
+                strategy_kwargs={"repository": repository(y), "xi": np.float32(0.01)},
+            )
+
+        with KnowledgeBase(kb_path) as kb:
+            controller(2.0).save_checkpoint()
+            assert controller(2.0).resumed_from_epoch == 0
+            with pytest.raises(ValueError, match="strategy_kwargs="):
+                controller(3.0)
+
+    def test_unfingerprintable_strategy_kwargs_resume_unchecked(self, tmp_path):
+        """A kwarg with no stable value (a live RNG) still checkpoints;
+        its fleet resumes without a kwargs check."""
+        ckpt = str(tmp_path / "fleet.ckpt")
+        with KnowledgeBase(str(tmp_path / "kb.sqlite")) as kb:
+            for seed in (1, 2):
+                controller = _controller(
+                    _fleet_specs(), kb, checkpoint_path=ckpt,
+                    strategy_kwargs={"rng": np.random.default_rng(seed)},
+                )
+                controller.save_checkpoint()
+        assert read_checkpoint(ckpt)["fleet"]["strategy_kwargs"] is None
+        assert controller.resumed_from_epoch == 0
 
     @pytest.mark.parametrize("cost_units", [0.25, math.inf])
     def test_monitor_past_deadline_matches_session_kill(self, cost_units):
