@@ -38,8 +38,8 @@ class ChaosSystem(SystemWrapper):
         policies: fault policies, applied in order per run.  A policy
             that fails the measurement short-circuits the rest (later
             policies pass failed measurements through).
-        seed: injection seed — all injection randomness derives from
-            ``(seed, run index, policy slot)``.
+        seed: non-negative injection seed — all injection randomness
+            derives from ``(seed, run index, policy slot)``.
 
     Injected failures come back as failed measurements marked
     ``injected_fault``, never as exceptions: a batch is atomic, and one
@@ -61,6 +61,8 @@ class ChaosSystem(SystemWrapper):
         policies: Sequence[FaultPolicy],
         seed: int = 0,
     ):
+        if int(seed) < 0:
+            raise ValueError(f"chaos seed must be non-negative, got {seed}")
         policies = list(policies)
         super().__init__(
             inner, name=f"{inner.name}+chaos({len(policies)} policies)"

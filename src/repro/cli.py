@@ -62,6 +62,16 @@ def _jobs_arg(value: str) -> int:
     return jobs
 
 
+def _seed_arg(value: str) -> int:
+    try:
+        seed = int(value)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value!r}")
+    return seed
+
+
 def _workload_catalog() -> Dict[str, Dict[str, object]]:
     from repro import workloads as w
 
@@ -409,7 +419,7 @@ def main(argv: List[str] = None) -> int:
     tune.add_argument("--workload", required=True)
     tune.add_argument("--tuner", default="ituned")
     tune.add_argument("--runs", type=int, default=25)
-    tune.add_argument("--seed", type=int, default=0)
+    tune.add_argument("--seed", type=_seed_arg, default=0)
     tune.add_argument("--show-config", action="store_true")
     tune.add_argument("--save", default=None, metavar="KB_PATH",
                       help="persist the completed session into this "
@@ -473,7 +483,7 @@ def main(argv: List[str] = None) -> int:
                        help="number of tenant slots (default 4)")
     fleet.add_argument("--epochs", type=int, default=9,
                        help="monitor/re-tune epochs to run (default 9)")
-    fleet.add_argument("--seed", type=int, default=0)
+    fleet.add_argument("--seed", type=_seed_arg, default=0)
     fleet.add_argument("--chaos", type=float, default=0.0, metavar="INTENSITY",
                        help="standing-fault intensity in [0, 1] (default 0)")
     fleet.add_argument("--budget", type=int, default=8,

@@ -14,15 +14,16 @@ rounding and snapping.
 Random sampling has one path, :meth:`ConfigurationSpace.sample_configurations`.
 It draws exactly what a per-row loop of ``p.sample(rng)`` calls would
 draw (for numpy's ``PCG64``, from one ``random_raw`` call per round) and
-decodes whole columns with the same IEEE operations as
+decodes the whole matrix with the same IEEE operations as
 ``from_unit``/``to_unit``, so a batch of ``n`` is bit-identical to ``n``
 single samples.  It returns a :class:`ConfigurationBatch`, which keeps
-the decoded columns and the unit matrix and builds a row's
+the decoded values and the unit matrix and builds a row's
 configuration only when a caller takes it.
 :meth:`ConfigurationSpace.from_arrays_feasible` decodes a matrix of
-given unit rows through the same columns.  Configurations the space
-decoded itself skip the second validation and carry their unit row, so
-``to_array`` does not encode them again.
+given unit rows the same way.  A single row decodes value by value
+(:meth:`Parameter.decode`), each value with its unit code.
+Configurations the space decoded itself skip the second validation and
+carry their unit row, so ``to_array`` does not encode them again.
 """
 
 from __future__ import annotations
@@ -76,8 +77,13 @@ class Parameter(ABC):
         """Encode ``value`` into the unit interval [0, 1]."""
 
     @abstractmethod
+    def decode(self, u: float) -> Tuple[Any, float]:
+        """:meth:`from_unit` of ``u`` and that value's :meth:`to_unit`
+        code, bit-identical to the two calls, in one pass."""
+
     def from_unit(self, u: float) -> Any:
         """Decode a unit-interval coordinate into a domain value."""
+        return self.decode(u)[0]
 
     @abstractmethod
     def sample(self, rng: np.random.Generator) -> Any:
@@ -162,45 +168,19 @@ class NumericParameter(Parameter):
             )
         return (v - self.low) / (self.high - self.low)
 
-    def from_unit(self, u: float) -> Any:
+    def decode(self, u: float) -> Tuple[Any, float]:
         u = min(1.0, max(0.0, float(u)))
         if self.log_scale:
-            v = math.exp(
-                math.log(self.low) + u * (math.log(self.high) - math.log(self.low))
-            )
-        else:
-            v = self.low + u * (self.high - self.low)
-        return self.validate(min(self.high, max(self.low, v)))
+            lo = math.log(self.low)
+            span = math.log(self.high) - lo
+            value = self.validate(min(self.high, max(self.low, math.exp(lo + u * span))))
+            return value, (math.log(float(value)) - lo) / span
+        span = self.high - self.low
+        value = self.validate(min(self.high, max(self.low, self.low + u * span)))
+        return value, (float(value) - self.low) / span
 
     def sample(self, rng: np.random.Generator) -> Any:
         return self.from_unit(float(rng.random()))
-
-    def _decode_column(self, u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """:meth:`from_unit` then :meth:`to_unit` over a column of codes in [0, 1].
-
-        Returns the values (as floats; :meth:`_python_column` gives the
-        Python objects) and their unit codes, bit-identical to the
-        scalar calls: the same IEEE operations in the same order,
-        ``math.exp``/``math.log`` per element (numpy's SIMD kernels may
-        differ in the last ulp), and clamps written as ``np.where``
-        comparisons, which pick between equal operands (signed zeros)
-        as Python's ``min``/``max`` do.
-        """
-        if self.log_scale:
-            lo = math.log(self.low)
-            span = math.log(self.high) - math.log(self.low)
-            v = np.fromiter(map(math.exp, (lo + u * span).tolist()), float, len(u))
-        else:
-            v = self.low + u * (self.high - self.low)
-        v = np.where(v > self.low, v, self.low)
-        v = np.where(v < self.high, v, self.high)
-        if self.integer:
-            v = np.clip(np.rint(v), math.ceil(self.low), math.floor(self.high))
-        if self.log_scale:
-            unit = (np.fromiter(map(math.log, v.tolist()), float, len(v)) - lo) / span
-        else:
-            unit = (v - self.low) / (self.high - self.low)
-        return v, unit
 
     def _python_column(self, column: np.ndarray) -> List[Any]:
         """The values of a decoded column as :meth:`from_unit` returns them."""
@@ -255,19 +235,18 @@ class CategoricalParameter(Parameter):
             return 0.0
         return idx / (len(self.choices) - 1)
 
-    def from_unit(self, u: float) -> Any:
+    def decode(self, u: float) -> Tuple[Any, float]:
         u = min(1.0, max(0.0, float(u)))
-        idx = int(round(u * (len(self.choices) - 1)))
-        return self.choices[idx]
+        return self.choose(int(round(u * (len(self.choices) - 1))))
+
+    def choose(self, index: int) -> Tuple[Any, float]:
+        """The choice at ``index`` and its unit code as :meth:`to_unit`
+        gives it: that of the first equal choice."""
+        value = self.choices[index]
+        return value, self.choices.index(value) / (len(self.choices) - 1)
 
     def sample(self, rng: np.random.Generator) -> Any:
         return self.choices[int(rng.integers(len(self.choices)))]
-
-    def _decode_column(self, codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """The drawn choice indices ``codes``, and their unit codes as
-        :meth:`to_unit` gives them (the index of the first equal choice)."""
-        first = np.array([self.choices.index(c) for c in self.choices])
-        return codes, first[codes] / (len(self.choices) - 1)
 
     def _python_column(self, column: np.ndarray) -> List[Any]:
         """The choices at a column of decoded indices."""
@@ -330,9 +309,11 @@ class Configuration(Mapping[str, Any]):
     """An immutable assignment of values to every parameter of a space.
 
     Behaves as a read-only mapping; hashable, so configurations can key
-    caches of measurements.  The hash, the unit row (``to_array``) and
-    the identity string (``identity``) are computed on first use and
-    kept.
+    caches of measurements.  The hash and the identity string
+    (``identity``) are computed on first use and kept.  A configuration
+    the space decoded carries its unit row (``to_array``) from
+    construction on; one built from outside values encodes it on first
+    use and keeps it.
     """
 
     __slots__ = ("_values", "_space", "_hash", "_unit", "_identity")
@@ -362,9 +343,12 @@ class Configuration(Mapping[str, Any]):
     ) -> "Configuration":
         """A configuration of values ``space`` decoded itself.
 
-        ``values`` must be validated, feasible and in parameter order,
-        and ``unit`` (if given) their own ``to_array`` row, not a view
-        into a larger array.  Values from outside go through
+        ``values`` must be validated, feasible and in parameter order.
+        ``unit`` is their ``to_array`` row, which every decode of the
+        space yields with the values: pass it as its own array, not a
+        view into a larger one, so the configuration does not keep that
+        array alive.  Without it, the first ``to_array`` call encodes
+        the values.  Values from outside go through
         ``Configuration(space, values)``.
         """
         self = cls.__new__(cls)
@@ -524,6 +508,9 @@ class ConfigurationSpace:
         self.name = name
         self._params: Dict[str, Parameter] = {}
         self._constraints: List[Constraint] = []
+        # built on the first multi-row decode, dropped by add(); the
+        # prefix keeps it out of evaluation-cache fingerprints
+        self._repro_decoder: Optional[_Decoder] = None
         for p in parameters:
             self.add(p)
         for c in constraints:
@@ -534,6 +521,7 @@ class ConfigurationSpace:
         if parameter.name in self._params:
             raise ParameterError(f"duplicate parameter {parameter.name!r}")
         self._params[parameter.name] = parameter
+        self._repro_decoder = None
         return self
 
     def add_constraint(self, constraint: Constraint) -> "ConfigurationSpace":
@@ -593,9 +581,14 @@ class ConfigurationSpace:
     def is_feasible(self, values: Mapping[str, Any]) -> bool:
         return all(c.holds(values) for c in self._constraints)
 
+    def _decoder(self) -> "_Decoder":
+        if self._repro_decoder is None:
+            self._repro_decoder = _Decoder(self.parameters())
+        return self._repro_decoder
+
     def _feasible_rows(self, values: np.ndarray, columns: Dict[int, List[Any]]) -> List[bool]:
         """Whether each row of decoded ``values`` (rows × parameters, as
-        :func:`_decode` gives them) satisfies every constraint.
+        :meth:`_Decoder.decode` gives them) satisfies every constraint.
 
         A constraint sees a mapping of only the columns its ``touches``
         names, in parameter order (every column for a plain
@@ -632,11 +625,10 @@ class ConfigurationSpace:
             raise ValidationError(
                 f"expected vector of length {self.dimension}, got shape {x.shape}"
             )
-        values = {
-            p.name: p.from_unit(u) for p, u in zip(self.parameters(), x.tolist())
-        }
+        params = self.parameters()
+        values, unit = _row(params, [p.decode(u) for p, u in zip(params, x.tolist())])
         self.check_constraints(values)
-        return Configuration._trusted(self, values)
+        return Configuration._trusted(self, values, unit)
 
     def from_array_feasible(
         self, x: Sequence[float], rng: Optional[np.random.Generator] = None, max_tries: int = 64
@@ -661,9 +653,9 @@ class ConfigurationSpace:
     ) -> List[Configuration]:
         """Decode each row of ``X`` as :meth:`from_array_feasible` would.
 
-        Rows decode column by column: ``from_unit``'s clamp (NaN and
-        -0.0 become 0.0), ``rint(u * (n - 1))`` for a categorical, then
-        ``_decode_column``.  Every feasible row is built, with one
+        The matrix decodes at once: ``from_unit``'s clamp (NaN and -0.0
+        become 0.0), ``rint(u * (n - 1))`` for a categorical, then
+        :meth:`_Decoder.decode`.  Every feasible row is built, with one
         conversion per column.  Only the rows that violate a constraint
         are repaired, in row order, through :meth:`from_array_feasible`,
         so ``rng`` is drawn exactly as a per-row loop draws it.
@@ -674,12 +666,12 @@ class ConfigurationSpace:
                 f"expected rows of length {self.dimension}, got shape {X.shape}"
             )
         params = self.parameters()
-        choices = _choice_counts(params)
-        categorical = choices > 0
+        decoder = self._decoder()
+        categorical = decoder.categorical
         u = np.where(X > 0.0, X, 0.0)
         u = np.where(u < 1.0, u, 1.0)
-        codes = np.rint(u[:, categorical] * (choices[categorical] - 1)).astype(np.int64)
-        values, units = _decode(params, u[:, ~categorical], codes)
+        codes = np.rint(u[:, categorical] * (decoder.choices[categorical] - 1)).astype(np.int64)
+        values, units = decoder.decode(u[:, ~categorical], codes)
         columns: Dict[int, List[Any]] = {}
         feasible = self._feasible_rows(values, columns)
         names = [p.name for p in params]
@@ -717,11 +709,13 @@ class ConfigurationSpace:
         each round draws one row per open slot, the fewest the loops
         could still need, so no row is drawn that they would not draw.
 
-        A round of several rows decodes column by column and checks
-        feasibility on the touched columns (:meth:`_feasible_rows`); a
-        round of one row decodes value by value, which costs less than
-        setting up columns for one row.  The feasible rows come back as
-        a :class:`ConfigurationBatch`, which builds a configuration only
+        A round of several rows decodes its whole matrix at once
+        (:meth:`_Decoder.decode`) and checks feasibility on the touched
+        columns (:meth:`_feasible_rows`); a round of one row decodes
+        value by value (:meth:`Parameter.decode`), which costs less than
+        the matrix operations for one row.  Either way each value comes
+        with its unit code.  The feasible rows come back as a
+        :class:`ConfigurationBatch`, which builds a configuration only
         for a row a caller takes.
         """
         params = self.parameters()
@@ -733,12 +727,14 @@ class ConfigurationSpace:
         while open_slots > 0:
             if open_slots == 1:
                 # open slots only decrease, so this is the batch's last row
-                row = _draw_row(params, rng)
+                row, unit = _draw_row(params, rng)
                 feasible = [self.is_feasible(row)]
                 if feasible[0]:
-                    tail.append(Configuration._trusted(self, row))
+                    tail.append(Configuration._trusted(self, row, unit))
             else:
-                round_values, round_units = _decode(params, *_draw(params, open_slots, rng))
+                round_values, round_units = self._decoder().decode(
+                    *_draw(params, open_slots, rng)
+                )
                 feasible = self._feasible_rows(round_values, {})
                 values.append(round_values[feasible])
                 units.append(round_units[feasible])
@@ -792,22 +788,72 @@ def _choice_counts(params: Sequence[Parameter]) -> np.ndarray:
     ], np.int64)
 
 
-def _decode(
-    params: Sequence[Parameter], numeric: np.ndarray, codes: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Decode rows given as numeric codes in [0, 1] (rows × numeric)
-    and choice indices (rows × categorical), column by column.
+class _Decoder:
+    """A space's parameters as arrays, for decoding whole matrices.
 
-    Returns the decoded values (floats for numeric knobs, choice indices
-    for categorical ones) and the unit rows, each rows × parameters.
+    Numeric knobs give arrays of bounds, of the origin and span of the
+    interpolation (``log(low)`` and ``log(high) - log(low)`` on a log
+    scale), of the integer bounds ``ceil(low)``/``floor(high)``, and
+    masks of the log-scale and integer knobs.  Each categorical knob
+    gives a row of the choice table: each choice index's unit code.
     """
-    numeric_columns, chosen = iter(numeric.T), iter(codes.T)
-    values = np.empty((len(numeric), len(params)))
-    units = np.empty_like(values)
-    for j, p in enumerate(params):
-        source = chosen if isinstance(p, CategoricalParameter) else numeric_columns
-        values[:, j], units[:, j] = p._decode_column(next(source))
-    return values, units
+
+    def __init__(self, params: Sequence[Parameter]):
+        self.choices = _choice_counts(params)
+        self.categorical = self.choices > 0
+        numeric = [p for p in params if not isinstance(p, CategoricalParameter)]
+        self.low = np.array([p.low for p in numeric])
+        self.high = np.array([p.high for p in numeric])
+        self.log = np.array([p.log_scale for p in numeric], bool)
+        self.integer = np.array([p.integer for p in numeric], bool)
+        self.origin = np.array([math.log(p.low) if p.log_scale else p.low for p in numeric])
+        self.span = np.array([
+            math.log(p.high) - math.log(p.low) if p.log_scale else p.high - p.low
+            for p in numeric
+        ])
+        integers = [p for p in numeric if p.integer]
+        self.integer_low = np.array([math.ceil(p.low) for p in integers], float)
+        self.integer_high = np.array([math.floor(p.high) for p in integers], float)
+        categorical = [p for p in params if isinstance(p, CategoricalParameter)]
+        self.choice_units = np.zeros((len(categorical), max(self.choices, default=0)))
+        for row, p in zip(self.choice_units, categorical):
+            row[:len(p.choices)] = [p.choose(k)[1] for k in range(len(p.choices))]
+
+    def decode(self, numeric: np.ndarray, codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Decode rows given as numeric codes in [0, 1] (rows × numeric)
+        and choice indices (rows × categorical).
+
+        Returns the decoded values (floats for numeric knobs, choice
+        indices for categorical ones; :meth:`NumericParameter._python_column`
+        and its kin give the Python objects) and the unit rows, each
+        rows × parameters, bit-identical to :meth:`Parameter.decode` of
+        each entry: the same IEEE operations in the same order,
+        ``math.exp``/``math.log`` per log-scale entry (numpy's SIMD
+        kernels may differ in the last ulp), and clamps written as
+        ``np.where`` comparisons, which pick between equal operands
+        (signed zeros) as Python's ``min``/``max`` do.
+        """
+        v = self.origin + numeric * self.span
+        v[:, self.log] = _map(math.exp, v[:, self.log])
+        v = np.where(v > self.low, v, self.low)
+        v = np.where(v < self.high, v, self.high)
+        v[:, self.integer] = np.clip(
+            np.rint(v[:, self.integer]), self.integer_low, self.integer_high
+        )
+        logged = v.copy()
+        logged[:, self.log] = _map(math.log, v[:, self.log])
+        values = np.empty((len(numeric), len(self.choices)))
+        units = np.empty_like(values)
+        values[:, ~self.categorical] = v
+        units[:, ~self.categorical] = (logged - self.origin) / self.span
+        values[:, self.categorical] = codes
+        units[:, self.categorical] = self.choice_units[np.arange(codes.shape[1]), codes]
+        return values, units
+
+
+def _map(f: Callable[[float], float], a: np.ndarray) -> np.ndarray:
+    """``f`` of each entry of ``a``, by Python's float operations."""
+    return np.fromiter(map(f, a.ravel().tolist()), float, a.size).reshape(a.shape)
 
 
 def _zip_columns(columns: List[List[Any]], n: int) -> Iterable[Tuple[Any, ...]]:
@@ -815,15 +861,27 @@ def _zip_columns(columns: List[List[Any]], n: int) -> Iterable[Tuple[Any, ...]]:
     return zip(*columns) if columns else [()] * n
 
 
-def _draw_row(params: Sequence[Parameter], rng: np.random.Generator) -> Dict[str, Any]:
-    """One row of :func:`_draw`, decoded value by value (``from_unit``)."""
+def _row(
+    params: Sequence[Parameter], decoded: List[Tuple[Any, float]]
+) -> Tuple[Dict[str, Any], np.ndarray]:
+    """The values and the unit row of one row's ``(value, code)`` pairs."""
+    return (
+        {p.name: value for p, (value, _) in zip(params, decoded)},
+        np.array([code for _, code in decoded]),
+    )
+
+
+def _draw_row(
+    params: Sequence[Parameter], rng: np.random.Generator
+) -> Tuple[Dict[str, Any], np.ndarray]:
+    """One row of :func:`_draw`, decoded value by value, and its unit row."""
     draws, codes = _draw(params, 1, rng)
     numeric, chosen = iter(draws[0].tolist()), iter(codes[0].tolist())
-    return {
-        p.name: p.choices[next(chosen)]
-        if isinstance(p, CategoricalParameter) else p.from_unit(next(numeric))
+    return _row(params, [
+        p.choose(next(chosen))
+        if isinstance(p, CategoricalParameter) else p.decode(next(numeric))
         for p in params
-    }
+    ])
 
 
 def _draw(

@@ -33,6 +33,8 @@ import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.core.measurement import Measurement
 from repro.obs.metrics import global_metrics
 from repro.obs.trace import event as obs_event
@@ -189,11 +191,13 @@ class CircuitBreaker:
         self.trips = 0
 
     def region(self, config) -> Tuple[int, ...]:
-        """The quantized grid cell a configuration falls in."""
+        """The quantized grid cell a configuration falls in: each unit
+        coordinate times the resolution, truncated, and capped at the
+        last cell.  Its entries are Python ints, so regions key dicts
+        and go into checkpoint JSON as they always have."""
         res = BREAKER_RESOLUTION
-        return tuple(
-            min(int(float(u) * res), res - 1) for u in config.to_array()
-        )
+        cells = np.minimum(config.to_array() * res, res - 1).astype(np.int64)
+        return tuple(cells.tolist())
 
     def is_open(self, config) -> bool:
         """Whether ``config``'s region is quarantined right now.

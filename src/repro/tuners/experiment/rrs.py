@@ -20,6 +20,7 @@ import numpy as np
 from repro.core.driver import Candidate, SearchState, SearchTuner
 from repro.core.measurement import Observation
 from repro.core.registry import register_tuner
+from repro.exceptions import ValidationError
 from repro.tuners.common import ResponseReplay
 
 __all__ = ["RecursiveRandomSearchTuner"]
@@ -77,10 +78,13 @@ class RecursiveRandomSearchTuner(SearchTuner):
 
     def _global_burst(self, state: SearchState) -> Sequence[Candidate]:
         self._phase = "global"
-        return [
-            Candidate(state.space.sample_configuration(state.rng), tag=f"global-{i}")
-            for i in range(self.n_global)
-        ]
+        sampled = state.space.sample_configurations(self.n_global, state.rng)
+        if len(sampled) < self.n_global:
+            raise ValidationError(
+                "could not sample a feasible configuration for every "
+                "global-burst slot"
+            )
+        return [Candidate(config, tag=f"global-{i}") for i, config in enumerate(sampled)]
 
     def ask(self, state: SearchState) -> Sequence[Candidate]:
         if self._phase == "default":

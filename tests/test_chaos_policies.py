@@ -18,6 +18,7 @@ from repro.chaos import (
     TransientFaults,
     standard_policies,
 )
+from repro.chaos.policies import _policy_rng
 from repro.core import InstrumentedSystem
 from repro.systems.cluster import Cluster
 from repro.systems.dbms import DbmsSimulator, htap_mixed
@@ -202,6 +203,10 @@ class TestChaosSystem:
         assert all(m.failed for m in ms)
         assert all(m.metric(INJECTED_FAULT_KEY) == 1.0 for m in ms)
 
+    def test_negative_seed_is_refused_at_construction(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            ChaosSystem(_inner(), [TransientFaults(0.3)], seed=-1)
+
     def test_reset_faults(self, workload):
         chaos = ChaosSystem(_inner(), [TransientFaults(0.99)], seed=10)
         chaos.run(workload, chaos.inner.default_configuration())
@@ -209,3 +214,25 @@ class TestChaosSystem:
         chaos.reset_faults()
         assert chaos.fault_log == []
         assert chaos.injected_failures == 0
+
+
+class TestPolicyRng:
+    """Fault generators are seeded from a ``uint32`` word array when all
+    three values fit in a word, and from the list otherwise; both give
+    the generator the list-seeded form gives."""
+
+    _EDGES = [0, 1, 2**31, 2**32 - 1, 2**32, 2**40]
+
+    @pytest.mark.parametrize("seed", _EDGES)
+    @pytest.mark.parametrize("index", _EDGES)
+    def test_same_state_as_the_list_seeded_generator(self, seed, index):
+        for slot in (0, 5):
+            want = np.random.default_rng(np.random.SeedSequence([seed, index, slot]))
+            got = _policy_rng(seed, index, slot)
+            assert got.bit_generator.state == want.bit_generator.state
+            assert got.random() == want.random()
+
+    def test_negative_values_keep_the_list_form(self):
+        # SeedSequence refuses them, as it always has
+        with pytest.raises(ValueError):
+            _policy_rng(-1, 3, 0)

@@ -40,6 +40,23 @@ class TestTune:
         assert "best" in capsys.readouterr().out
 
 
+class TestSeedFlag:
+    @pytest.mark.parametrize("command", [
+        ["tune", "--system", "dbms", "--workload", "htap", "--tuner", "rrs",
+         "--runs", "4"],
+        ["fleet", "--epochs", "1"],
+    ])
+    @pytest.mark.parametrize("seed", ["-1", "x"])
+    def test_refuses_what_is_not_a_non_negative_integer(self, capsys, command, seed):
+        with pytest.raises(SystemExit) as exit_info:
+            main(command + ["--seed", seed])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"error: argument --seed: expected a non-negative integer, "
+                f"got {seed!r}") in captured.err
+
+
 class TestTuneKnowledgeBase:
     def test_save_then_warm_start(self, capsys, tmp_path):
         kb_path = str(tmp_path / "tuning.kb")

@@ -168,12 +168,16 @@ class TestEvaluationCache:
         serial = InstrumentedSystem(_dbms(), noise=0.1,
                                     rng=np.random.default_rng(5))
         with ParallelRunner(jobs=2, mode="thread") as runner:
+            # without the dbms kernel, so the batch goes through the runner
             parallel = InstrumentedSystem(_dbms(), noise=0.1,
                                           rng=np.random.default_rng(5),
                                           eval_cache=EvaluationCache(),
-                                          runner=runner)
+                                          runner=runner, vectorize=False)
             serial_rt = [m.runtime_s for m in serial.run_batch(wl, configs)]
+            before = global_metrics().value("exec.runner.tasks.thread")
             parallel_rt = [m.runtime_s for m in parallel.run_batch(wl, configs)]
+            ran = global_metrics().value("exec.runner.tasks.thread") - before
+        assert ran == len(configs)
         assert parallel_rt == serial_rt
 
 

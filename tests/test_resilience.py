@@ -1,7 +1,9 @@
 """Resilient execution: deadlines, retries, circuit breaker, failure
 policies, and the infinite-runtime accounting regression."""
 
+import json
 import math
+import types
 
 import numpy as np
 import pytest
@@ -170,6 +172,27 @@ class TestCircuitBreaker:
             session.evaluate(config)
         assert not session.breaker.is_open(config)
         assert session.breaker.summary()["trips"] == 0
+
+    def test_region_truncates_each_coordinate_into_its_cell(self):
+        class ReferenceBreaker(CircuitBreaker):
+            def region(self, config):
+                return tuple(min(int(float(u) * 4), 3) for u in config.to_array())
+
+        edges = [0.0, -0.0, 0.25, 0.5, 0.75, 1.0, 1.0 - 2.0**-53,
+                 0.25 - 2.0**-54, 0.5 + 2.0**-53]
+        rows = [np.array(edges)] + list(np.random.default_rng(0).random((60, 9)))
+        rows += [np.array(edges)[np.random.default_rng(i).permutation(9)] for i in range(20)]
+        breaker, reference = CircuitBreaker(threshold=1), ReferenceBreaker(threshold=1)
+        for row in rows:
+            config = types.SimpleNamespace(to_array=row.copy)
+            region = breaker.region(config)
+            assert region == reference.region(config)
+            assert all(type(cell) is int for cell in region)
+            for b in (breaker, reference):
+                b.record(config, Measurement.failure())
+        # the regions reach the checkpoint as they did: JSON lists of ints
+        assert breaker.open_regions
+        assert json.dumps(breaker.to_jsonable()) == json.dumps(reference.to_jsonable())
 
     def test_breaker_unit_streak_resets_on_success(self):
         system = _inner()

@@ -1,22 +1,25 @@
 """Batched sampling and decoding against the per-row reference loop.
 
 ``ConfigurationSpace.sample_configurations`` draws whole batches (for
-``PCG64``, from one block of raw words), decodes them column by column
-and returns a ``ConfigurationBatch`` that builds a row's configuration
-only when it is taken; ``from_array`` decodes once and builds a trusted
-configuration; ``from_arrays_feasible`` decodes a matrix of given rows.
-These properties pin them to the plain loops they replace —
+``PCG64``, from one block of raw words), decodes the whole matrix at
+once and returns a ``ConfigurationBatch`` that builds a row's
+configuration only when it is taken; ``from_array`` decodes value by
+value and builds a trusted configuration with its unit row;
+``from_arrays_feasible`` decodes a matrix of given rows.  These
+properties pin them to the plain loops they replace —
 ``{p.name: p.sample(rng) ...}`` rows, ``is_feasible``, a validating
-``Configuration``, per-parameter ``to_unit`` and one
-``from_array_feasible`` call per row — on generated spaces that mix
-every parameter kind: equal values, types, reprs and identity strings,
-equal unit bytes, and the generator left in the same state.
+``Configuration``, per-parameter ``to_unit``, the column-by-column
+decode and one ``from_array_feasible`` call per row — on generated
+spaces that mix every parameter kind: equal values, types, reprs and
+identity strings, equal unit bytes, and the generator left in the same
+state.
 """
 
 import importlib
 import math
 import types
 import zlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,6 +30,7 @@ from repro import make_tuner
 from repro.bench.harness import standard_cluster
 from repro.core import Budget
 from repro.core import parameters as core_parameters
+from repro.core.driver import Candidate
 from repro.core.parameters import (
     BooleanParameter,
     CategoricalParameter,
@@ -37,8 +41,10 @@ from repro.core.parameters import (
     make_constraint,
 )
 from repro.exceptions import ConstraintViolation, ParameterError, ValidationError
+from repro.exec.cache import fingerprint
 from repro.systems.dbms import DbmsSimulator, htap_mixed
 from repro.tuners.common import candidate_pool
+from repro.tuners.experiment.rrs import RecursiveRandomSearchTuner
 from repro.tuners.ml.ottertune import build_repository
 
 _SETTINGS = dict(
@@ -360,12 +366,222 @@ class TestColumnDecode:
         # clamp must pick the operand Python's max/min pick
         param = NumericParameter("z", low, low, high, integer=integer)
         draws = np.array([0.0, 0.25, 0.5, 1.0 - 2.0**-53])
-        column, unit = param._decode_column(draws)
+        values, units = ConfigurationSpace([param])._decoder().decode(
+            draws[:, None], np.empty((len(draws), 0), np.int64)
+        )
+        column = values[:, 0]
         want = [param.from_unit(u) for u in draws.tolist()]
-        for values in (param._python_column(column),
-                       [param._python_value(x) for x in column.tolist()]):
-            assert [repr(v) for v in values] == [repr(v) for v in want]
-        assert unit.tobytes() == np.array([param.to_unit(v) for v in want]).tobytes()
+        for got in (param._python_column(column),
+                    [param._python_value(x) for x in column.tolist()],
+                    [param.decode(u)[0] for u in draws.tolist()]):
+            assert [repr(v) for v in got] == [repr(v) for v in want]
+        unit = np.array([param.to_unit(v) for v in want])
+        assert units[:, 0].tobytes() == unit.tobytes()
+        assert np.array([param.decode(u)[1] for u in draws.tolist()]).tobytes() == unit.tobytes()
+
+
+# -- the whole-matrix decode against the column-by-column one it replaced -----------
+def reference_decode_column(param, u):
+    """One column of codes decoded as each parameter once decoded it."""
+    if isinstance(param, CategoricalParameter):
+        first = np.array([param.choices.index(c) for c in param.choices])
+        return u, first[u] / (len(param.choices) - 1)
+    if param.log_scale:
+        lo = math.log(param.low)
+        span = math.log(param.high) - math.log(param.low)
+        v = np.fromiter(map(math.exp, (lo + u * span).tolist()), float, len(u))
+    else:
+        v = param.low + u * (param.high - param.low)
+    v = np.where(v > param.low, v, param.low)
+    v = np.where(v < param.high, v, param.high)
+    if param.integer:
+        v = np.clip(np.rint(v), math.ceil(param.low), math.floor(param.high))
+    if param.log_scale:
+        unit = (np.fromiter(map(math.log, v.tolist()), float, len(v)) - lo) / span
+    else:
+        unit = (v - param.low) / (param.high - param.low)
+    return v, unit
+
+
+def reference_decode_columns(params, numeric, codes):
+    numeric_columns, chosen = iter(numeric.T), iter(codes.T)
+    values = np.empty((len(numeric), len(params)))
+    units = np.empty_like(values)
+    for j, p in enumerate(params):
+        source = chosen if isinstance(p, CategoricalParameter) else numeric_columns
+        values[:, j], units[:, j] = reference_decode_column(p, next(source))
+    return values, units
+
+
+#: Numeric knobs with bounds at 0.0, -0.0 and below zero, linear or
+#: log-scale, real or integer.
+_BOUNDS = st.sampled_from([
+    (-0.0, 4.0), (0.0, 2.5), (-3.0, -0.0), (-3.0, 0.0), (-7.5, 7.5), (-1e3, -2.0),
+]) | st.tuples(st.floats(-1e3, 1e3), st.floats(2.0, 1e4)).map(lambda t: (t[0], t[0] + t[1]))
+
+#: Choice lists with equal-but-distinct choices (``0 == False``).
+_UNIT_CHOICES = [[0, False, 2], [0, False, 2, "x"], ["a", "b"], [1, 2, 4, 8, 16]]
+
+
+@st.composite
+def unit_parameters(draw, name):
+    kind = draw(st.sampled_from(["linear", "log", "boolean", "categorical"]))
+    if kind == "boolean":
+        return BooleanParameter(name, draw(st.booleans()))
+    if kind == "categorical":
+        choices = draw(st.sampled_from(_UNIT_CHOICES))
+        return CategoricalParameter(name, choices[0], choices)
+    if kind == "log":
+        low = draw(st.floats(1e-3, 1e3))
+        low, high = low, low * draw(st.floats(2.0, 1e4))
+    else:
+        low, high = draw(_BOUNDS)
+    return NumericParameter(name, low, low, high, integer=draw(st.booleans()),
+                            log_scale=kind == "log")
+
+
+@st.composite
+def unit_spaces(draw):
+    """Up to eight knobs of every kind and a real-valued one, under a
+    constraint that accepts half of the rows or more, and the default."""
+    d = draw(st.integers(min_value=0, max_value=8))
+    params = [draw(unit_parameters(f"p{i}")) for i in range(d)]
+    params.insert(draw(st.integers(min_value=0, max_value=d)),
+                  NumericParameter("real", 0.5, 0.0, 1.0))
+    space = ConfigurationSpace(params, name="unit-rows")
+    space.add_constraint(
+        _share_or_default(space, draw(st.integers(min_value=50, max_value=100)))
+    )
+    return space
+
+
+#: Codes a decode meets: any in [0, 1], the ends, -0.0, and NaN.
+_CODES = st.floats(min_value=0.0, max_value=1.0) | st.sampled_from([0.0, 1.0, -0.0, math.nan])
+
+
+def _unit_matrix(data, space, n, entries=_UNIT_ENTRIES):
+    return np.array(data.draw(st.lists(
+        st.lists(entries, min_size=space.dimension, max_size=space.dimension),
+        min_size=n, max_size=n,
+    )), dtype=float).reshape(n, space.dimension)
+
+
+class TestMatrixDecode:
+    @given(space=unit_spaces(), data=st.data(),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(**_SETTINGS)
+    def test_equals_column_by_column_decode(self, space, data, seed):
+        params = space.parameters()
+        numeric = [p for p in params if not isinstance(p, CategoricalParameter)]
+        categorical = [p for p in params if isinstance(p, CategoricalParameter)]
+        rng = np.random.default_rng(seed)
+        n = data.draw(st.sampled_from([0, 1, 6, 400]))
+        codes = np.array(
+            [rng.integers(len(p.choices), size=n) for p in categorical], np.int64
+        ).T.reshape(n, len(categorical))
+        matrix = rng.random((n, len(numeric)))
+        # sprinkle the edge codes, and drawn ones in the first rows
+        edges = rng.random(matrix.shape) < 0.2
+        matrix[edges] = rng.choice([0.0, 1.0, -0.0, math.nan], size=int(edges.sum()))
+        head = min(n, 6)
+        matrix[:head] = np.array(data.draw(st.lists(
+            st.lists(_CODES, min_size=len(numeric), max_size=len(numeric)),
+            min_size=head, max_size=head,
+        )), dtype=float).reshape(head, len(numeric))
+        got = space._decoder().decode(matrix, codes)
+        want = reference_decode_columns(params, matrix, codes)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+    def test_decoding_leaves_the_simulator_fingerprint(self):
+        system = DbmsSimulator(standard_cluster())
+        before = fingerprint(system)
+        space = system.config_space
+        space.sample_configurations(8, np.random.default_rng(1))
+        space.from_arrays_feasible(np.full((3, space.dimension), 0.4),
+                                   np.random.default_rng(1))
+        assert space._repro_decoder is not None
+        assert fingerprint(system) == before == fingerprint(DbmsSimulator(standard_cluster()))
+
+    def test_decoder_follows_add(self):
+        space = _fixed_space(accept_percent=100)
+        space.sample_configurations(8, np.random.default_rng(1))
+        space.add(NumericParameter("late", 2.0, 1.0, 64.0, integer=True, log_scale=True))
+        space.add(CategoricalParameter("mode", 0, [0, False, 2]))
+        got_rng, want_rng = np.random.default_rng(2), np.random.default_rng(2)
+        assert_same(space.sample_configurations(16, got_rng),
+                    reference_pool(space, want_rng, 16))
+        X = np.random.default_rng(3).random((5, space.dimension))
+        assert_same(space.from_arrays_feasible(X, got_rng),
+                    reference_decode(space, X, want_rng))
+
+
+def _assert_values_from_unit(config, x):
+    want = [(p.name, p.from_unit(u)) for p, u in zip(config.space.parameters(), x.tolist())]
+    assert [(k, type(v), repr(v)) for k, v in config.items()] == [
+        (k, type(v), repr(v)) for k, v in want
+    ]
+
+
+class TestUnitRows:
+    """Every configuration the space decodes holds its unit row from
+    construction on, as its own array, byte-equal to encoding it."""
+
+    @given(space=unit_spaces(), data=st.data(),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(**dict(_SETTINGS, max_examples=30))
+    def test_every_decode_carries_its_unit_row(self, space, data, seed):
+        X = _unit_matrix(data, space, 6)
+        params = space.parameters()
+
+        def feasible(x):
+            return space.is_feasible(
+                {p.name: p.from_unit(u) for p, u in zip(params, x.tolist())}
+            )
+
+        built, from_unit_rows, defaults = [], [], []
+        default_configuration = ConfigurationSpace.default_configuration
+
+        def default(self):
+            # a repair that finds no feasible neighbour returns the
+            # default, built from outside values: it encodes on first use
+            defaults.append(default_configuration(self))
+            return defaults[-1]
+
+        # no decode encodes a row again (a batch stacks its built rows'
+        # to_array, which would)
+        with mock.patch.object(ConfigurationSpace, "to_array",
+                               side_effect=AssertionError("a decode re-encoded a row")), \
+                mock.patch.object(ConfigurationSpace, "default_configuration", default):
+            for x in X:
+                if feasible(x):
+                    built.append(space.from_array(x))
+                    from_unit_rows.append((built[-1], x))
+                else:
+                    with pytest.raises(ConstraintViolation):
+                        space.from_array(x)
+            rng = np.random.default_rng(seed)
+            built += [space.from_array_feasible(x, rng) for x in X]
+            decoded = space.from_arrays_feasible(X, rng)
+            built += decoded
+            from_unit_rows += [(c, x) for c, x in zip(decoded, X) if feasible(x)]
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            sampled = [space.sample_configuration(got_rng) for _ in range(3)]
+            want = [reference_sample(space, want_rng) for _ in range(3)]
+            for n in (1, 6, 400):
+                sampled += list(space.sample_configurations(n, got_rng))
+                want += reference_pool(space, want_rng, n)
+        built += sampled
+        # the rows are there before anything asks for them
+        for config in built:
+            if any(config is d for d in defaults):
+                continue
+            assert config._unit is not None and config._unit.base is None
+            assert config._unit.tobytes() == space.to_array(config).tobytes()
+        for config, x in from_unit_rows:
+            _assert_values_from_unit(config, x)
+        # the drawn values are from_unit of each draw, as p.sample's are
+        assert_same(sampled, want)
 
 
 class TestUnitMemo:
@@ -700,6 +916,41 @@ def test_sequential_ei_ask_builds_only_the_proposed_configuration(monkeypatch):
 
 def test_genetic_generation_zero_raises_on_a_dropped_slot():
     tuner = make_tuner("genetic", population=4, elite=1)
+    state = types.SimpleNamespace(space=_fixed_space(accept_percent=0),
+                                  rng=np.random.default_rng(0))
+    tuner.setup(state)
+    with pytest.raises(ValidationError):
+        tuner.ask(state)
+
+
+def _rrs_digest():
+    # one failure a shrink: the local phase ends soon, so bursts recur
+    result = RecursiveRandomSearchTuner(local_fail_limit=1).tune(
+        DbmsSimulator(standard_cluster()), htap_mixed(0.3), Budget(max_runs=40),
+        rng=np.random.default_rng(7),
+    )
+    return result.history.digest()
+
+
+def test_rrs_digest_equals_per_slot_global_burst(monkeypatch):
+    batched = _rrs_digest()
+    bursts = []
+
+    def per_slot(self, state):
+        bursts.append(self.n_global)
+        self._phase = "global"
+        return [
+            Candidate(state.space.sample_configuration(state.rng), tag=f"global-{i}")
+            for i in range(self.n_global)
+        ]
+
+    monkeypatch.setattr(RecursiveRandomSearchTuner, "_global_burst", per_slot)
+    assert _rrs_digest() == batched
+    assert len(bursts) >= 2
+
+
+def test_rrs_global_burst_raises_on_a_dropped_slot():
+    tuner = RecursiveRandomSearchTuner()
     state = types.SimpleNamespace(space=_fixed_space(accept_percent=0),
                                   rng=np.random.default_rng(0))
     tuner.setup(state)
