@@ -42,12 +42,11 @@ Two execution guarantees strategies can rely on:
    guard or the multi-fidelity scheduler filtered the batch, in which
    case the search continues with the admitted/promoted subset.
 
-Multi-fidelity screening (MFTune-style): strategies that set
-``multi_fidelity = True`` get a :class:`PromotionScheduler` that runs
-each large-enough ask through successive-halving rungs of cheap
-approximate evaluations (``rung-{r}`` tags, fidelity-weighted budget
-charges) and only executes — and tells — the survivors at full
-fidelity.
+Multi-fidelity screening (MFTune-style): a strategy whose ``screening``
+is a :class:`PromotionScheduler` runs each large-enough ask through
+successive-halving rungs of cheap approximate evaluations (``rung-{r}``
+tags, fidelity-weighted budget charges) and only executes — and tells —
+the survivors at full fidelity.
 
 Wall-clock caps and batches: a serial loop stops the moment
 ``max_experiment_time_s`` is crossed, while an atomic batch charges
@@ -242,15 +241,6 @@ class PromotionScheduler:
         """How many of an original ``batch_size`` survive rung ``rung``."""
         return max(1, int(math.ceil(batch_size / self.eta ** (rung + 1))))
 
-    @classmethod
-    def for_strategy(cls, strategy: "SearchTuner") -> "PromotionScheduler":
-        """Build a schedule from a strategy's ``fidelity_*`` attributes."""
-        return cls(
-            rungs=int(getattr(strategy, "fidelity_rungs", 3)),
-            min_fidelity=float(getattr(strategy, "fidelity_min", 0.25)),
-            eta=float(getattr(strategy, "fidelity_eta", 2.0)),
-        )
-
 
 class SearchTuner(Tuner):
     """Base class for tuners written against the ask/tell contract.
@@ -275,20 +265,14 @@ class SearchTuner(Tuner):
     #: wall-clock cap is crossed mid-batch (iTuned §5 semantics).
     #: Leave False to preserve serial stop-at-the-cap behaviour.
     atomic_batches: bool = False
-    #: Multi-fidelity screening: the driver builds a
-    #: :class:`PromotionScheduler` and screens every large-enough ask
-    #: at low fidelity, only telling the strategy full-fidelity
-    #: survivors.  :func:`~repro.core.registry.make_tuner` turns it on
-    #: whenever a ``fidelity_*`` option is passed.  Off by default —
+    #: Multi-fidelity screening: with a :class:`PromotionScheduler` here
+    #: the driver screens every large-enough ask at low fidelity, only
+    #: telling the strategy full-fidelity survivors.
+    #: :func:`~repro.core.registry.make_tuner` builds one from the
+    #: ``fidelity_*`` options whenever one is passed.  Off by default —
     #: enabling it changes which runs execute, so every existing digest
     #: stays untouched.
-    multi_fidelity: bool = False
-    #: Rung count for the scheduler (only read when ``multi_fidelity``).
-    fidelity_rungs: int = 3
-    #: Cheapest rung's fidelity.
-    fidelity_min: float = 0.25
-    #: Halving rate between rungs.
-    fidelity_eta: float = 2.0
+    screening: Optional[PromotionScheduler] = None
 
     def setup(self, state: SearchState) -> None:
         """Initialize per-run state before any evaluation."""
@@ -330,9 +314,9 @@ class SearchTuner(Tuner):
 class SearchDriver:
     """Owns the evaluate loop between a strategy and a session.
 
-    A strategy that sets ``multi_fidelity=True`` gets a
-    :class:`PromotionScheduler` built from its ``fidelity_*``
-    attributes; otherwise every candidate runs at full fidelity.
+    A strategy whose ``screening`` is a :class:`PromotionScheduler` has
+    its large-enough asks screened by it; otherwise every candidate runs
+    at full fidelity.
 
     Args:
         guard: optional guardrail (e.g.,
@@ -358,9 +342,7 @@ class SearchDriver:
         strategy itself ends the search; returns its recommendation."""
         state = SearchState(session)
         metrics = global_metrics()
-        scheduler = None
-        if getattr(strategy, "multi_fidelity", False):
-            scheduler = PromotionScheduler.for_strategy(strategy)
+        scheduler = strategy.screening
         with obs_span("driver", tuner=getattr(strategy, "name", "strategy")):
             strategy.setup(state)
             if strategy.evaluate_default_first and session.can_run():

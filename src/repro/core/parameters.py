@@ -336,10 +336,7 @@ class Configuration(Mapping[str, Any]):
 
     @classmethod
     def _trusted(
-        cls,
-        space: "ConfigurationSpace",
-        values: Dict[str, Any],
-        unit: Optional[np.ndarray] = None,
+        cls, space: "ConfigurationSpace", values: Dict[str, Any], unit: np.ndarray
     ) -> "Configuration":
         """A configuration of values ``space`` decoded itself.
 
@@ -347,8 +344,7 @@ class Configuration(Mapping[str, Any]):
         ``unit`` is their ``to_array`` row, which every decode of the
         space yields with the values: pass it as its own array, not a
         view into a larger one, so the configuration does not keep that
-        array alive.  Without it, the first ``to_array`` call encodes
-        the values.  Values from outside go through
+        array alive.  Values from outside go through
         ``Configuration(space, values)``.
         """
         self = cls.__new__(cls)
@@ -586,20 +582,20 @@ class ConfigurationSpace:
             self._repro_decoder = _Decoder(self.parameters())
         return self._repro_decoder
 
-    def _feasible_rows(self, values: np.ndarray, columns: Dict[int, List[Any]]) -> List[bool]:
+    def _feasible_rows(self, values: np.ndarray) -> List[bool]:
         """Whether each row of decoded ``values`` (rows × parameters, as
         :meth:`_Decoder.decode` gives them) satisfies every constraint.
 
         A constraint sees a mapping of only the columns its ``touches``
         names, in parameter order (every column for a plain
         :class:`Constraint`), for the rows every earlier constraint
-        accepted, as :meth:`is_feasible` calls it.  ``columns`` holds the
-        Python values of each column converted so far; the check adds
-        the ones it converts, so a caller can reuse them.
+        accepted, as :meth:`is_feasible` calls it.  Each touched column
+        is converted to Python values once.
         """
         params = self.parameters()
         index = {p.name: j for j, p in enumerate(params)}
         feasible = [True] * len(values)
+        columns: Dict[int, List[Any]] = {}
         for c in self._constraints:
             touches = getattr(c, "touches", None)
             touched = range(len(params)) if touches is None else sorted({index[n] for n in touches})
@@ -655,34 +651,28 @@ class ConfigurationSpace:
 
         The matrix decodes at once: ``from_unit``'s clamp (NaN and -0.0
         become 0.0), ``rint(u * (n - 1))`` for a categorical, then
-        :meth:`_Decoder.decode`.  Every feasible row is built, with one
-        conversion per column.  Only the rows that violate a constraint
-        are repaired, in row order, through :meth:`from_array_feasible`,
-        so ``rng`` is drawn exactly as a per-row loop draws it.
+        :meth:`_Decoder.decode`.  The feasible rows are built by
+        iterating a :class:`ConfigurationBatch` of them.  Only the rows
+        that violate a constraint are repaired, in row order, through
+        :meth:`from_array_feasible`, so ``rng`` is drawn exactly as a
+        per-row loop draws it.
         """
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.dimension:
             raise ValidationError(
                 f"expected rows of length {self.dimension}, got shape {X.shape}"
             )
-        params = self.parameters()
         decoder = self._decoder()
         categorical = decoder.categorical
         u = np.where(X > 0.0, X, 0.0)
         u = np.where(u < 1.0, u, 1.0)
         codes = np.rint(u[:, categorical] * (decoder.choices[categorical] - 1)).astype(np.int64)
         values, units = decoder.decode(u[:, ~categorical], codes)
-        columns: Dict[int, List[Any]] = {}
-        feasible = self._feasible_rows(values, columns)
-        names = [p.name for p in params]
-        rows = _zip_columns([
-            columns[j] if j in columns else p._python_column(values[:, j])
-            for j, p in enumerate(params)
-        ], len(X))
+        feasible = self._feasible_rows(values)
+        built = iter(ConfigurationBatch(self, values[feasible], units[feasible]))
         return [
-            Configuration._trusted(self, dict(zip(names, row)), unit.copy())
-            if ok else self.from_array_feasible(x, rng)
-            for x, ok, row, unit in zip(X, feasible, rows, units)
+            next(built) if ok else self.from_array_feasible(x, rng)
+            for x, ok in zip(X, feasible)
         ]
 
     # -- sampling ---------------------------------------------------------
@@ -735,7 +725,7 @@ class ConfigurationSpace:
                 round_values, round_units = self._decoder().decode(
                     *_draw(params, open_slots, rng)
                 )
-                feasible = self._feasible_rows(round_values, {})
+                feasible = self._feasible_rows(round_values)
                 values.append(round_values[feasible])
                 units.append(round_units[feasible])
             for ok in feasible:

@@ -80,9 +80,13 @@ def _ensure_loaded() -> None:
 
 
 #: Multi-fidelity options ``make_tuner`` lifts off the constructor
-#: kwargs and applies as instance attributes — every ask/tell tuner
-#: understands them without any constructor changes.
-_FIDELITY_KWARGS = ("fidelity_rungs", "fidelity_min", "fidelity_eta")
+#: kwargs and turns into the tuner's ``screening`` schedule — every
+#: ask/tell tuner understands them without any constructor changes.
+_FIDELITY_KWARGS = {
+    "fidelity_rungs": ("rungs", int),
+    "fidelity_min": ("min_fidelity", float),
+    "fidelity_eta": ("eta", float),
+}
 
 
 def make_tuner(name: str, **kwargs) -> object:
@@ -90,13 +94,13 @@ def make_tuner(name: str, **kwargs) -> object:
 
     Fidelity options (``fidelity_rungs``, ``fidelity_min``,
     ``fidelity_eta``) are recognized for every ask/tell tuner
-    uniformly: they are set on the constructed instance rather than
-    passed to the constructor, and passing any of them turns on
-    multi-fidelity screening.  Validated eagerly, so bad values fail
-    here instead of mid-session.
+    uniformly: passing any of them sets the constructed instance's
+    ``screening`` to the :class:`~repro.core.driver.PromotionScheduler`
+    of those values (the scheduler's defaults for the others), so bad
+    values fail here instead of mid-session.
     """
     _ensure_loaded()
-    fidelity_opts = {
+    fidelity = {
         key: kwargs.pop(key) for key in _FIDELITY_KWARGS if key in kwargs
     }
     try:
@@ -106,7 +110,7 @@ def make_tuner(name: str, **kwargs) -> object:
             f"unknown tuner {name!r}; known: {sorted(_TUNERS)}"
         ) from None
     tuner = factory(**kwargs)
-    if fidelity_opts:
+    if fidelity:
         from repro.core.driver import PromotionScheduler, SearchTuner
 
         if not isinstance(tuner, SearchTuner):
@@ -114,12 +118,11 @@ def make_tuner(name: str, **kwargs) -> object:
                 f"tuner {name!r} is not an ask/tell search tuner; "
                 "multi-fidelity screening needs the SearchDriver"
             )
-        for key, value in fidelity_opts.items():
-            setattr(tuner, key, value)
-        tuner.multi_fidelity = True
-        # Surface bad rung parameters now, with the same validation
-        # the driver will apply.
-        PromotionScheduler.for_strategy(tuner)
+        tuner.screening = PromotionScheduler(**{
+            field: cast(fidelity[key])
+            for key, (field, cast) in _FIDELITY_KWARGS.items()
+            if key in fidelity
+        })
     return tuner
 
 

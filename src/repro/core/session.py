@@ -280,11 +280,13 @@ class TuningSession:
                     f"{self.experiment_time_s:.1f}s measured"
                 )
         guard = self.breaker if breaker else None
-        skip = [guard is not None and guard.is_open(c) for c in configs]
+        # each member's region, quantized once for its check and its record
+        regions = [None if guard is None else guard.region(c) for c in configs]
+        skip = [guard is not None and guard.is_open_at(r) for r in regions]
         to_run = [c for c, s in zip(configs, skip) if not s]
         # A fidelity view wraps *outside* the instrumented system, so
-        # noise draws, run counters and the evaluation cache stay on the
-        # one shared instance.
+        # noise draws and the evaluation cache stay on the one shared
+        # instance.
         system = (
             self.system if fidelity >= 1.0
             else with_fidelity(self.system, fidelity)
@@ -301,7 +303,9 @@ class TuningSession:
             if not external:
                 measured = system.run_batch(workload, to_run) if to_run else []
             executed = iter(measured)
-            for config, label, quarantined in zip(configs, labels, skip):
+            for config, label, region, quarantined in zip(
+                configs, labels, regions, skip
+            ):
                 if quarantined:
                     results.append(self._quarantined(config, label, fidelity))
                     continue
@@ -350,7 +354,7 @@ class TuningSession:
                             if retries:
                                 sp.set(attempts=attempt + 1)
                     if guard is not None:
-                        guard.record(config, measurement)
+                        guard.record_at(region, measurement)
                 results.append(measurement)
             if batch and outer is not None:
                 outer.set(executed=len(to_run),

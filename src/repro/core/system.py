@@ -7,14 +7,13 @@ workload under a configuration, returning a
 :class:`~repro.core.measurement.Measurement`.
 
 :class:`SystemWrapper` is the one base for systems that wrap another:
-:class:`InstrumentedSystem` (counting, evaluation cache, measurement
-noise — the layer tuning sessions talk to), :class:`SubspaceSystem`,
+:class:`InstrumentedSystem` (evaluation cache, measurement noise, batch
+dispatch — the layer tuning sessions talk to), :class:`SubspaceSystem`,
 the fidelity views and the chaos wrapper.
 """
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
@@ -144,7 +143,10 @@ class SystemWrapper(SystemUnderTune):
 
 
 class InstrumentedSystem(SystemWrapper):
-    """Counting/caching/noise wrapper around a real simulator.
+    """Caching/noise/batch-dispatch wrapper around a real simulator.
+
+    Runs, failures and measured time are counted by the
+    :class:`~repro.core.session.TuningSession` that charges them.
 
     Args:
         inner: the wrapped system.
@@ -154,10 +156,9 @@ class InstrumentedSystem(SystemWrapper):
             degrade accordingly, which Table 1 experiments rely on.
         rng: noise source; required when ``noise > 0``.
         eval_cache: cross-session memoization of the *inner*
-            (deterministic, noise-free) measurement.  A hit still counts
-            as a run and still draws noise, so results are
-            byte-identical to a cold execution — only wall-clock
-            changes.
+            (deterministic, noise-free) measurement.  A hit still draws
+            noise, so results are byte-identical to a cold execution —
+            only wall-clock changes.
         runner: when set, :meth:`run_batch` computes inner measurements
             for a batch concurrently (noise is applied sequentially in
             batch order afterwards, preserving determinism).
@@ -186,9 +187,6 @@ class InstrumentedSystem(SystemWrapper):
         self.eval_cache = eval_cache
         self.runner = runner
         self.vectorize = bool(vectorize)
-        self.run_count = 0
-        self.failure_count = 0
-        self.total_measured_s = 0.0
 
     def supports_vectorized(self) -> bool:
         # The kernel runs inside run_batch; this wrapper defines no
@@ -196,7 +194,7 @@ class InstrumentedSystem(SystemWrapper):
         return self.vectorize and self.inner.supports_vectorized()
 
     def _observe(self, measurement: Measurement) -> Measurement:
-        """Apply measurement noise to one inner result and count it."""
+        """Apply measurement noise to one inner result."""
         if self.noise > 0 and measurement.ok:
             factor = float(np.exp(self.rng.normal(loc=0.0, scale=self.noise)))
             measurement = Measurement(
@@ -205,11 +203,6 @@ class InstrumentedSystem(SystemWrapper):
                 failed=False,
                 cost_units=measurement.cost_units,
             )
-        self.run_count += 1
-        if measurement.failed:
-            self.failure_count += 1
-        elif not math.isinf(measurement.runtime_s):
-            self.total_measured_s += measurement.runtime_s
         return measurement
 
     def run(self, workload: Workload, config: Configuration) -> Measurement:
@@ -229,9 +222,9 @@ class InstrumentedSystem(SystemWrapper):
         lookup per config, then one kernel (or runner) call for all
         misses, whose results are stored.  A config repeated within the
         batch is looked up after the stores, counting the hit a serial
-        loop's second run would.  Noise and counters then replay in
-        ``configs`` order, so results, counters and cache hit/miss
-        accounting match a serial loop exactly.
+        loop's second run would.  Noise then replays in ``configs``
+        order, so results and cache hit/miss accounting match a serial
+        loop exactly.
         """
         configs = list(configs)
         kernel = self.supports_vectorized()

@@ -10,8 +10,8 @@ those repeats are pure waste — :class:`EvaluationCache` eliminates them.
 Correctness model: the cache sits *below* noise injection and stores
 the deterministic inner measurement.  A cache hit feeds the exact value
 a fresh simulation would have produced into the unchanged noise /
-counting / budget pipeline, so cached and cold executions are
-byte-identical; the cache can only ever change wall-clock.
+budget pipeline, so cached and cold executions are byte-identical; the
+cache can only ever change wall-clock.
 
 Keys are value-based **fingerprints**, not object identities, so two
 experiments that construct equal simulators share entries.

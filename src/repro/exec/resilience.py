@@ -207,7 +207,10 @@ class CircuitBreaker:
         once; further checks report open until the probe's outcome is
         recorded).  Use :meth:`would_block` for a side-effect-free view.
         """
-        region = self.region(config)
+        return self.is_open_at(self.region(config))
+
+    def is_open_at(self, region: Tuple[int, ...]) -> bool:
+        """:meth:`is_open` for a region :meth:`region` already gave."""
         if region not in self._open:
             return False
         if not self._cooldown_elapsed(region):
@@ -242,8 +245,11 @@ class CircuitBreaker:
         quarantined).  Failures marked as environmental are ignored,
         except that they release a pending probe slot (inconclusive).
         """
+        self.record_at(self.region(config), measurement)
+
+    def record_at(self, region: Tuple[int, ...], measurement) -> None:
+        """:meth:`record` for a region :meth:`region` already gave."""
         self._runs += 1
-        region = self.region(config)
         if measurement.ok:
             self._consecutive[region] = 0
             if region in self._probing:

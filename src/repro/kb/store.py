@@ -29,9 +29,10 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.measurement import TuningHistory
-from repro.core.parameters import ConfigurationSpace
+from repro.core.parameters import Configuration, ConfigurationSpace
 from repro.core.serialize import (
     FORMAT_VERSION,
+    _jsonable_extras,
     decode_runtime,
     encode_runtime,
     history_from_jsonable,
@@ -170,6 +171,45 @@ def _record_from_row(row: sqlite3.Row) -> SessionRecord:
     )
 
 
+def _session_document(
+    system: SystemUnderTune,
+    workload: Workload,
+    history: TuningHistory,
+    *,
+    tuner: str,
+    seed: Optional[int],
+    n_runs: int,
+    best_config: Configuration,
+    best_runtime_s: float,
+    extras: Dict[str, Any],
+) -> Dict[str, Any]:
+    """The ``kb_session`` document of one session: what every write
+    path stores and ``/ingest`` accepts.  The fingerprint is recovered
+    from ``history``'s default-config observation, else from a fresh
+    probe run, so every stored session stays matchable by similarity
+    search."""
+    fingerprint = fingerprint_from_history(history)
+    if fingerprint is None:
+        fingerprint = probe_fingerprint(system, workload)
+    return {
+        "version": FORMAT_VERSION,
+        "kind": "kb_session",
+        "system_kind": system.kind,
+        "system_name": system.name,
+        "workload": workload.name,
+        "tuner": tuner,
+        "seed": seed,
+        "n_runs": n_runs,
+        "best_runtime_s": encode_runtime(best_runtime_s),
+        "best_config": dict(best_config.to_dict()),
+        "space_names": list(system.config_space.names()),
+        "metric_names": list(system.metric_names),
+        "fingerprint": fingerprint.to_jsonable(),
+        "history": to_jsonable(history),
+        "extras": extras,
+    }
+
+
 class KnowledgeBase:
     """Thread-safe persistent store of tuning sessions.
 
@@ -212,18 +252,11 @@ class KnowledgeBase:
         workload: Workload,
         result: TuningResult,
         seed: Optional[int] = None,
-        fingerprint: Optional[WorkloadFingerprint] = None,
     ) -> int:
-        """Persist a completed tuning session; returns its id.
-
-        The workload fingerprint is recovered from the session's own
-        default-config observation when not supplied, falling back to a
-        fresh probe run (deterministic simulators make that equivalent).
-        """
-        payload = self.session_payload(
-            system, workload, result, seed=seed, fingerprint=fingerprint
+        """Persist a completed tuning session; returns its id."""
+        return self.ingest_payload(
+            self.session_payload(system, workload, result, seed=seed)
         )
-        return self.ingest_payload(payload)
 
     def session_payload(
         self,
@@ -231,37 +264,18 @@ class KnowledgeBase:
         workload: Workload,
         result: TuningResult,
         seed: Optional[int] = None,
-        fingerprint: Optional[WorkloadFingerprint] = None,
     ) -> Dict[str, Any]:
         """Build the JSON document for one session — the same payload
-        the service's ``/ingest`` endpoint accepts over the wire.
-
-        A missing fingerprint is recovered from the session history's
-        default-config observation, else from a fresh probe run, so
-        payloads shipped to ``/ingest`` stay matchable by similarity
-        search."""
-        if fingerprint is None:
-            fingerprint = fingerprint_from_history(result.history)
-        if fingerprint is None:
-            fingerprint = probe_fingerprint(system, workload)
-        serialized = to_jsonable(result)
-        return {
-            "version": FORMAT_VERSION,
-            "kind": "kb_session",
-            "system_kind": system.kind,
-            "system_name": system.name,
-            "workload": workload.name,
-            "tuner": result.tuner_name,
-            "seed": seed,
-            "n_runs": result.n_real_runs,
-            "best_runtime_s": serialized["best_runtime_s"],
-            "best_config": serialized["best_config"],
-            "space_names": list(system.config_space.names()),
-            "metric_names": list(system.metric_names),
-            "fingerprint": fingerprint.to_jsonable() if fingerprint else None,
-            "history": serialized["history"],
-            "extras": serialized["extras"],
-        }
+        the service's ``/ingest`` endpoint accepts over the wire."""
+        return _session_document(
+            system, workload, result.history,
+            tuner=result.tuner_name,
+            seed=seed,
+            n_runs=result.n_real_runs,
+            best_config=result.best_config,
+            best_runtime_s=result.best_runtime_s,
+            extras=_jsonable_extras(result.extras),
+        )
 
     def ingest_history(
         self,
@@ -274,45 +288,25 @@ class KnowledgeBase:
     ) -> int:
         """Persist raw observations that never went through a tuner —
         e.g., OtterTune repository sampling — as a session document."""
-        fingerprint = fingerprint_from_history(history)
-        if fingerprint is None:
-            fingerprint = probe_fingerprint(system, workload)
         best = history.best()
-        best_config = best.config if best else system.default_configuration()
-        payload = {
-            "version": FORMAT_VERSION,
-            "kind": "kb_session",
-            "system_kind": system.kind,
-            "system_name": system.name,
-            "workload": workload.name,
-            "tuner": tuner_name,
-            "seed": seed,
-            "n_runs": len(history.real_observations()),
-            "best_runtime_s": encode_runtime(history.best_runtime()),
-            "best_config": dict(best_config.to_dict()),
-            "space_names": list(system.config_space.names()),
-            "metric_names": list(system.metric_names),
-            "fingerprint": fingerprint.to_jsonable(),
-            "history": to_jsonable(history),
-            "extras": dict(extras or {}),
-        }
-        return self.ingest_payload(payload)
+        return self.ingest_payload(_session_document(
+            system, workload, history,
+            tuner=tuner_name,
+            seed=seed,
+            n_runs=len(history.real_observations()),
+            best_config=best.config if best else system.default_configuration(),
+            best_runtime_s=history.best_runtime(),
+            extras=dict(extras or {}),
+        ))
 
     def ingest_payload(self, payload: Mapping[str, Any]) -> int:
-        """Insert a ``kb_session`` document (local call or ``/ingest``).
-
-        On any failure the open transaction is rolled back before the
-        error propagates, so a bad payload never leaves a pending row
-        that a *later* caller's commit would silently make durable.
-        """
-        with self._lock:
-            try:
-                session_id = self._insert_payload(payload)
-                self._conn.commit()
-            except BaseException:
-                self._conn.rollback()
-                raise
-            return session_id
+        """Insert one ``kb_session`` document (local call or ``/ingest``)
+        through :meth:`ingest_many`; returns its id, or raises the error
+        that rejected it, with nothing stored."""
+        [outcome] = self.ingest_many([payload])
+        if isinstance(outcome, BaseException):
+            raise outcome
+        return outcome
 
     def ingest_many(
         self, payloads: Sequence[Mapping[str, Any]]

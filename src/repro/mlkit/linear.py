@@ -8,7 +8,7 @@ the lasso path machinery that pipeline uses.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -46,23 +46,6 @@ class RidgeRegression:
         if self.coef_ is None:
             raise ModelNotFitted("RidgeRegression not fitted")
         return np.atleast_2d(np.asarray(X, dtype=float)) @ self.coef_ + self.intercept_
-
-    def to_state(self) -> Dict[str, Any]:
-        if self.coef_ is None:
-            raise ModelNotFitted("RidgeRegression not fitted")
-        return {
-            "kind": "ridge",
-            "alpha": self.alpha,
-            "coef": self.coef_.tolist(),
-            "intercept": self.intercept_,
-        }
-
-    @classmethod
-    def from_state(cls, state: Dict[str, Any]) -> "RidgeRegression":
-        model = cls(alpha=state["alpha"])
-        model.coef_ = np.asarray(state["coef"], dtype=float)
-        model.intercept_ = float(state["intercept"])
-        return model
 
 
 def _soft_threshold(x: float, t: float) -> float:
@@ -125,31 +108,6 @@ class Lasso:
             raise ModelNotFitted("Lasso not fitted")
         Z = self._scaler.transform(np.atleast_2d(np.asarray(X, dtype=float)))
         return Z @ self.coef_ + self.intercept_
-
-    def to_state(self) -> Dict[str, Any]:
-        if self.coef_ is None or self._scaler is None:
-            raise ModelNotFitted("Lasso not fitted")
-        return {
-            "kind": "lasso",
-            "alpha": self.alpha,
-            "max_iter": self.max_iter,
-            "tol": self.tol,
-            "coef": self.coef_.tolist(),
-            "intercept": self.intercept_,
-            "scaler": self._scaler.to_state(),
-            "y_mean": self._y_mean,
-        }
-
-    @classmethod
-    def from_state(cls, state: Dict[str, Any]) -> "Lasso":
-        model = cls(
-            alpha=state["alpha"], max_iter=state["max_iter"], tol=state["tol"]
-        )
-        model.coef_ = np.asarray(state["coef"], dtype=float)
-        model.intercept_ = float(state["intercept"])
-        model._scaler = StandardScaler.from_state(state["scaler"])
-        model._y_mean = float(state["y_mean"])
-        return model
 
 
 def lasso_path(

@@ -1,10 +1,11 @@
 """Model (de)serialization dispatch for the surrogate registry.
 
-Every mlkit model that can back a stored surrogate implements
-``to_state() -> dict`` / ``from_state(dict)``; the dict is JSON-safe and
-round-trips to an identically-predicting model.  This module maps the
-``"kind"`` discriminator each state embeds back to its class, so the
-registry can persist heterogeneous models in one document format.
+Every mlkit model that can back a stored surrogate (the trainer's
+``gp``, ``forest`` and ``mlp`` kinds) implements ``to_state() -> dict``
+/ ``from_state(dict)``; the dict is JSON-safe and round-trips to an
+identically-predicting model.  This module maps the ``"kind"``
+discriminator each state embeds back to its class, so the registry can
+persist heterogeneous models in one document format.
 """
 
 from __future__ import annotations
@@ -12,22 +13,15 @@ from __future__ import annotations
 from typing import Any, Dict
 
 from repro.mlkit.gp import GaussianProcess
-from repro.mlkit.linear import Lasso, RidgeRegression
 from repro.mlkit.neural import MLPRegressor
-from repro.mlkit.scaler import MinMaxScaler, StandardScaler
-from repro.mlkit.tree import RandomForest, RegressionTree
+from repro.mlkit.tree import RandomForest
 
 __all__ = ["MODEL_CLASSES", "dump_model", "load_model"]
 
 MODEL_CLASSES = {
     "gp": GaussianProcess,
-    "lasso": Lasso,
-    "minmax_scaler": MinMaxScaler,
     "mlp": MLPRegressor,
     "random_forest": RandomForest,
-    "regression_tree": RegressionTree,
-    "ridge": RidgeRegression,
-    "standard_scaler": StandardScaler,
 }
 
 

@@ -19,6 +19,7 @@ from typing import List, Optional, Sequence
 from repro.core.driver import Candidate, SearchState, SearchTuner
 from repro.core.parameters import Configuration
 from repro.core.registry import register_tuner
+from repro.tuners.common import grid_configurations
 
 __all__ = ["DefaultConfigTuner", "RandomSearchTuner", "GridSearchTuner"]
 
@@ -91,22 +92,6 @@ class GridSearchTuner(SearchTuner):
         if self._asked:
             return []
         self._asked = True
-        space = state.space
-        names = self.knobs or space.names()[: self.n_knobs]
-        grids = {n: space[n].grid(self.levels) for n in names}
-        configs: List[Configuration] = []
-
-        def recurse(idx: int, overrides: dict) -> None:
-            if idx == len(names):
-                try:
-                    configs.append(space.partial(overrides))
-                except Exception:
-                    pass  # infeasible grid corner
-                return
-            for value in grids[names[idx]]:
-                overrides[names[idx]] = value
-                recurse(idx + 1, overrides)
-            del overrides[names[idx]]
-
-        recurse(0, {})
+        names = self.knobs or state.space.names()[: self.n_knobs]
+        configs = grid_configurations(state.space, names, self.levels)
         return [Candidate(c, tag="grid") for c in configs]

@@ -2,20 +2,23 @@
 
 from __future__ import annotations
 
+import itertools
 import math
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.measurement import TuningHistory
 from repro.core.parameters import Configuration, ConfigurationBatch, ConfigurationSpace
 from repro.core.session import TuningSession
+from repro.exceptions import ConstraintViolation
 
 __all__ = [
     "FAILURE_PENALTY_FACTOR",
     "failure_response",
     "history_to_training_data",
     "candidate_pool",
+    "grid_configurations",
     "ResponseReplay",
 ]
 
@@ -170,3 +173,18 @@ def candidate_pool(
             local.append(space.from_array_feasible(x, rng))
     candidates += local
     return candidates, candidates.X
+
+
+def grid_configurations(
+    space: ConfigurationSpace, names: Sequence[str], levels: int
+) -> List[Configuration]:
+    """The full factorial over the knobs ``names``, each at its
+    ``grid(levels)`` values, with every other knob at its default: the
+    first knob varies slowest.  Infeasible grid corners are skipped."""
+    configs: List[Configuration] = []
+    for point in itertools.product(*(space[n].grid(levels) for n in names)):
+        try:
+            configs.append(space.partial(dict(zip(names, point))))
+        except ConstraintViolation:
+            pass  # infeasible grid corner
+    return configs

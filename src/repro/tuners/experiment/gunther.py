@@ -81,12 +81,12 @@ class GeneticTuner(SearchTuner):
             # generation-0 ask has been told.
             self._scored.extend(scored)
             if len(self._scored) == self.population or (
-                self.multi_fidelity and self._gen0_asked and self._scored
+                self.screening is not None and self._gen0_asked and self._scored
             ):
                 self._generation = 1
             return
         if len(scored) == self.population - self.elite or (
-            self.multi_fidelity and scored
+            self.screening is not None and scored
         ):
             # A full generation came back: commit elites + children.
             # Partial generations (budget died mid-batch) are not

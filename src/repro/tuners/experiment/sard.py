@@ -22,7 +22,7 @@ from repro.core.session import TuningSession
 from repro.exceptions import BudgetExhausted
 from repro.mlkit.doe import foldover, main_effects, plackett_burman
 from repro.mlkit.linear import lasso_rank_features
-from repro.tuners.common import ResponseReplay
+from repro.tuners.common import ResponseReplay, grid_configurations
 
 __all__ = ["SardRanker", "SardTuner"]
 
@@ -230,25 +230,8 @@ class SardTuner(SearchTuner):
         state.extras["sard_ranking"] = ranked
 
     def _build_grid(self, state: SearchState) -> List[Configuration]:
-        space = state.space
         top = [name for name, _ in self._ranked[: self.top_k]]
-        grids = {n: space[n].grid(self.levels) for n in top}
-        configs: List[Configuration] = []
-
-        def recurse(idx: int, overrides: dict) -> None:
-            if idx == len(top):
-                try:
-                    configs.append(space.partial(overrides))
-                except Exception:
-                    pass
-                return
-            for value in grids[top[idx]]:
-                overrides[top[idx]] = value
-                recurse(idx + 1, overrides)
-            del overrides[top[idx]]
-
-        recurse(0, {})
-        return configs
+        return grid_configurations(state.space, top, self.levels)
 
     def ask(self, state: SearchState) -> Sequence[Candidate]:
         if self._ranked is None and self._prior_ranked is not None:

@@ -77,7 +77,7 @@ class CrossEntropyTuner(SearchTuner):
         # Under multi-fidelity screening the tell only covers the
         # promoted survivors — already the batch's elite by screening
         # rank, so any non-empty set refits the policy.
-        needed = 1 if self.multi_fidelity else self._n_elite
+        needed = 1 if self.screening is not None else self._n_elite
         if len(scored) < needed:
             self._stop = True
             return

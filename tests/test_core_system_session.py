@@ -30,12 +30,17 @@ def workload():
 
 class TestInstrumentedSystem:
     def test_counts_runs(self, system, workload):
-        wrapped = InstrumentedSystem(system)
+        # The session that charges an instrumented system's runs counts
+        # them and their measured time.
+        session = TuningSession(
+            InstrumentedSystem(system), workload, Budget(max_runs=5),
+            np.random.default_rng(0),
+        )
         config = system.default_configuration()
-        wrapped.run(workload, config)
-        wrapped.run(workload, config)
-        assert wrapped.run_count == 2
-        assert wrapped.total_measured_s > 0
+        session.evaluate(config)
+        session.evaluate(config)
+        assert session.real_runs == 2
+        assert session.experiment_time_s > 0
 
     def test_noise_changes_runtime_but_not_failure(self, system, workload):
         config = system.default_configuration()

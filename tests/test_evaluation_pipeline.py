@@ -179,8 +179,6 @@ class TestGeneratedParity:
             got = batched_view.run_batch(workload, configs)
             want = [looped_view.run(workload, c) for c in configs]
             assert [repr(m) for m in got] == [repr(m) for m in want]
-        assert batched.run_count == looped.run_count
-        assert batched.failure_count == looped.failure_count
         for field in ("hits", "misses", "entries"):
             assert (batched.eval_cache.stats()[field]
                     == looped.eval_cache.stats()[field]), field

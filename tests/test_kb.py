@@ -1,5 +1,7 @@
 """Tests for the persistent tuning knowledge base and transfer priors."""
 
+import dataclasses
+import json
 import math
 import threading
 
@@ -8,6 +10,7 @@ import pytest
 
 from repro.core import Budget
 from repro.core.measurement import Measurement, Observation, TuningHistory
+from repro.core.serialize import to_jsonable
 from repro.kb import (
     KnowledgeBase,
     WorkloadFingerprint,
@@ -129,6 +132,74 @@ class TestStore:
         assert summary["n_sessions"] == 2
         names = {w["workload"] for w in summary["workloads"]}
         assert names == {olap_analytics().name, oltp_orders().name}
+
+
+class _Opaque:
+    def __repr__(self):
+        return "<opaque extra>"
+
+
+class TestSessionDocument:
+    """Both document paths build the same ``kb_session`` bytes, key
+    order included, as the dict spelled out here."""
+
+    @staticmethod
+    def _expected(system, workload, history, tuner, seed, n_runs,
+                  best_config, best_runtime_s, fingerprint, extras):
+        return {
+            "version": 1,
+            "kind": "kb_session",
+            "system_kind": system.kind,
+            "system_name": system.name,
+            "workload": workload.name,
+            "tuner": tuner,
+            "seed": seed,
+            "n_runs": n_runs,
+            "best_runtime_s": best_runtime_s,
+            "best_config": best_config.to_dict(),
+            "space_names": system.config_space.names(),
+            "metric_names": system.metric_names,
+            "fingerprint": fingerprint.to_jsonable(),
+            "history": to_jsonable(history),
+            "extras": extras,
+        }
+
+    def test_session_payload_bytes(self, kb, system, olap_result):
+        result = dataclasses.replace(
+            olap_result, extras={**olap_result.extras, "model": _Opaque()}
+        )
+        workload = olap_analytics()
+        expected = self._expected(
+            system, workload, result.history, "random-search", 5, 10,
+            result.best_config, result.best_runtime_s,
+            fingerprint_from_history(result.history),
+            {"resilience": olap_result.extras["resilience"],
+             "model": "<opaque extra>"},
+        )
+        payload = kb.session_payload(system, workload, result, seed=5)
+        assert json.dumps(payload) == json.dumps(expected)
+
+    def test_ingest_history_bytes(self, kb, system, monkeypatch):
+        written = []
+        insert = kb._insert_payload
+        monkeypatch.setattr(
+            kb, "_insert_payload",
+            lambda payload: written.append(payload) or insert(payload),
+        )
+        history = TuningHistory()
+        history.record(Observation(
+            system.default_configuration(), Measurement.failure(), tag="boom"
+        ))
+        workload = oltp_orders()
+        kb.ingest_history(system, workload, history, seed=9,
+                          extras={"fleet": {"epoch": 2}})
+        expected = self._expected(
+            system, workload, history, "offline-sampler", 9, 1,
+            system.default_configuration(), "inf",
+            probe_fingerprint(system, workload), {"fleet": {"epoch": 2}},
+        )
+        assert [json.dumps(p) for p in written] == [json.dumps(expected)]
+        assert len(kb) == 2
 
 
 class TestFingerprint:

@@ -1,5 +1,7 @@
 """Edge-case coverage across modules that larger tests skim over."""
 
+import types
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from repro.systems.cluster import Cluster
 from repro.systems.dbms import DbmsSimulator, olap_analytics
 from repro.systems.hadoop import HadoopSimulator, terasort
 from repro.tuners import GridSearchTuner
-from repro.tuners.common import candidate_pool
+from repro.tuners.common import candidate_pool, grid_configurations
 
 
 class TestRegistryGuards:
@@ -81,6 +83,50 @@ class TestGridSearchInfeasibleCorners:
         )
         # 3x3 grid minus infeasible corners, plus the default run.
         assert 2 <= result.n_real_runs <= 10
+
+    @pytest.mark.parametrize("levels", [2, 3, 4])
+    @pytest.mark.parametrize("make, knobs", [
+        (lambda: HadoopSimulator(Cluster.uniform(2)),
+         ["io_sort_mb", "mapreduce_map_memory_mb", "io_sort_factor"]),
+        (DbmsSimulator, None),
+        (DbmsSimulator, []),
+    ])
+    def test_grid_equals_the_recursive_cross_product(self, make, knobs, levels):
+        space = make().config_space
+        names = space.names()[:3] if knobs is None else knobs
+        grid = grid_configurations(space, names, levels)
+        want = reference_grid(space, names, levels)
+        assert grid == want
+        assert [c.identity() for c in grid] == [c.identity() for c in want]
+        if names:
+            assert len(grid) <= levels ** len(names)
+        tuner = GridSearchTuner(knobs=knobs or None, levels=levels)
+        tuner.setup(None)
+        state = types.SimpleNamespace(space=space)
+        assert [c.config for c in tuner.ask(state)] == (
+            grid if knobs else reference_grid(space, space.names()[:3], levels)
+        )
+
+
+def reference_grid(space, names, levels):
+    """The recursive cross product grid search and SARD each held."""
+    grids = {n: space[n].grid(levels) for n in names}
+    configs = []
+
+    def recurse(idx, overrides):
+        if idx == len(names):
+            try:
+                configs.append(space.partial(overrides))
+            except Exception:
+                pass
+            return
+        for value in grids[names[idx]]:
+            overrides[names[idx]] = value
+            recurse(idx + 1, overrides)
+        del overrides[names[idx]]
+
+    recurse(0, {})
+    return configs
 
 
 class TestCommonHelpers:

@@ -457,7 +457,7 @@ class TestMultiFidelitySearch:
 
     def test_off_by_default(self, workload):
         plain = make_tuner("cem", batch=6)
-        assert plain.multi_fidelity is False
+        assert plain.screening is None
         result = plain.tune(
             _instrumented(), workload, Budget(max_runs=10),
             rng=np.random.default_rng(5),
@@ -469,9 +469,31 @@ class TestMultiFidelitySearch:
 
     def test_make_tuner_fidelity_kwargs_imply_opt_in(self):
         tuner = make_tuner("genetic", fidelity_rungs=2, fidelity_min=0.1)
-        assert tuner.multi_fidelity is True
-        assert tuner.fidelity_rungs == 2
-        assert tuner.fidelity_min == 0.1
+        assert tuner.screening == PromotionScheduler(rungs=2, min_fidelity=0.1)
+
+    @pytest.mark.parametrize("name", ["genetic", "cem", "rrs", "ituned"])
+    @pytest.mark.parametrize("opts, schedule", [
+        ({}, None),
+        ({"fidelity_rungs": 2, "fidelity_min": 0.25},
+         PromotionScheduler(rungs=2, min_fidelity=0.25)),
+        ({"fidelity_eta": 8}, PromotionScheduler(eta=8.0)),
+        ({"fidelity_rungs": 4.0, "fidelity_min": "0.5", "fidelity_eta": 3},
+         PromotionScheduler(rungs=4, min_fidelity=0.5, eta=3.0)),
+    ])
+    def test_screening_is_the_schedule_of_the_fidelity_kwargs(
+        self, name, opts, schedule
+    ):
+        tuner = make_tuner(name, **opts)
+        assert tuner.screening == schedule
+        if schedule is not None:
+            # the same int/float coercion the scheduler always got
+            assert type(tuner.screening.rungs) is int
+            assert type(tuner.screening.min_fidelity) is float
+            assert type(tuner.screening.eta) is float
+        # one settable screening attribute, not four
+        for gone in ("multi_fidelity", "fidelity_rungs", "fidelity_min",
+                     "fidelity_eta"):
+            assert not hasattr(tuner, gone)
 
     def test_make_tuner_rejects_non_search_tuners(self):
         with pytest.raises(ReproError):

@@ -129,20 +129,21 @@ class TestRetries:
 
 
 class TestCircuitBreaker:
-    def _blackout_setup(self, workload):
+    def _blackout_setup(self, workload, *policies, runs=20, **execution):
         system = _inner()
         space = system.config_space
         knobs = ("temp_buffers_mb", "wal_buffers_mb")
         chaos = ChaosSystem(
-            system, [ConfigBlackout(knobs=knobs, threshold=0.85)], seed=4
+            system, [ConfigBlackout(knobs=knobs, threshold=0.85), *policies],
+            seed=4,
         )
         unit = np.full(space.dimension, 0.5)
         for k in knobs:
             unit[space.names().index(k)] = 0.95
         hot = space.from_array_feasible(unit, np.random.default_rng(0))
         session = _session(
-            chaos, workload,
-            execution=ExecutionPolicy(breaker_threshold=2),
+            chaos, workload, runs=runs,
+            execution=ExecutionPolicy(breaker_threshold=2, **execution),
         )
         return session, hot
 
@@ -193,6 +194,36 @@ class TestCircuitBreaker:
         # the regions reach the checkpoint as they did: JSON lists of ints
         assert breaker.open_regions
         assert json.dumps(breaker.to_jsonable()) == json.dumps(reference.to_jsonable())
+
+    def test_session_quantizes_each_member_once(self, workload, monkeypatch):
+        # a member's open check and its record share one region, whether
+        # it ran, was retried or was skipped as quarantined
+        calls = []
+        region = CircuitBreaker.region
+
+        def spy(self, config):
+            calls.append(config)
+            return region(self, config)
+
+        monkeypatch.setattr(CircuitBreaker, "region", spy)
+        session, hot = self._blackout_setup(
+            workload, TransientFaults(0.5), runs=40, max_retries=2
+        )
+        sampled = list(session.space.sample_configurations(
+            10, np.random.default_rng(1)))
+        # two failures open the hot region; transient faults are retried
+        members = sampled[:5] + [hot, hot, hot, hot]
+        for config in members:
+            session.evaluate(config)
+        batch = [hot] + sampled[5:]
+        session.evaluate_batch(batch)
+        members += batch
+        assert session.quarantine_skips == 3 and session.retries > 0
+        assert calls == members
+        # off the breaker's path, nothing is quantized
+        session.evaluate_workload(workload, hot)
+        session.record_external(hot, Measurement(runtime_s=1.0))
+        assert calls == members
 
     def test_breaker_unit_streak_resets_on_success(self):
         system = _inner()
