@@ -21,6 +21,11 @@ E15         §2.5 real-time analytics challenge             :func:`run_realtime`
 E16         §1 dependent parameter effects                 :func:`run_interactions`
 E17         equal wall-clock budgets (Table 1 cost axis)   :func:`run_time_budget`
 ==========  =============================================  =====================
+
+The package also holds the eight benches that ``python -m repro bench
+NAME`` runs: chaos, exec, fleet, mf, obs, surrogate, transfer and vec,
+each a module with ``run(quick)`` and ``COLUMNS``.  They are imported
+only by that command.
 """
 
 from repro.bench.ablation import run_ituned_ablation, run_ottertune_ablation

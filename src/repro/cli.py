@@ -30,7 +30,6 @@ Examples::
         --fidelity-rungs 3 --fidelity-min 0.25
     python -m repro bench chaos --json BENCH_chaos.json
     python -m repro bench exec --json BENCH_exec.json
-    python -m repro bench serve --full --json BENCH_serve.json
     python -m repro surrogate --kb tuning.kb --system dbms
     python -m repro fleet --system dbms --tenants 4 --epochs 9 --chaos 0.1
     python -m repro fleet --system spark --kb fleet.kb --checkpoint fleet.ckpt
@@ -42,7 +41,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Dict, List
+from typing import Callable, Dict, List
 
 import numpy as np
 
@@ -50,8 +49,7 @@ __all__ = ["main"]
 
 #: Modules under ``repro.bench`` that ``python -m repro bench NAME`` runs.
 BENCHES = (
-    "chaos", "driver", "exec", "fleet", "mf", "obs", "serve", "surrogate",
-    "transfer", "vec",
+    "chaos", "exec", "fleet", "mf", "obs", "surrogate", "transfer", "vec",
 )
 
 
@@ -62,14 +60,23 @@ def _jobs_arg(value: str) -> int:
     return jobs
 
 
-def _seed_arg(value: str) -> int:
-    try:
-        seed = int(value)
-    except ValueError:
-        seed = -1
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value!r}")
-    return seed
+def _int_at_least(minimum: int, expected: str) -> Callable[[str], int]:
+    """An argparse type: an integer of at least ``minimum``."""
+
+    def parse(value: str) -> int:
+        try:
+            number = int(value)
+        except ValueError:
+            number = minimum - 1
+        if number < minimum:
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {value!r}")
+        return number
+
+    return parse
+
+
+_seed_arg = _int_at_least(0, "a non-negative integer")
+_positive_arg = _int_at_least(1, "a positive integer")
 
 
 def _workload_catalog() -> Dict[str, Dict[str, object]]:
@@ -508,9 +515,9 @@ def main(argv: List[str] = None) -> int:
     serve.add_argument("--surrogate-dir", default=None, metavar="DIR",
                        help="disk-backed surrogate registry so trained "
                             "models survive restarts (default: in-memory)")
-    serve.add_argument("--workers", type=int, default=8,
+    serve.add_argument("--workers", type=_positive_arg, default=8,
                        help="request worker pool size (default 8)")
-    serve.add_argument("--queue-limit", type=int, default=256,
+    serve.add_argument("--queue-limit", type=_positive_arg, default=256,
                        help="request queue depth before 429 load "
                             "shedding (default 256)")
     serve.add_argument("--retrain-debounce", type=float, default=30.0,

@@ -59,6 +59,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 from repro.exceptions import SurrogateError
 from repro.kb.fingerprint import WorkloadFingerprint, rank_similar
 from repro.kb.serving import (
+    INGEST_ACK_TIMEOUT_S,
     IngestWriter,
     Overloaded,
     RequestExecutor,
@@ -446,7 +447,7 @@ class RecommendationService:
             )
         ack = writer.submit(payload)  # may raise Overloaded (429)
         try:
-            session_id = ack.wait(self.config.ingest_ack_timeout_s)
+            session_id = ack.wait(INGEST_ACK_TIMEOUT_S)
         except Overloaded:
             raise
         except _PAYLOAD_ERRORS as exc:
@@ -492,7 +493,7 @@ class ServingHTTPServer(ThreadingHTTPServer):
 
     daemon_threads = True
     #: Pending-connection backlog.  The socketserver default (5) drops
-    #: connects under a 1000-client stampede before accept() runs.
+    #: connects when many clients connect at once, before accept() runs.
     request_queue_size = 1024
 
     service: RecommendationService
@@ -770,7 +771,7 @@ def make_server(
     makes the surrogate registry disk-backed so trained models survive
     restarts.  ``config`` sizes the worker pool, queues, and shedding
     thresholds; ``service`` injects a pre-built (possibly subclassed)
-    query engine — benches use it to model slow backends.
+    query engine — tests use it to model slow backends.
     """
     config = config or ServingConfig()
     if service is None:
@@ -784,9 +785,7 @@ def make_server(
     server.executor = RequestExecutor(config)
     # index warming and surrogate invalidation happen here, off the
     # request path, after each group commit
-    server.ingest_writer = IngestWriter(
-        kb, config, on_commit=service.refresh_index
-    )
+    server.ingest_writer = IngestWriter(kb, on_commit=service.refresh_index)
     return server
 
 

@@ -49,6 +49,15 @@ __all__ = [
 
 #: Baseline ``Retry-After`` hint, in seconds, on shed responses.
 RETRY_AFTER_S = 1.0
+#: How long a connection thread waits for its queued request before
+#: abandoning it (shed with ``wait-timeout``).
+QUEUE_WAIT_TIMEOUT_S = 30.0
+#: Maximum pending write-behind ingest payloads.
+INGEST_QUEUE_LIMIT = 512
+#: Maximum payloads committed per group-commit batch.
+INGEST_BATCH_MAX = 64
+#: How long an ingest request waits for its commit ack.
+INGEST_ACK_TIMEOUT_S = 30.0
 
 
 class Overloaded(RuntimeError):
@@ -69,10 +78,10 @@ class Overloaded(RuntimeError):
 
 @dataclass(frozen=True)
 class ServingConfig:
-    """Tunables of the serving stack (queueing, shedding, ingest).
+    """Tunables of the serving stack (queueing, shedding, limits).
 
-    The defaults are sized for a small-footprint service; the bench and
-    tests shrink them to force the shedding paths deterministically.
+    The defaults are sized for a small-footprint service; tests shrink
+    them to force the shedding paths deterministically.
     """
 
     #: Worker threads draining the request queue (computation bound).
@@ -83,21 +92,12 @@ class ServingConfig:
     #: Shed when ``(queued + busy) * avg_service_time / workers``
     #: exceeds this — the in-flight latency limit.
     max_predicted_wait_s: float = 10.0
-    #: How long a connection thread waits for its queued request before
-    #: abandoning it (shed with ``wait-timeout``).
-    queue_wait_timeout_s: float = 30.0
     #: Coalesce concurrent requests with identical coalescing keys
     #: (same fingerprint/workload, system_kind, mode, k) into one
     #: computation.
     coalesce: bool = True
     #: Request bodies above this many bytes are refused with HTTP 413.
     max_body_bytes: int = 8 * 1024 * 1024
-    #: Maximum pending write-behind ingest payloads.
-    ingest_queue_limit: int = 512
-    #: Maximum payloads committed per group-commit batch.
-    ingest_batch_max: int = 64
-    #: How long an ingest request waits for its commit ack.
-    ingest_ack_timeout_s: float = 30.0
     #: Negative-cache TTL for unknown/failed system kinds in
     #: :meth:`RecommendationService._space_for`.
     space_negative_ttl_s: float = 30.0
@@ -205,7 +205,7 @@ class RequestExecutor:
                     self._work.notify()
         if shed_reason is not None:
             self._shed(shed_reason, predicted)
-        if not job.event.wait(self.config.queue_wait_timeout_s):
+        if not job.event.wait(QUEUE_WAIT_TIMEOUT_S):
             with self._lock:
                 job.waiters -= 1
             self._shed("wait-timeout")
@@ -371,7 +371,7 @@ class IngestWriter:
     """Write-behind ingest queue with group commit.
 
     One writer thread drains pending payloads in batches of up to
-    ``ingest_batch_max`` and hands each batch to
+    :data:`INGEST_BATCH_MAX` and hands each batch to
     :meth:`KnowledgeBase.ingest_many`, which commits the whole batch in
     a single transaction.  Acks are released strictly *after* the
     commit returns: a session is either durably stored or never
@@ -381,16 +381,12 @@ class IngestWriter:
     """
 
     def __init__(
-        self,
-        kb: Any,
-        config: ServingConfig,
-        on_commit: Optional[Callable[[], None]] = None,
+        self, kb: Any, on_commit: Optional[Callable[[], None]] = None
     ) -> None:
         self.kb = kb
-        self.config = config
         self.on_commit = on_commit
         self._queue: "queue.Queue[Optional[Tuple[Any, IngestAck]]]" = (
-            queue.Queue(maxsize=max(1, config.ingest_queue_limit))
+            queue.Queue(maxsize=INGEST_QUEUE_LIMIT)
         )
         self._closed = False
         self._lock = threading.Lock()
@@ -435,7 +431,7 @@ class IngestWriter:
                 self._queue.task_done()
                 return
             pending: List[Tuple[Any, IngestAck]] = [item]
-            while len(pending) < self.config.ingest_batch_max:
+            while len(pending) < INGEST_BATCH_MAX:
                 try:
                     extra = self._queue.get_nowait()
                 except queue.Empty:
@@ -522,7 +518,7 @@ class IngestWriter:
         with self._lock:
             return {
                 "queued": self._queue.qsize(),
-                "queue_limit": self.config.ingest_queue_limit,
+                "queue_limit": INGEST_QUEUE_LIMIT,
                 "committed": self.committed,
                 "failed": self.failed,
                 "cancelled": self.cancelled,

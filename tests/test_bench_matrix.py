@@ -99,10 +99,11 @@ class TestJsonReport:
 
 class TestBenchCommand:
     def test_unknown_bench_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["bench", "nope"])
-        assert exc.value.code == 2
-        assert "invalid choice" in capsys.readouterr().err
+        for name in ("nope", "serve", "driver"):
+            with pytest.raises(SystemExit) as exc:
+                main(["bench", name])
+            assert exc.value.code == 2
+            assert "invalid choice" in capsys.readouterr().err
 
     def test_cli_and_serve_load_no_bench_module(self):
         """``repro serve`` starts with no bench module imported, so a

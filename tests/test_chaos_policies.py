@@ -20,6 +20,7 @@ from repro.chaos import (
 )
 from repro.chaos.policies import _policy_rng
 from repro.core import InstrumentedSystem
+from repro.obs.metrics import global_metrics
 from repro.systems.cluster import Cluster
 from repro.systems.dbms import DbmsSimulator, htap_mixed
 
@@ -172,13 +173,17 @@ class TestChaosSystem:
         serial = ChaosSystem(_inner(), standard_policies(0.3), seed=9)
         serial_ms = [serial.run(workload, c) for c in configs]
 
+        before = global_metrics().value("exec.runner.tasks.thread")
         runner = ParallelRunner(jobs=2, mode="thread")
         try:
-            inner = InstrumentedSystem(_inner(), runner=runner)
+            # without the DBMS kernel, which takes precedence over a runner
+            inner = InstrumentedSystem(_inner(), runner=runner, vectorize=False)
             parallel = ChaosSystem(inner, standard_policies(0.3), seed=9)
             parallel_ms = parallel.run_batch(workload, configs)
         finally:
             runner.close()
+        ran = global_metrics().value("exec.runner.tasks.thread") - before
+        assert ran == len(configs)
 
         assert serial.fault_digest() == parallel.fault_digest()
         for a, b in zip(serial_ms, parallel_ms):

@@ -57,6 +57,29 @@ class TestSeedFlag:
                 f"got {seed!r}") in captured.err
 
 
+class TestServeFlags:
+    @pytest.mark.parametrize("flag, value", [
+        ("--workers", "-3"),
+        ("--queue-limit", "0"),
+    ])
+    def test_refuses_what_is_not_a_positive_integer(
+        self, capsys, monkeypatch, tmp_path, flag, value
+    ):
+        def started(*args, **kwargs):
+            raise AssertionError(f"serve started with {flag} {value}")
+
+        monkeypatch.setattr("repro.kb.service.serve_forever", started)
+        kb_path = tmp_path / "serve.kb"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--kb", str(kb_path), flag, value])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"error: argument {flag}: expected a positive integer, "
+                f"got {value!r}") in captured.err
+        assert not kb_path.exists()
+
+
 class TestTuneKnowledgeBase:
     def test_save_then_warm_start(self, capsys, tmp_path):
         kb_path = str(tmp_path / "tuning.kb")

@@ -16,6 +16,7 @@ from repro.chaos import ChaosSystem
 from repro.chaos.policies import TransientFaults
 from repro.core import Budget, InstrumentedSystem
 from repro.exec import EvaluationCache, ParallelRunner
+from repro.obs.metrics import global_metrics
 from repro.systems.dbms import DbmsSimulator, htap_mixed
 from repro import make_tuner
 from repro.tuners.ml.ottertune import build_repository
@@ -70,14 +71,21 @@ _SPECS = {
     ),
 }
 
+#: Tuners that propose one configuration at a time, so no batch of
+#: theirs reaches the runner.
+_UNBATCHED = {"default"}
+
 
 def _tune_digest(name, runner=None, eval_cache=None, chaos_rate=0.0):
+    # the DBMS kernel takes precedence over a runner in run_batch, so
+    # the parallel leg turns it off to fan its batches out
     system = InstrumentedSystem(
         DbmsSimulator(standard_cluster()),
         noise=_NOISE,
         rng=np.random.default_rng(_NOISE_SEED),
         eval_cache=eval_cache,
         runner=runner,
+        vectorize=runner is None,
     )
     fault_digest = None
     if chaos_rate > 0:
@@ -94,11 +102,21 @@ def _tune_digest(name, runner=None, eval_cache=None, chaos_rate=0.0):
     return result.history.digest(), result.n_real_runs, fault_digest
 
 
+def _parallel_digest(name, chaos_rate=0.0):
+    """``_tune_digest`` through a 4-thread runner, checking that the
+    runner ran the batches."""
+    before = global_metrics().value("exec.runner.tasks.thread")
+    with ParallelRunner(jobs=4, mode="thread") as runner:
+        outcome = _tune_digest(name, runner=runner, chaos_rate=chaos_rate)
+    ran = global_metrics().value("exec.runner.tasks.thread") - before
+    assert (ran > 0) == (name not in _UNBATCHED), ran
+    return outcome
+
+
 @pytest.mark.parametrize("name", sorted(_SPECS))
 def test_serial_parallel_cached_digests_identical(name):
     serial, runs, _ = _tune_digest(name)
-    with ParallelRunner(jobs=4, mode="thread") as runner:
-        parallel, parallel_runs, _ = _tune_digest(name, runner=runner)
+    parallel, parallel_runs, _ = _parallel_digest(name)
     cached, cached_runs, _ = _tune_digest(name, eval_cache=EvaluationCache())
 
     assert runs > 0
@@ -109,10 +127,9 @@ def test_serial_parallel_cached_digests_identical(name):
 @pytest.mark.parametrize("name", sorted(_SPECS))
 def test_chaos_digests_identical_serial_vs_parallel(name):
     serial, runs, serial_faults = _tune_digest(name, chaos_rate=0.1)
-    with ParallelRunner(jobs=4, mode="thread") as runner:
-        parallel, parallel_runs, parallel_faults = _tune_digest(
-            name, runner=runner, chaos_rate=0.1
-        )
+    parallel, parallel_runs, parallel_faults = _parallel_digest(
+        name, chaos_rate=0.1
+    )
 
     assert runs == parallel_runs
     assert serial == parallel

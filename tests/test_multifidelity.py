@@ -30,6 +30,7 @@ from repro.core.session import TuningSession
 from repro.exceptions import ReproError
 from repro.exec import EvaluationCache, ParallelRunner
 from repro.exec.resilience import ExecutionPolicy
+from repro.obs.metrics import global_metrics
 from repro.systems.dbms import DbmsSimulator, htap_mixed
 from repro.tuners.common import history_to_training_data
 from repro.tuners.ml.ottertune import build_repository
@@ -437,11 +438,13 @@ class TestMultiFidelitySearch:
 
     def test_serial_and_parallel_digests_identical(self, workload):
         def run(runner=None):
+            # without the DBMS kernel, which takes precedence over a runner
             system = InstrumentedSystem(
                 DbmsSimulator(standard_cluster()),
                 noise=_NOISE,
                 rng=np.random.default_rng(_NOISE_SEED),
                 runner=runner,
+                vectorize=runner is None,
             )
             result = _mf_tuner().tune(
                 system, workload, Budget(max_runs=16),
@@ -450,8 +453,10 @@ class TestMultiFidelitySearch:
             return result.history.digest(), result.n_real_runs
 
         serial, n_serial = run()
+        before = global_metrics().value("exec.runner.tasks.thread")
         with ParallelRunner(jobs=4, mode="thread") as runner:
             parallel, n_parallel = run(runner)
+        assert global_metrics().value("exec.runner.tasks.thread") > before
         assert serial == parallel
         assert n_serial == n_parallel
 

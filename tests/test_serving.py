@@ -10,10 +10,13 @@ validation (no stored row can break a later recommend), reply latency
 on a keep-alive connection (no reply waits for a delayed ACK), and the
 append-only fingerprint index (equal to a full rescan, each row read
 once).  A reply that leaves a request body unread closes the connection.
+A storm of up to 64 keep-alive clients checks the contracts together in
+three cells: clean, hostile and overload.
 """
 
 import json
 import os
+import random
 import socket
 import statistics
 import sys
@@ -89,18 +92,32 @@ def _stop(server, thread):
     thread.join(timeout=5)
 
 
+def _reject_constant(literal):
+    raise ValueError(f"non-strict JSON literal {literal}")
+
+
+def _exchange(conn, method, path, body=None, headers=None):
+    """One round trip on ``conn``, which reconnects after a reply that
+    closed it; returns (status, strict-JSON body, response).  ``body``
+    is sent as is when it is bytes, else JSON-encoded."""
+    send_headers = {"Content-Type": "application/json"}
+    send_headers.update(headers or {})
+    if body is not None and not isinstance(body, bytes):
+        body = json.dumps(body).encode()
+    conn.request(method, path, body=body, headers=send_headers)
+    response = conn.getresponse()
+    data = response.read()
+    return (response.status, json.loads(data, parse_constant=_reject_constant),
+            response)
+
+
 def _request(server, method, path, body=None, headers=None):
-    """One HTTP round trip; returns (status, parsed body, response)."""
+    """One HTTP round trip on a fresh connection; returns (status,
+    parsed body, response)."""
     host, port = server.server_address[:2]
     conn = HTTPConnection(host, port, timeout=10)
     try:
-        send_headers = {"Content-Type": "application/json"}
-        send_headers.update(headers or {})
-        payload = None if body is None else json.dumps(body).encode()
-        conn.request(method, path, body=payload, headers=send_headers)
-        response = conn.getresponse()
-        data = response.read()
-        return response.status, json.loads(data), response
+        return _exchange(conn, method, path, body, headers)
     finally:
         conn.close()
 
@@ -468,7 +485,7 @@ class _StalledKB:
 class TestIngestWriter:
     def test_ack_released_only_after_commit(self, session_payload):
         with KnowledgeBase(":memory:") as kb:
-            writer = IngestWriter(kb, ServingConfig())
+            writer = IngestWriter(kb)
             try:
                 ack = writer.submit(dict(session_payload))
                 session_id = ack.wait(10.0)
@@ -482,7 +499,7 @@ class TestIngestWriter:
     def test_kill_mid_ingest_never_acks_a_lost_session(self, session_payload):
         with KnowledgeBase(":memory:") as kb:
             stalled = _StalledKB(kb)
-            writer = IngestWriter(stalled, ServingConfig())
+            writer = IngestWriter(stalled)
             try:
                 ack = writer.submit(dict(session_payload))
                 # the writer has claimed the payload and is stuck in the
@@ -505,7 +522,7 @@ class TestIngestWriter:
 
     def test_bad_payload_acks_with_error_not_commit(self, session_payload):
         with KnowledgeBase(":memory:") as kb:
-            writer = IngestWriter(kb, ServingConfig())
+            writer = IngestWriter(kb)
             try:
                 ack = writer.submit({"kind": "nope"})
                 with pytest.raises(ValueError):
@@ -519,8 +536,7 @@ class TestIngestWriter:
     ):
         with KnowledgeBase(":memory:") as kb:
             stalled = _StalledKB(kb)
-            config = ServingConfig(ingest_batch_max=64)
-            writer = IngestWriter(stalled, config)
+            writer = IngestWriter(stalled)
             acks = [writer.submit(dict(session_payload)) for _ in range(8)]
             stalled.gate.set()
             writer.close()  # flush-on-shutdown commits the backlog
@@ -536,7 +552,7 @@ class TestIngestWriter:
     ):
         with KnowledgeBase(":memory:") as kb:
             stalled = _StalledKB(kb)
-            writer = IngestWriter(stalled, ServingConfig())
+            writer = IngestWriter(stalled)
             try:
                 first = writer.submit(dict(session_payload))
                 assert stalled.entered.wait(5.0)  # writer stuck mid-commit
@@ -561,7 +577,7 @@ class TestIngestWriter:
 
     def test_submit_after_close_is_shed(self, session_payload):
         with KnowledgeBase(":memory:") as kb:
-            writer = IngestWriter(kb, ServingConfig())
+            writer = IngestWriter(kb)
             writer.close()
             with pytest.raises(Overloaded):
                 writer.submit(dict(session_payload))
@@ -592,6 +608,123 @@ class TestIngestWriter:
                 assert len(private) == 5
             finally:
                 _stop(server, thread)
+
+
+# -- every contract at once: a storm of keep-alive clients -------------------
+#: Weights of a storm's well-formed requests.
+_STORM_MIX = {"recommend": 12, "ingest": 4, "workloads": 2, "metrics": 1,
+              "healthz": 1}
+#: Requests each storm client sends, one after another.
+_STORM_REQUESTS = 4
+
+#: (method, path, body, headers, status) of each hostile request: a bad
+#: ``k``, a non-object body, invalid JSON and a declared body over the
+#: size cap, which is never sent.
+_HOSTILE = (
+    ("POST", "/recommend", {"workload": olap_analytics().name, "k": "abc"},
+     None, 400),
+    ("POST", "/recommend", b"[1, 2]", None, 400),
+    ("POST", "/recommend", b"{not json", None, 400),
+    ("POST", "/ingest", None,
+     {"Content-Length": str(ServingConfig().max_body_bytes + 1)}, 413),
+)
+
+
+def _storm_plan(cell, client, payload):
+    """One client's requests as (method, path, body, headers, status);
+    a tenth of the hostile cell's requests are hostile."""
+    rng = random.Random(f"{cell}/{client}")
+    plan = []
+    for _ in range(_STORM_REQUESTS):
+        if cell == "hostile" and rng.random() < 0.1:
+            plan.append(rng.choice(_HOSTILE))
+            continue
+        endpoint, = rng.choices(list(_STORM_MIX), list(_STORM_MIX.values()))
+        if endpoint == "recommend":
+            workload = rng.choice([olap_analytics().name, oltp_orders().name])
+            body = {"workload": workload, "k": rng.randint(1, 3)}
+            plan.append(("POST", "/recommend", body, None, 200))
+        elif endpoint == "ingest":
+            plan.append(("POST", "/ingest", payload, None, 200))
+        else:
+            plan.append(("GET", f"/{endpoint}", None, None, 200))
+    return plan
+
+
+class TestStorm:
+    """Concurrent keep-alive clients against a fresh KB, in three cells:
+    well-formed traffic (64 clients), the same with a tenth hostile
+    (64), and a starved server behind a slowed recommend (32).  No
+    request may be dropped or get a 5xx; acked ingests must be exactly
+    the KB's new sessions."""
+
+    @pytest.mark.parametrize("cell", ["clean", "hostile", "overload"])
+    def test_every_request_answered_by_contract(self, session_payload, cell):
+        overload = cell == "overload"
+        n_clients = 32 if overload else 64
+        config = ServingConfig(
+            workers=2, queue_limit=8, max_predicted_wait_s=0.05,
+            coalesce=False,
+        ) if overload else ServingConfig()
+        with _tuned_kb() as private:
+            service = (_SlowService(private, 0.02, config=config)
+                       if overload else None)
+            server, thread = _serve(private, config=config, service=service,
+                                    poll_interval=0.01)
+            host, port = server.server_address[:2]
+            before = {record.session_id for record in private.sessions()}
+
+            def client(index):
+                conn = HTTPConnection(host, port, timeout=30)
+                try:
+                    return [
+                        (step, *_exchange(conn, *step[:4]))
+                        for step in _storm_plan(cell, index, session_payload)
+                    ]
+                finally:
+                    conn.close()
+
+            probes = []
+            try:
+                with ThreadPoolExecutor(max_workers=n_clients) as pool:
+                    futures = [pool.submit(client, i) for i in range(n_clients)]
+                    # /healthz is answered outside the request queue, so
+                    # it must answer while the queue is full
+                    while overload and not all(f.done() for f in futures):
+                        probes.append(_request(server, "GET", "/healthz"))
+                        time.sleep(0.02)
+                    replies = [
+                        reply for future in futures
+                        for reply in future.result(timeout=60)
+                    ]
+                server.ingest_writer.flush()
+                grown = {r.session_id for r in private.sessions()} - before
+            finally:
+                _stop(server, thread)
+
+        assert len(replies) == _STORM_REQUESTS * n_clients
+        # a starved server may shed a queued request; nothing else may
+        unexpected = [
+            (step[:2], status, body) for step, status, body, _ in replies
+            if status != step[4] and not (
+                overload and status == 429
+                and step[1] in ("/recommend", "/workloads")
+            )
+        ]
+        assert not unexpected, unexpected[:3]
+        shed = [response for _, status, _, response in replies
+                if status == 429]
+        assert bool(shed) == overload
+        assert all(int(r.getheader("Retry-After", "0")) >= 1 for r in shed)
+        statuses = {status for _, status, _, _ in replies}
+        assert (cell == "hostile") == (400 in statuses) == (413 in statuses)
+        acked = [body["session_id"] for step, status, body, _ in replies
+                 if step[1] == "/ingest" and status == 200]
+        assert acked and sorted(acked) == sorted(grown)
+        if overload:
+            assert probes
+            assert all(status == 200 for status, _, _ in probes)
+            assert any(body["executor"]["busy"] for _, body, _ in probes)
 
 
 # -- review fix: per-payload sqlite error isolation + rollback ----------------
