@@ -22,9 +22,9 @@ E16         §1 dependent parameter effects                 :func:`run_interacti
 E17         equal wall-clock budgets (Table 1 cost axis)   :func:`run_time_budget`
 ==========  =============================================  =====================
 
-The package also holds the eight benches that ``python -m repro bench
-NAME`` runs: chaos, exec, fleet, mf, obs, surrogate, transfer and vec,
-each a module with ``run(quick)`` and ``COLUMNS``.  They are imported
+The package also holds the seven benches that ``python -m repro bench
+NAME`` runs: chaos, fleet, mf, obs, surrogate, transfer and vec, each
+a module with ``run(quick)`` and ``COLUMNS``.  They are imported
 only by that command.
 """
 

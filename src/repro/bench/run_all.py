@@ -31,7 +31,6 @@ from repro.bench.table1 import run_table1
 from repro.bench.timebudget import run_time_budget
 from repro.bench.table2 import run_table2
 from repro.bench.whatif import run_whatif
-from repro.exec.cache import global_cache
 from repro.exec.runner import ParallelRunner
 
 __all__ = ["EXPERIMENT_REGISTRY", "run_all_experiments", "full_report"]
@@ -59,25 +58,11 @@ EXPERIMENT_REGISTRY: Dict[str, Callable[..., ExperimentResult]] = {
 
 
 def _execute_experiment(task: Tuple[str, bool]) -> Tuple[str, ExperimentResult, float]:
-    """Run one experiment (top-level so process pools can pickle it).
-
-    Stashes the evaluation-cache hit/miss delta for this experiment in
-    ``result.raw["eval_cache"]`` — in a worker process this is the only
-    channel through which cache statistics travel back to the parent.
-    """
+    """Run one experiment (top-level so process pools can pickle it)."""
     key, quick = task
-    cache = global_cache()
-    before = cache.stats() if cache is not None else None
     start = time.perf_counter()
     result = EXPERIMENT_REGISTRY[key](quick=quick)
-    elapsed = time.perf_counter() - start
-    if cache is not None:
-        after = cache.stats()
-        result.raw["eval_cache"] = {
-            "hits": after["hits"] - before["hits"],
-            "misses": after["misses"] - before["misses"],
-        }
-    return key, result, elapsed
+    return key, result, time.perf_counter() - start
 
 
 def run_all_experiments(

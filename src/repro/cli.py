@@ -29,7 +29,7 @@ Examples::
     python -m repro tune --system dbms --workload htap --tuner cem \
         --fidelity-rungs 3 --fidelity-min 0.25
     python -m repro bench chaos --json BENCH_chaos.json
-    python -m repro bench exec --json BENCH_exec.json
+    python -m repro bench mf --json BENCH_mf.json
     python -m repro surrogate --kb tuning.kb --system dbms
     python -m repro fleet --system dbms --tenants 4 --epochs 9 --chaos 0.1
     python -m repro fleet --system spark --kb fleet.kb --checkpoint fleet.ckpt
@@ -41,16 +41,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
 __all__ = ["main"]
 
 #: Modules under ``repro.bench`` that ``python -m repro bench NAME`` runs.
-BENCHES = (
-    "chaos", "exec", "fleet", "mf", "obs", "surrogate", "transfer", "vec",
-)
+BENCHES = ("chaos", "fleet", "mf", "obs", "surrogate", "transfer", "vec")
 
 
 def _jobs_arg(value: str) -> int:
@@ -60,23 +58,26 @@ def _jobs_arg(value: str) -> int:
     return jobs
 
 
-def _int_at_least(minimum: int, expected: str) -> Callable[[str], int]:
-    """An argparse type: an integer of at least ``minimum``."""
+def _int_in(
+    expected: str, minimum: int, maximum: Optional[int] = None
+) -> Callable[[str], int]:
+    """An argparse type: an integer in ``[minimum, maximum]``."""
 
     def parse(value: str) -> int:
         try:
             number = int(value)
         except ValueError:
             number = minimum - 1
-        if number < minimum:
+        if number < minimum or (maximum is not None and number > maximum):
             raise argparse.ArgumentTypeError(f"expected {expected}, got {value!r}")
         return number
 
     return parse
 
 
-_seed_arg = _int_at_least(0, "a non-negative integer")
-_positive_arg = _int_at_least(1, "a positive integer")
+_seed_arg = _int_in("a non-negative integer", 0)
+_positive_arg = _int_in("a positive integer", 1)
+_port_arg = _int_in("a port in 0-65535", 0, 65535)
 
 
 def _workload_catalog() -> Dict[str, Dict[str, object]]:
@@ -378,8 +379,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.kb.serving import ServingConfig
 
     config = ServingConfig(
-        workers=args.workers,
-        queue_limit=args.queue_limit,
+        max_inflight=args.max_inflight,
         surrogate_retrain_debounce_s=args.retrain_debounce,
     )
     with KnowledgeBase(args.kb) as kb:
@@ -511,15 +511,14 @@ def main(argv: List[str] = None) -> int:
     serve.add_argument("--kb", required=True, metavar="KB_PATH",
                        help="knowledge base to serve (SQLite file)")
     serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=8350)
+    serve.add_argument("--port", type=_port_arg, default=8350,
+                       help="0 picks a free port (default 8350)")
     serve.add_argument("--surrogate-dir", default=None, metavar="DIR",
                        help="disk-backed surrogate registry so trained "
                             "models survive restarts (default: in-memory)")
-    serve.add_argument("--workers", type=_positive_arg, default=8,
-                       help="request worker pool size (default 8)")
-    serve.add_argument("--queue-limit", type=_positive_arg, default=256,
-                       help="request queue depth before 429 load "
-                            "shedding (default 256)")
+    serve.add_argument("--max-inflight", type=_positive_arg, default=256,
+                       help="requests that may run at once before 429 "
+                            "load shedding (default 256)")
     serve.add_argument("--retrain-debounce", type=float, default=30.0,
                        metavar="SECONDS",
                        help="min seconds between surrogate retrains per "

@@ -14,9 +14,9 @@ that idea beyond the DBMS tuner:
   warm-start any surrogate-model tuner.
 * :mod:`repro.kb.service` — a JSON-over-HTTP recommendation service
   (``python -m repro serve``).
-* :mod:`repro.kb.serving` — the bounded-concurrency serving stack
-  behind it: request queue + worker pool with admission control and
-  coalescing, and the write-behind group-commit ingest queue.
+* :mod:`repro.kb.serving` — the serving stack behind it: an admission
+  gate on the requests in flight, and the write-behind group-commit
+  ingest queue.
 """
 
 from repro.kb.fingerprint import (

@@ -8,7 +8,7 @@ knowledge:
 * ``GET  /metrics``    — process-wide observability snapshot: the
   :func:`~repro.obs.global_metrics` counters/gauges/histograms
   (per-endpoint latency percentiles included) plus cache stats.
-* ``GET  /healthz``    — serving health: request-queue depth and shed
+* ``GET  /healthz``    — serving health: requests in flight and shed
   counts, write-behind ingest lag, recent internal error ids.
 * ``GET  /surrogate/status`` — the surrogate registry: which
   (system, family) models exist, their KB-version freshness, holdout
@@ -25,13 +25,12 @@ knowledge:
   and invalidates any surrogate models trained on the previous
   contents.
 
-Serving model (see :mod:`repro.kb.serving`): connection threads parse
-and validate the request, then hand the computation to a **bounded
-worker pool** behind an explicit queue.  Admission control sheds with
-HTTP 429 + ``Retry-After`` when the queue is full or the predicted
-wait passes a limit; concurrent ``/recommend`` calls with identical
-bodies coalesce into one computation.  ``POST /ingest`` goes through a
-**write-behind queue with group commit** — the 200 ack is released
+Serving model (see :mod:`repro.kb.serving`): each request runs on the
+connection thread that parsed and validated it, behind an **admission
+gate** that lets at most ``max_inflight`` requests run at once; one
+over the limit gets HTTP 429 + ``Retry-After`` at once.  ``/metrics``
+and ``/healthz`` stay outside the gate.  ``POST /ingest`` goes through
+a **write-behind queue with group commit** — the 200 ack is released
 only after the batch transaction lands, so an acked session can never
 be lost, while index warming and surrogate invalidation run off the
 request path.
@@ -482,13 +481,13 @@ class RecommendationService:
 
 
 class ServingHTTPServer(ThreadingHTTPServer):
-    """Threaded connection front end over the bounded serving stack.
+    """Threaded connection front end over the serving stack.
 
-    Connection threads only parse/validate and then block on the
-    request queue or the ingest ack; all computation runs on the
-    executor's fixed worker pool.  ``server_close`` drains the
-    write-behind ingest queue (flush-on-shutdown) before releasing the
-    socket.
+    Each connection thread runs its requests itself, through the
+    executor's admission gate, and an ingest waits on its commit ack.
+    ``server_close`` drains the write-behind ingest queue
+    (flush-on-shutdown) and waits for the running requests before
+    releasing the socket.
     """
 
     daemon_threads = True
@@ -542,23 +541,18 @@ class _Handler(BaseHTTPRequestHandler):
         # a GET body is never read: the reply closes the connection
         close = self._declares_body()
         if path == "/workloads":
-            self._handle(
-                "workloads",
-                lambda: executor.submit(service.workloads, key="GET:/workloads"),
-                close=close,
-            )
+            self._handle("workloads", lambda: executor.submit(service.workloads),
+                         close=close)
         elif path == "/metrics":
-            # deliberately not queued: observability must answer even
-            # when the request queue is saturated
+            # deliberately outside the gate: observability must answer
+            # even when every slot is taken
             self._handle("metrics", service.metrics, close=close)
         elif path == "/healthz":
             self._handle("healthz", self._healthz, close=close)
         elif path == "/surrogate/status":
             self._handle(
                 "surrogate_status",
-                lambda: executor.submit(
-                    service.surrogate_status, key="GET:/surrogate/status"
-                ),
+                lambda: executor.submit(service.surrogate_status),
                 close=close,
             )
         else:
@@ -578,17 +572,9 @@ class _Handler(BaseHTTPRequestHandler):
         executor = self.server.executor
         service = self.service
         if endpoint == "recommend":
-            # coalescing key: the canonical body — identical
-            # (fingerprint/workload, system_kind, mode, k) requests
-            # share one computation
-            key = "recommend:" + json.dumps(
-                body, sort_keys=True, separators=(",", ":"), default=repr
-            )
             self._handle(
                 "recommend",
-                lambda: executor.submit(
-                    lambda: service.recommend(body), key=key
-                ),
+                lambda: executor.submit(lambda: service.recommend(body)),
             )
         else:
             self._handle(
@@ -665,11 +651,11 @@ class _Handler(BaseHTTPRequestHandler):
         return body
 
     def _healthz(self) -> Dict[str, Any]:
-        """Serving health (never queued — must answer under overload)."""
+        """Serving health (outside the gate — must answer under overload)."""
         executor = self.server.executor.stats()
         ingest = self.server.ingest_writer.stats()
         kb = self.service.kb
-        overloaded = executor["queued"] >= executor["queue_limit"]
+        overloaded = executor["inflight"] >= executor["max_inflight"]
         return {
             "status": "overloaded" if overloaded else "ok",
             "kb": {
@@ -769,9 +755,9 @@ def make_server(
     as ``server.server_address``.  Call ``serve_forever()`` on it (or
     use :func:`serve_forever` for the CLI loop).  ``surrogate_dir``
     makes the surrogate registry disk-backed so trained models survive
-    restarts.  ``config`` sizes the worker pool, queues, and shedding
-    thresholds; ``service`` injects a pre-built (possibly subclassed)
-    query engine — tests use it to model slow backends.
+    restarts.  ``config`` sets the admission limit and the body cap;
+    ``service`` injects a pre-built (possibly subclassed) query
+    engine — tests use it to model slow backends.
     """
     config = config or ServingConfig()
     if service is None:
@@ -802,9 +788,8 @@ def serve_forever(
     bound_host, bound_port = server.server_address[:2]
     print(f"kb service on http://{bound_host}:{bound_port} "
           f"({len(kb)} stored sessions, "
-          f"{server.config.workers} workers, "
-          f"queue limit {server.config.queue_limit}; endpoints: "
-          f"GET /workloads, GET /metrics, GET /healthz, "
+          f"at most {server.config.max_inflight} requests in flight; "
+          f"endpoints: GET /workloads, GET /metrics, GET /healthz, "
           f"GET /surrogate/status, POST /recommend, POST /ingest)")
     try:
         server.serve_forever()

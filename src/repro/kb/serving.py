@@ -1,18 +1,14 @@
-"""Bounded-concurrency serving primitives for the recommendation service.
+"""Serving primitives for the recommendation service.
 
 ``http.server``'s threading model gives every connection its own
-thread, which means *computation* concurrency equals *connection*
-concurrency — at 1000 clients that is 1000 threads all contending for
-the index, the surrogate registry, and SQLite at once.  This module
-separates the two:
+thread.  Requests run on that thread, the one that parsed them, so an
+answer never waits for a hand-off between threads.  This module bounds
+what those threads may do at once:
 
-* :class:`RequestExecutor` — an explicit bounded request queue drained
-  by a fixed worker pool.  Connection threads enqueue a thunk and block
-  on its completion; only ``workers`` thunks ever execute at a time.
-  Admission control sheds load *before* queueing (:class:`Overloaded`,
-  mapped to HTTP 429 with ``Retry-After``) when the queue is full or
-  the predicted wait passes a limit, and concurrent requests with the
-  same coalescing key share one computation.
+* :class:`RequestExecutor` — an admission gate.  At most
+  ``max_inflight`` requests run at once; one over the limit, or one
+  after shutdown began, sheds at once (:class:`Overloaded`, mapped to
+  HTTP 429 with ``Retry-After``) instead of piling onto the CPU.
 * :class:`IngestWriter` — a write-behind queue for ``POST /ingest``:
   requests enqueue their payload and wait for an :class:`IngestAck`;
   a single writer thread drains the queue in batches and commits each
@@ -33,7 +29,6 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -47,11 +42,8 @@ __all__ = [
     "IngestAck",
 ]
 
-#: Baseline ``Retry-After`` hint, in seconds, on shed responses.
+#: ``Retry-After`` hint, in seconds, on shed responses.
 RETRY_AFTER_S = 1.0
-#: How long a connection thread waits for its queued request before
-#: abandoning it (shed with ``wait-timeout``).
-QUEUE_WAIT_TIMEOUT_S = 30.0
 #: Maximum pending write-behind ingest payloads.
 INGEST_QUEUE_LIMIT = 512
 #: Maximum payloads committed per group-commit batch.
@@ -64,9 +56,8 @@ class Overloaded(RuntimeError):
     """Request shed by admission control (maps to HTTP 429).
 
     Attributes:
-        reason: machine-readable shed reason (``queue-full``,
-            ``predicted-wait``, ``wait-timeout``, ``ingest-queue-full``,
-            ``ingest-slow``, ``shutdown``).
+        reason: machine-readable shed reason (``inflight-full``,
+            ``ingest-queue-full``, ``ingest-slow``, ``shutdown``).
         retry_after_s: suggested client backoff (``Retry-After``).
     """
 
@@ -78,24 +69,16 @@ class Overloaded(RuntimeError):
 
 @dataclass(frozen=True)
 class ServingConfig:
-    """Tunables of the serving stack (queueing, shedding, limits).
+    """Tunables of the serving stack (admission, limits, caches).
 
     The defaults are sized for a small-footprint service; tests shrink
-    them to force the shedding paths deterministically.
+    them to force the shedding paths deterministically.  A size below 1
+    raises ``ValueError``.
     """
 
-    #: Worker threads draining the request queue (computation bound).
-    workers: int = 8
-    #: Maximum queued (admitted, not yet executing) requests; beyond
-    #: this, admission sheds with ``queue-full``.
-    queue_limit: int = 256
-    #: Shed when ``(queued + busy) * avg_service_time / workers``
-    #: exceeds this — the in-flight latency limit.
-    max_predicted_wait_s: float = 10.0
-    #: Coalesce concurrent requests with identical coalescing keys
-    #: (same fingerprint/workload, system_kind, mode, k) into one
-    #: computation.
-    coalesce: bool = True
+    #: Requests that may run at once; beyond this, admission sheds
+    #: with ``inflight-full``.
+    max_inflight: int = 256
     #: Request bodies above this many bytes are refused with HTTP 413.
     max_body_bytes: int = 8 * 1024 * 1024
     #: Negative-cache TTL for unknown/failed system kinds in
@@ -106,179 +89,75 @@ class ServingConfig:
     #: retrains on every KB version bump (the offline default).
     surrogate_retrain_debounce_s: float = 0.0
 
-
-class _Job:
-    """One queued unit of work plus everyone waiting on it."""
-
-    __slots__ = (
-        "thunk", "key", "event", "result", "error", "waiters", "done",
-        "enqueued_at",
-    )
-
-    def __init__(self, thunk: Callable[[], Any], key: Optional[str]) -> None:
-        self.thunk = thunk
-        self.key = key
-        self.event = threading.Event()
-        self.result: Any = None
-        self.error: Optional[BaseException] = None
-        self.waiters = 1
-        self.done = False
-        self.enqueued_at = time.monotonic()
+    def __post_init__(self) -> None:
+        for name in ("max_inflight", "max_body_bytes"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(
+                    f"ServingConfig.{name} must be at least 1, got {value!r}"
+                )
 
 
 class RequestExecutor:
-    """Bounded request queue drained by a fixed worker pool.
+    """Admission gate: at most ``max_inflight`` requests run at once.
 
-    ``submit`` blocks the calling (connection) thread until its job
-    completes, re-raising whatever the thunk raised.  Admission control
-    runs at submit time: a full queue or an excessive predicted wait
-    sheds immediately with :class:`Overloaded` instead of letting the
-    backlog grow without bound.
+    ``submit`` runs the thunk on the calling (connection) thread and
+    returns its result, or raises what it raised.  A request over the
+    limit, or one after :meth:`close`, sheds at once with
+    :class:`Overloaded`; nothing is ever queued.
     """
 
     def __init__(self, config: ServingConfig) -> None:
         self.config = config
         self._lock = threading.Lock()
-        self._work = threading.Condition(self._lock)
-        self._pending: "deque[_Job]" = deque()
-        self._inflight: Dict[str, _Job] = {}
-        self._busy = 0
+        self._idle = threading.Condition(self._lock)
+        self._inflight = 0
         self._closed = False
-        #: EWMA of recent job service time, the predicted-wait input.
-        self._avg_service_s: Optional[float] = None
         self.shed_counts: Dict[str, int] = {}
-        self.coalesced = 0
         self.executed = 0
-        self._threads = [
-            threading.Thread(
-                target=self._worker_loop, name=f"kb-serve-{i}", daemon=True
-            )
-            for i in range(max(1, config.workers))
-        ]
-        for thread in self._threads:
-            thread.start()
 
-    # -- submission ---------------------------------------------------------
-    def _shed(self, reason: str, predicted_wait_s: float = 0.0) -> None:
-        with self._lock:
-            self.shed_counts[reason] = self.shed_counts.get(reason, 0) + 1
-        global_metrics().inc(f"kb.serve.shed.{reason}")
-        retry = max(RETRY_AFTER_S, min(predicted_wait_s, 30.0))
-        raise Overloaded(reason, retry_after_s=retry)
-
-    def submit(
-        self, thunk: Callable[[], Any], key: Optional[str] = None
-    ) -> Any:
-        """Run ``thunk`` through the pool; block until it completes.
-
-        ``key`` (optional) coalesces: if an identical-key job is queued
-        or executing, this call waits on *that* job's result instead of
-        enqueueing a duplicate computation.
-        """
-        metrics = global_metrics()
-        job: Optional[_Job] = None
-        shed_reason, predicted = None, 0.0
+    def submit(self, thunk: Callable[[], Any]) -> Any:
+        """Run ``thunk`` here if a slot is free; shed otherwise."""
         with self._lock:
             if self._closed:
-                raise Overloaded("shutdown")
-            if key is not None and self.config.coalesce:
-                existing = self._inflight.get(key)
-                if existing is not None and not existing.done:
-                    existing.waiters += 1
-                    self.coalesced += 1
-                    metrics.inc("kb.serve.coalesced")
-                    job = existing
-            if job is None:
-                depth = len(self._pending)
-                avg = self._avg_service_s
-                if avg is not None:
-                    predicted = (depth + self._busy) * avg / len(self._threads)
-                if depth >= self.config.queue_limit:
-                    shed_reason = "queue-full"
-                elif predicted > self.config.max_predicted_wait_s:
-                    shed_reason = "predicted-wait"
-                else:
-                    job = _Job(thunk, key)
-                    self._pending.append(job)
-                    if key is not None and self.config.coalesce:
-                        self._inflight[key] = job
-                    self._work.notify()
-        if shed_reason is not None:
-            self._shed(shed_reason, predicted)
-        if not job.event.wait(QUEUE_WAIT_TIMEOUT_S):
-            with self._lock:
-                job.waiters -= 1
-            self._shed("wait-timeout")
-        metrics.observe(
-            "kb.serve.queue.wait_s", time.monotonic() - job.enqueued_at
-        )
-        if job.error is not None:
-            raise job.error
-        return job.result
-
-    # -- workers ------------------------------------------------------------
-    def _worker_loop(self) -> None:
-        metrics = global_metrics()
-        while True:
-            with self._lock:
-                while not self._pending and not self._closed:
-                    self._work.wait()
-                if not self._pending and self._closed:
-                    return
-                job = self._pending.popleft()
-                if job.waiters <= 0:
-                    # every waiter timed out and went away; skip the work
-                    if job.key is not None:
-                        self._inflight.pop(job.key, None)
-                    self.shed_counts["abandoned"] = (
-                        self.shed_counts.get("abandoned", 0) + 1
-                    )
-                    continue
-                self._busy += 1
-            start = time.perf_counter()
-            try:
-                job.result = job.thunk()
-            except BaseException as exc:  # noqa: BLE001 — ferried to waiters
-                job.error = exc
+                reason: Optional[str] = "shutdown"
+            elif self._inflight >= self.config.max_inflight:
+                reason = "inflight-full"
+            else:
+                reason = None
+                self._inflight += 1
+            if reason is not None:
+                self.shed_counts[reason] = self.shed_counts.get(reason, 0) + 1
+        if reason is not None:
+            global_metrics().inc(f"kb.serve.shed.{reason}")
+            raise Overloaded(reason)
+        start = time.perf_counter()
+        try:
+            return thunk()
+        finally:
+            # a thunk that raised (a 400 or a 500) gives its slot back too
             elapsed = time.perf_counter() - start
             with self._lock:
-                self._busy -= 1
+                self._inflight -= 1
                 self.executed += 1
-                if self._avg_service_s is None:
-                    self._avg_service_s = elapsed
-                else:
-                    self._avg_service_s = (
-                        0.8 * self._avg_service_s + 0.2 * elapsed
-                    )
-                if job.key is not None:
-                    self._inflight.pop(job.key, None)
-                job.done = True
-            metrics.observe("kb.serve.exec_s", elapsed)
-            job.event.set()
+                if not self._inflight:
+                    self._idle.notify_all()
+            global_metrics().observe("kb.serve.exec_s", elapsed)
 
-    # -- lifecycle / introspection ------------------------------------------
     def close(self, timeout: float = 5.0) -> None:
-        """Stop accepting work, finish the backlog, join the workers."""
-        with self._lock:
+        """Refuse new requests; wait up to ``timeout`` seconds for the
+        running ones to finish."""
+        with self._idle:
             self._closed = True
-            self._work.notify_all()
-        for thread in self._threads:
-            thread.join(timeout=timeout)
+            self._idle.wait_for(lambda: not self._inflight, timeout)
 
     def stats(self) -> Dict[str, Any]:
-        """JSON-safe queue health snapshot (the ``/healthz`` body)."""
+        """JSON-safe admission snapshot (the ``/healthz`` body)."""
         with self._lock:
-            avg = self._avg_service_s
             return {
-                "workers": len(self._threads),
-                "queued": len(self._pending),
-                "busy": self._busy,
-                "queue_limit": self.config.queue_limit,
-                "avg_service_ms": (
-                    None if avg is None else round(avg * 1000.0, 3)
-                ),
+                "inflight": self._inflight,
+                "max_inflight": self.config.max_inflight,
                 "executed": self.executed,
-                "coalesced": self.coalesced,
                 "shed": dict(self.shed_counts),
                 "closed": self._closed,
             }

@@ -99,7 +99,7 @@ class TestJsonReport:
 
 class TestBenchCommand:
     def test_unknown_bench_exits_2(self, capsys):
-        for name in ("nope", "serve", "driver"):
+        for name in ("nope", "serve", "driver", "exec"):
             with pytest.raises(SystemExit) as exc:
                 main(["bench", name])
             assert exc.value.code == 2

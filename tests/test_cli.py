@@ -58,26 +58,47 @@ class TestSeedFlag:
 
 
 class TestServeFlags:
-    @pytest.mark.parametrize("flag, value", [
-        ("--workers", "-3"),
-        ("--queue-limit", "0"),
-    ])
-    def test_refuses_what_is_not_a_positive_integer(
-        self, capsys, monkeypatch, tmp_path, flag, value
-    ):
+    def _refused(self, capsys, monkeypatch, tmp_path, argv):
+        """Stderr of ``serve`` with ``argv``, which must exit 2 before
+        the server starts or a KB file is created."""
         def started(*args, **kwargs):
-            raise AssertionError(f"serve started with {flag} {value}")
+            raise AssertionError(f"serve started with {argv}")
 
         monkeypatch.setattr("repro.kb.service.serve_forever", started)
         kb_path = tmp_path / "serve.kb"
         with pytest.raises(SystemExit) as exit_info:
-            main(["serve", "--kb", str(kb_path), flag, value])
+            main(["serve", "--kb", str(kb_path), *argv])
         assert exit_info.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert (f"error: argument {flag}: expected a positive integer, "
-                f"got {value!r}") in captured.err
         assert not kb_path.exists()
+        return captured.err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--max-inflight", "-3"),
+        ("--max-inflight", "0"),
+    ])
+    def test_refuses_what_is_not_a_positive_integer(
+        self, capsys, monkeypatch, tmp_path, flag, value
+    ):
+        err = self._refused(capsys, monkeypatch, tmp_path, [flag, value])
+        assert (f"error: argument {flag}: expected a positive integer, "
+                f"got {value!r}") in err
+
+    @pytest.mark.parametrize("value", ["70000", "-1", "x"])
+    def test_refuses_a_port_outside_0_to_65535(
+        self, capsys, monkeypatch, tmp_path, value
+    ):
+        err = self._refused(capsys, monkeypatch, tmp_path, ["--port", value])
+        assert (f"error: argument --port: expected a port in 0-65535, "
+                f"got {value!r}") in err
+
+    @pytest.mark.parametrize("flag", ["--workers", "--queue-limit"])
+    def test_retired_pool_flags_are_unrecognized(
+        self, capsys, monkeypatch, tmp_path, flag
+    ):
+        err = self._refused(capsys, monkeypatch, tmp_path, [flag, "8"])
+        assert f"unrecognized arguments: {flag} 8" in err
 
 
 class TestTuneKnowledgeBase:

@@ -1,8 +1,9 @@
 """Regression tests for the production serving stack (ISSUE 9).
 
 Covers the hardened request path (500 safety net, type-validated
-``k``/``mode``/bodies, Content-Length enforcement), the bounded
-executor (coalescing, shedding, Retry-After), the write-behind ingest
+``k``/``mode``/bodies, Content-Length enforcement), the admission
+gate (shedding, Retry-After, slots freed by failed requests, shutdown
+that waits for running requests), the write-behind ingest
 queue (group commit, never-ack-a-lost-session, flush-on-shutdown), the
 lock-guarded ``_space_for`` negative cache, and per-family surrogate
 locks (one cold family must not serialize the others).  Also: ingest
@@ -34,7 +35,12 @@ from hypothesis import strategies as st
 from repro.core import Budget
 from repro.kb import KnowledgeBase, make_server
 from repro.kb.service import RecommendationService, ServiceError
-from repro.kb.serving import IngestWriter, Overloaded, ServingConfig
+from repro.kb.serving import (
+    IngestWriter,
+    Overloaded,
+    RequestExecutor,
+    ServingConfig,
+)
 from repro.surrogate import SurrogateStore
 from repro.systems.dbms import DbmsSimulator, olap_analytics, oltp_orders
 from repro.tuners import RandomSearchTuner
@@ -392,7 +398,7 @@ class TestInternalErrorPath:
             _stop(server, thread)
 
 
-# -- tentpole: executor behavior over HTTP ------------------------------------
+# -- tentpole: the admission gate over HTTP -----------------------------------
 class _SlowService(RecommendationService):
     def __init__(self, kb, delay_s, **kwargs):
         super().__init__(kb, **kwargs)
@@ -403,8 +409,27 @@ class _SlowService(RecommendationService):
         return super().recommend(request)
 
 
+class _BlockedService(RecommendationService):
+    """A recommend that holds its slot until ``release`` is set."""
+
+    def __init__(self, kb, **kwargs):
+        super().__init__(kb, **kwargs)
+        self.release = threading.Event()
+
+    def recommend(self, request):
+        assert self.release.wait(10), "recommend was never released"
+        return super().recommend(request)
+
+
+def _wait_for(predicate, timeout_s=5.0):
+    deadline = time.monotonic() + timeout_s
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.005)
+
+
 class TestExecutor:
-    def test_identical_concurrent_recommends_coalesce(self, kb):
+    def test_identical_concurrent_recommends_agree(self, kb):
         server, thread = _serve(kb, service=_SlowService(kb, 0.15))
         try:
             request = {"workload": olap_analytics().name, "k": 2}
@@ -417,17 +442,11 @@ class TestExecutor:
             assert {status for status, _, _ in outcomes} == {200}
             bodies = [body for _, body, _ in outcomes]
             assert all(body == bodies[0] for body in bodies)
-            stats = server.executor.stats()
-            assert stats["coalesced"] > 0
-            assert stats["executed"] < 8
         finally:
             _stop(server, thread)
 
     def test_overload_sheds_429_with_retry_after_never_5xx(self, kb):
-        config = ServingConfig(
-            workers=1, queue_limit=1, max_predicted_wait_s=0.01,
-            coalesce=False,
-        )
+        config = ServingConfig(max_inflight=2)
         server, thread = _serve(
             kb, config=config, service=_SlowService(kb, 0.1, config=config)
         )
@@ -446,10 +465,8 @@ class TestExecutor:
             for status, body, response in outcomes:
                 if status == 429:
                     assert int(response.getheader("Retry-After")) >= 1
-                    assert body["reason"] in (
-                        "queue-full", "predicted-wait", "wait-timeout"
-                    )
-            assert sum(server.executor.stats()["shed"].values()) > 0
+                    assert body["reason"] == "inflight-full"
+            assert server.executor.stats()["shed"]["inflight-full"] > 0
         finally:
             _stop(server, thread)
 
@@ -457,10 +474,155 @@ class TestExecutor:
         status, body, _ = _request(server, "GET", "/healthz")
         assert status == 200
         assert body["status"] == "ok"
-        assert body["executor"]["workers"] >= 1
-        assert body["executor"]["queued"] <= body["executor"]["queue_limit"]
+        assert set(body["executor"]) == {
+            "inflight", "max_inflight", "executed", "shed", "closed"
+        }
+        assert body["executor"]["inflight"] < body["executor"]["max_inflight"]
+        assert body["executor"]["max_inflight"] == 256
         assert body["ingest"]["closed"] is False
         assert body["kb"]["n_sessions"] == len(kb)
+
+    def test_a_failed_request_gives_its_slot_back(self, kb):
+        """With one slot, a 400 and a 500 each run and release it, so
+        the next well-formed request still gets a 200."""
+        config = ServingConfig(max_inflight=1)
+        server, thread = _serve(
+            kb, config=config, service=_FailingService(kb, config=config)
+        )
+        name = olap_analytics().name
+        try:
+            for body, expected in (
+                ({"workload": name, "k": 0}, 400),
+                ({"workload": name, "explode": 1}, 500),
+                ({"workload": name, "k": 1}, 200),
+            ):
+                status, _, _ = _request(server, "POST", "/recommend", body)
+                assert status == expected, body
+            stats = server.executor.stats()
+            assert stats["inflight"] == 0
+            assert stats["executed"] == 3
+            assert stats["shed"] == {}
+        finally:
+            _stop(server, thread)
+
+    def test_a_full_gate_sheds_at_once_and_health_still_answers(self, kb):
+        """While a blocked recommend holds the only slot, a second one
+        is refused at once; ``/metrics`` and ``/healthz`` stay outside
+        the gate and answer."""
+        config = ServingConfig(max_inflight=1)
+        service = _BlockedService(kb, config=config)
+        server, thread = _serve(kb, config=config, service=service)
+        request = {"workload": olap_analytics().name, "k": 1}
+        try:
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                first = pool.submit(
+                    _request, server, "POST", "/recommend", request
+                )
+                _wait_for(lambda: server.executor.stats()["inflight"] == 1)
+                start = time.perf_counter()
+                status, body, response = _request(
+                    server, "POST", "/recommend", request
+                )
+                assert time.perf_counter() - start < 1.0
+                assert status == 429
+                assert body["reason"] == "inflight-full"
+                assert response.getheader("Retry-After") == "1"
+                status, _, _ = _request(server, "GET", "/metrics")
+                assert status == 200
+                status, health, _ = _request(server, "GET", "/healthz")
+                assert status == 200
+                assert health["status"] == "overloaded"
+                assert health["executor"]["inflight"] == 1
+                assert health["executor"]["shed"] == {"inflight-full": 1}
+                service.release.set()
+                assert first.result(timeout=10)[0] == 200
+        finally:
+            service.release.set()
+            _stop(server, thread)
+
+    def test_close_sheds_new_work_and_waits_for_running_work(self):
+        executor = RequestExecutor(ServingConfig())
+        release = threading.Event()
+        events = []
+
+        def running():
+            release.wait(10)
+            events.append("request finished")
+            return "done"
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            request = pool.submit(executor.submit, running)
+            _wait_for(lambda: executor.stats()["inflight"] == 1)
+            # the wait is bounded by the timeout
+            start = time.perf_counter()
+            executor.close(timeout=0.05)
+            assert time.perf_counter() - start < 1.0
+            with pytest.raises(Overloaded) as shed:
+                executor.submit(lambda: 42)
+            assert shed.value.reason == "shutdown"
+            closing = pool.submit(executor.close, 10)
+            time.sleep(0.05)
+            assert not closing.done()
+            release.set()
+            closing.result(timeout=10)
+            events.append("close returned")
+            assert request.result(timeout=10) == "done"
+        assert events == ["request finished", "close returned"]
+        assert executor.stats() == {
+            "inflight": 0, "max_inflight": 256, "executed": 1,
+            "shed": {"shutdown": 1}, "closed": True,
+        }
+
+    def test_concurrent_submits_never_pass_the_limit(self):
+        """16 threads race 100 submits each through a gate of 4 with a
+        short switch interval: no more than 4 thunks ever run at once,
+        and every submit is counted exactly once, run or shed."""
+        executor = RequestExecutor(ServingConfig(max_inflight=4))
+        lock = threading.Lock()
+        running, peak = [0], [0]
+
+        def thunk():
+            with lock:
+                running[0] += 1
+                peak[0] = max(peak[0], running[0])
+            time.sleep(0)
+            with lock:
+                running[0] -= 1
+
+        def client(_):
+            for _ in range(100):
+                try:
+                    executor.submit(thunk)
+                except Overloaded as exc:
+                    assert exc.reason == "inflight-full"
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=16) as pool:
+                list(pool.map(client, range(16), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        stats = executor.stats()
+        assert 1 <= peak[0] <= 4
+        assert stats["inflight"] == 0
+        assert stats["executed"] + sum(stats["shed"].values()) == 1600
+
+
+class TestServingConfig:
+    @pytest.mark.parametrize("size", [0, -3])
+    def test_max_inflight_below_1_is_refused(self, size):
+        with pytest.raises(ValueError, match="max_inflight"):
+            ServingConfig(max_inflight=size)
+
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_max_body_bytes_below_1_is_refused(self, size):
+        with pytest.raises(ValueError, match="max_body_bytes"):
+            ServingConfig(max_body_bytes=size)
+
+    def test_one_is_the_smallest_size(self):
+        config = ServingConfig(max_inflight=1, max_body_bytes=1)
+        assert RequestExecutor(config).submit(lambda: 42) == 42
 
 
 # -- tentpole: write-behind ingest queue --------------------------------------
@@ -662,10 +824,7 @@ class TestStorm:
     def test_every_request_answered_by_contract(self, session_payload, cell):
         overload = cell == "overload"
         n_clients = 32 if overload else 64
-        config = ServingConfig(
-            workers=2, queue_limit=8, max_predicted_wait_s=0.05,
-            coalesce=False,
-        ) if overload else ServingConfig()
+        config = ServingConfig(max_inflight=10) if overload else ServingConfig()
         with _tuned_kb() as private:
             service = (_SlowService(private, 0.02, config=config)
                        if overload else None)
@@ -688,8 +847,8 @@ class TestStorm:
             try:
                 with ThreadPoolExecutor(max_workers=n_clients) as pool:
                     futures = [pool.submit(client, i) for i in range(n_clients)]
-                    # /healthz is answered outside the request queue, so
-                    # it must answer while the queue is full
+                    # /healthz is answered outside the gate, so it must
+                    # answer while every slot is taken
                     while overload and not all(f.done() for f in futures):
                         probes.append(_request(server, "GET", "/healthz"))
                         time.sleep(0.02)
@@ -703,7 +862,7 @@ class TestStorm:
                 _stop(server, thread)
 
         assert len(replies) == _STORM_REQUESTS * n_clients
-        # a starved server may shed a queued request; nothing else may
+        # a starved server may shed a gated request; nothing else may
         unexpected = [
             (step[:2], status, body) for step, status, body, _ in replies
             if status != step[4] and not (
@@ -724,7 +883,7 @@ class TestStorm:
         if overload:
             assert probes
             assert all(status == 200 for status, _, _ in probes)
-            assert any(body["executor"]["busy"] for _, body, _ in probes)
+            assert any(body["executor"]["inflight"] for _, body, _ in probes)
 
 
 # -- review fix: per-payload sqlite error isolation + rollback ----------------
