@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.core.measurement import Measurement
 from repro.core.parameters import Configuration
-from repro.obs.metrics import MetricsRegistry, global_metrics
+from repro.obs.metrics import global_metrics
 
 __all__ = [
     "EvaluationCache",
@@ -179,8 +179,8 @@ class EvaluationCache:
         max_entries: LRU capacity; the benchmark suite's working set is
             a few tens of thousands of points.
 
-    Hits, misses and evictions are counted in a private
-    :class:`~repro.obs.MetricsRegistry`, so each cache's stats stand
+    Hits, misses and evictions are counted in this cache's ``hits``,
+    ``misses`` and ``evictions`` ints, so each cache's stats stand
     alone, and *also* in the process-wide
     :func:`~repro.obs.global_metrics` under ``exec.cache.*`` for the
     ``GET /metrics`` endpoint.
@@ -190,28 +190,18 @@ class EvaluationCache:
     running hit rate for the perf trajectory.
     """
 
+    #: The entries and counts change with every lookup, so they are no
+    #: stable value: a wrapper that holds a cache runs uncached.
+    unfingerprintable = True
+
     def __init__(self, max_entries: int = 200_000):
         if max_entries < 1:
             raise ValueError("max_entries must be >= 1")
         self.max_entries = max_entries
         self._entries: "OrderedDict[Tuple[str, ...], Measurement]" = OrderedDict()
-        self.metrics = MetricsRegistry()
-
-    # -- accounting --------------------------------------------------------
-    # The counters live in a MetricsRegistry (thread-safe, snapshot-able)
-    # instead of ad-hoc ints; the int-valued properties keep the
-    # historical stats() surface.
-    @property
-    def hits(self) -> int:
-        return int(self.metrics.value("cache.hits"))
-
-    @property
-    def misses(self) -> int:
-        return int(self.metrics.value("cache.misses"))
-
-    @property
-    def evictions(self) -> int:
-        return int(self.metrics.value("cache.evictions"))
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
 
     # -- keys --------------------------------------------------------------
     def key_for(
@@ -248,11 +238,11 @@ class EvaluationCache:
         entry's LRU recency."""
         entry = self._entries.get(key)
         if entry is None:
-            self.metrics.inc("cache.misses")
+            self.misses += 1
             global_metrics().inc("exec.cache.misses")
             return None
         self._entries.move_to_end(key)
-        self.metrics.inc("cache.hits")
+        self.hits += 1
         global_metrics().inc("exec.cache.hits")
         return entry
 
@@ -261,7 +251,7 @@ class EvaluationCache:
         self._entries.move_to_end(key)
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
-            self.metrics.inc("cache.evictions")
+            self.evictions += 1
             global_metrics().inc("exec.cache.evictions")
 
     def __len__(self) -> int:
@@ -269,7 +259,7 @@ class EvaluationCache:
 
     def clear(self) -> None:
         self._entries.clear()
-        self.metrics.reset()
+        self.hits = self.misses = self.evictions = 0
 
     # -- convenience ---------------------------------------------------------
     def run(self, system: Any, workload: Any, config: Configuration) -> Measurement:

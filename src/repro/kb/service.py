@@ -136,9 +136,14 @@ class RecommendationService:
         confidence_threshold: maximum relative posterior std for a
             surrogate answer to be served; above it the reply falls
             back to the similarity recommendation.
-        config: serving tunables (negative-cache TTL for unknown system
-            kinds, surrogate retrain debounce).  The default retrains
-            on every KB version bump, matching offline usage.
+        config: serving tunables (admission, body cap, surrogate
+            retrain debounce).  The default retrains on every KB version
+            bump, matching offline usage.
+
+    Per-request state is kept only for what the registry and the KB
+    hold: configuration spaces for registered system kinds, and locks
+    and training stamps for workload families with stored sessions.
+    Names a client makes up cost a lookup, never an entry.
     """
 
     def __init__(
@@ -156,15 +161,13 @@ class RecommendationService:
         self._index_build_lock = threading.Lock()
         self._index_version: Optional[Tuple[int, int]] = None
         self._index: List[Tuple[SessionRecord, WorkloadFingerprint]] = []
-        # one lock per (system kind, family): a cold surrogate training
-        # for one family must never stall requests for another
+        # one lock per (system kind, stored family): a cold surrogate
+        # training for one family must never stall requests for another
         self._family_guard = threading.Lock()
         self._family_locks: Dict[Tuple[str, str], threading.Lock] = {}
         self._family_trained_at: Dict[Tuple[str, str], float] = {}
-        self._space_lock = threading.Lock()
-        # kind -> (space | None, negative-cache expiry); a transient
-        # failure must not poison the kind forever
-        self._spaces: Dict[str, Tuple[Any, float]] = {}
+        # registered system kind -> its configuration space
+        self._spaces: Dict[str, Any] = {}
         self.recent_errors: "deque[Dict[str, str]]" = deque(maxlen=16)
 
     # -- index -------------------------------------------------------------
@@ -235,6 +238,11 @@ class RecommendationService:
         """
         if not isinstance(request, Mapping):
             raise ServiceError("request body must be a JSON object")
+        workload = request.get("workload")
+        if workload is not None and not isinstance(workload, str):
+            raise ServiceError(
+                f"workload must be a string, got {workload!r}"
+            )
         mode = request.get("mode", "similarity")
         if not isinstance(mode, str) or mode not in ("similarity", "surrogate"):
             raise ServiceError(f"unknown recommend mode {mode!r}")
@@ -277,35 +285,30 @@ class RecommendationService:
         }
         if mode == "surrogate":
             response = self._surrogate_overlay(
-                request, response, fingerprint, ranked, system_kind
+                request, response, fingerprint, ranked, candidates,
+                system_kind,
             )
         return response
 
     # -- surrogate mode ----------------------------------------------------
     def _space_for(self, system_kind: str) -> Optional[Any]:
-        """The system kind's configuration space (memoized under a
-        lock).  Failures are cached *negatively with an expiry*: an
-        unknown kind answers cheaply for ``space_negative_ttl_s``, but
-        a transient failure (import hiccup, racing registration) is
-        retried after the TTL instead of poisoning the kind forever.
-        """
-        now = time.monotonic()
-        with self._space_lock:
-            entry = self._spaces.get(system_kind)
-            if entry is not None:
-                space, expires = entry
-                if space is not None or now < expires:
-                    return space
-        from repro.core.registry import make_system
+        """The registered system kind's configuration space, or ``None``
+        for a kind the registry does not know.
 
-        try:
-            space = make_system(system_kind).config_space
-            expires = math.inf
-        except Exception:
-            space = None
-            expires = now + self.config.space_negative_ttl_s
-        with self._space_lock:
-            self._spaces[system_kind] = (space, expires)
+        Only registered kinds are memoized; an unknown kind is a dict
+        miss in the registry, so it is looked up again each time rather
+        than left in the table.  Racing first calls may each build the
+        space, but ``setdefault`` hands all of them the one stored.
+        """
+        from repro.core.registry import UnknownName, make_system
+
+        space = self._spaces.get(system_kind)
+        if space is None:
+            try:
+                space = make_system(system_kind).config_space
+            except UnknownName:
+                return None
+            space = self._spaces.setdefault(system_kind, space)
         return space
 
     def _family_lock(self, key: Tuple[str, str]) -> threading.Lock:
@@ -349,13 +352,16 @@ class RecommendationService:
         base: Dict[str, Any],
         fingerprint: WorkloadFingerprint,
         ranked: List[Tuple[SessionRecord, float]],
+        candidates: List[Tuple[SessionRecord, WorkloadFingerprint]],
         system_kind: Optional[str],
     ) -> Dict[str, Any]:
         """Serve the request from a per-family surrogate if one applies.
 
         Every exit path keeps the similarity fields intact: a fallback
         response is exactly the similarity answer plus provenance
-        (``served_by: "similarity-fallback"`` and the reason).
+        (``served_by: "similarity-fallback"`` and the reason).  A family
+        no indexed session of the kind belongs to has no model to train,
+        so it answers ``no-model`` before any per-family state is made.
         """
         response = dict(base)
         response["mode"] = "surrogate"
@@ -379,6 +385,12 @@ class RecommendationService:
         if space is None:
             return fallback(f"unknown-system-kind:{kind}")
         family = family_of(workload)
+        if not any(
+            record.system_kind == kind
+            and family_of(record.workload_name) == family
+            for record, _ in candidates
+        ):
+            return fallback("no-model")
         with self._family_lock((kind, family)):
             model = self._family_model(kind, family, space)
         if model is None:
@@ -423,8 +435,6 @@ class RecommendationService:
         name = request.get("workload")
         if not name:
             raise ServiceError("request needs 'fingerprint' or 'workload'")
-        if not isinstance(name, str):
-            raise ServiceError(f"workload must be a string, got {name!r}")
         for record, fp in candidates:  # newest first (sessions() ordering)
             if record.workload_name == name:
                 return fp

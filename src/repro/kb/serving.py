@@ -69,7 +69,7 @@ class Overloaded(RuntimeError):
 
 @dataclass(frozen=True)
 class ServingConfig:
-    """Tunables of the serving stack (admission, limits, caches).
+    """Tunables of the serving stack (admission, limits, retraining).
 
     The defaults are sized for a small-footprint service; tests shrink
     them to force the shedding paths deterministically.  A size below 1
@@ -81,9 +81,6 @@ class ServingConfig:
     max_inflight: int = 256
     #: Request bodies above this many bytes are refused with HTTP 413.
     max_body_bytes: int = 8 * 1024 * 1024
-    #: Negative-cache TTL for unknown/failed system kinds in
-    #: :meth:`RecommendationService._space_for`.
-    space_negative_ttl_s: float = 30.0
     #: Minimum seconds between surrogate retrains per (kind, family);
     #: within the window a stale cached model keeps serving.  ``0``
     #: retrains on every KB version bump (the offline default).

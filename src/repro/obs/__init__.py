@@ -6,11 +6,10 @@ are invisible in a final result table.  ``repro.obs`` makes that spend
 first-class, the way OtterTune's service and Starfish's profiler treat
 runtime observability as a subsystem of its own:
 
-* :class:`MetricsRegistry` — counters, gauges and histograms with
-  lock-free per-thread accumulation, merged on read and mergeable
-  across process boundaries (:func:`global_metrics` is the process-wide
-  instance; the knowledge-base service publishes it at
-  ``GET /metrics``);
+* :class:`MetricsRegistry` — counters, gauges and histograms behind
+  one lock, mergeable across process boundaries (:func:`global_metrics`
+  is the process-wide instance; the knowledge-base service publishes
+  it at ``GET /metrics``);
 * :class:`Tracer` — hierarchical spans (session → batch → evaluation,
   plus retry/fault/quarantine events) in a bounded ring buffer with
   JSONL export; activated per-run via :func:`set_tracer` /

@@ -6,13 +6,12 @@ stragglers that never show up in a final result table.  The
 leave on in every hot path, structured enough for the knowledge-base
 service to publish over ``GET /metrics``.
 
-Concurrency model — *lock-free per-thread accumulation, merge on
-read*: every thread writes counters and histogram buckets into its own
-shard (a ``threading.local`` slot), so the hot increment path is one
-dict update with no lock and no contention.  :meth:`snapshot` walks
-all shards under the registry lock and merges.  A snapshot taken while
-other threads are writing is eventually consistent: it may miss the
-last few increments of a racing thread but never corrupts state.
+Concurrency model — *one lock*: counters, histograms and gauges are
+three dicts, and every write and every read takes the registry lock.
+A write is one short dict update under that lock, so concurrent
+writers never lose an increment, and a snapshot is exact at the moment
+it is taken.  The registry holds nothing per thread, so a service that
+runs each connection on a new thread does not grow with its traffic.
 
 Cross-process merge: pool workers accumulate into their own registry
 and ship :meth:`export_state` back with the task result; the parent
@@ -24,9 +23,8 @@ from __future__ import annotations
 
 import math
 import threading
-import time
-from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Mapping, Optional
+from bisect import bisect_left
+from typing import Any, Dict, List, Mapping, Optional
 
 __all__ = [
     "MetricsRegistry",
@@ -45,7 +43,7 @@ _BOUNDS: List[float] = [
 
 
 class _Hist:
-    """One thread's accumulation for one histogram."""
+    """The accumulation for one histogram."""
 
     __slots__ = ("count", "total", "min", "max", "buckets")
 
@@ -63,24 +61,8 @@ class _Hist:
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
-        lo, hi = 0, len(_BOUNDS)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if value <= _BOUNDS[mid]:
-                hi = mid
-            else:
-                lo = mid + 1
-        self.buckets[lo] += 1
-
-
-class _Shard:
-    """Per-thread accumulation slot; owned exclusively by one thread."""
-
-    __slots__ = ("counters", "hists")
-
-    def __init__(self) -> None:
-        self.counters: Dict[str, float] = {}
-        self.hists: Dict[str, _Hist] = {}
+        # the first bound at or above the value; past the last, overflow
+        self.buckets[bisect_left(_BOUNDS, value)] += 1
 
 
 def _quantile(buckets: List[int], count: int, q: float) -> float:
@@ -95,177 +77,120 @@ def _quantile(buckets: List[int], count: int, q: float) -> float:
 
 
 class MetricsRegistry:
-    """Counters, gauges and histograms with per-thread write shards.
-
-    Counters and histogram observations are lock-free on the write
-    path; gauges (rare writes, last-value-wins semantics) take the
-    registry lock.  All read methods merge shards on the fly.
-    """
+    """Counters, gauges and histograms behind one lock."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._local = threading.local()
-        self._shards: List[_Shard] = []
+        self._counters: Dict[str, float] = {}
+        self._hists: Dict[str, _Hist] = {}
         self._gauges: Dict[str, float] = {}
 
     # -- write path --------------------------------------------------------
-    def _shard(self) -> _Shard:
-        shard = self._local.__dict__.get("shard")
-        if shard is None:
-            shard = _Shard()
-            self._local.shard = shard
-            with self._lock:
-                self._shards.append(shard)
-        return shard
-
     def inc(self, name: str, value: float = 1.0) -> None:
-        """Add ``value`` to counter ``name`` (lock-free)."""
-        counters = self._shard().counters
-        counters[name] = counters.get(name, 0.0) + value
+        """Add ``value`` to counter ``name``."""
+        with self._lock:
+            self._counters[name] = self._counters.get(name, 0.0) + value
 
     def observe(self, name: str, value: float) -> None:
-        """Record one sample into histogram ``name`` (lock-free)."""
-        hists = self._shard().hists
-        hist = hists.get(name)
-        if hist is None:
-            hist = hists[name] = _Hist()
-        hist.observe(value)
+        """Record one sample into histogram ``name``."""
+        with self._lock:
+            hist = self._hists.get(name)
+            if hist is None:
+                hist = self._hists[name] = _Hist()
+            hist.observe(value)
 
     def set_gauge(self, name: str, value: float) -> None:
         """Set gauge ``name`` to ``value`` (last write wins)."""
         with self._lock:
             self._gauges[name] = float(value)
 
-    @contextmanager
-    def timer(self, name: str) -> Iterator[None]:
-        """Observe the enclosed block's wall-clock into histogram
-        ``name`` (seconds)."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.observe(name, time.perf_counter() - start)
-
     # -- read path ---------------------------------------------------------
-    def _merged(self) -> "tuple[Dict[str, float], Dict[str, _Hist]]":
-        with self._lock:
-            shards = list(self._shards)
-        counters: Dict[str, float] = {}
-        hists: Dict[str, _Hist] = {}
-        for shard in shards:
-            for name, value in list(shard.counters.items()):
-                counters[name] = counters.get(name, 0.0) + value
-            for name, hist in list(shard.hists.items()):
-                merged = hists.get(name)
-                if merged is None:
-                    merged = hists[name] = _Hist()
-                merged.count += hist.count
-                merged.total += hist.total
-                if hist.min is not None and (
-                    merged.min is None or hist.min < merged.min
-                ):
-                    merged.min = hist.min
-                if hist.max is not None and (
-                    merged.max is None or hist.max > merged.max
-                ):
-                    merged.max = hist.max
-                merged.buckets = [
-                    a + b for a, b in zip(merged.buckets, hist.buckets)
-                ]
-        return counters, hists
-
     def value(self, name: str, default: float = 0.0) -> float:
-        """The merged value of counter ``name``."""
-        return self._merged()[0].get(name, default)
+        """The value of counter ``name``."""
+        with self._lock:
+            return self._counters.get(name, default)
 
     def snapshot(self) -> Dict[str, Any]:
-        """Merged, JSON-safe view of every metric.
+        """JSON-safe view of every metric.
 
         Histogram summaries report exact count/sum/min/max/mean and
         bucket-estimated p50/p95/p99.  All values are finite (strict
         RFC 8259 JSON), so the payload can go straight onto the wire.
         """
-        counters, hists = self._merged()
         with self._lock:
-            gauges = dict(self._gauges)
-        histograms: Dict[str, Any] = {}
-        for name in sorted(hists):
-            hist = hists[name]
-            if hist.count == 0:
-                continue
-            histograms[name] = {
-                "count": hist.count,
-                "sum": round(hist.total, 9),
-                "min": round(hist.min, 9),
-                "max": round(hist.max, 9),
-                "mean": round(hist.total / hist.count, 9),
-                "p50": _quantile(hist.buckets, hist.count, 0.50),
-                "p95": _quantile(hist.buckets, hist.count, 0.95),
-                "p99": _quantile(hist.buckets, hist.count, 0.99),
+            histograms: Dict[str, Any] = {}
+            for name in sorted(self._hists):
+                hist = self._hists[name]
+                if hist.count == 0:
+                    continue
+                histograms[name] = {
+                    "count": hist.count,
+                    "sum": round(hist.total, 9),
+                    "min": round(hist.min, 9),
+                    "max": round(hist.max, 9),
+                    "mean": round(hist.total / hist.count, 9),
+                    "p50": _quantile(hist.buckets, hist.count, 0.50),
+                    "p95": _quantile(hist.buckets, hist.count, 0.95),
+                    "p99": _quantile(hist.buckets, hist.count, 0.99),
+                }
+            counters, gauges = self._counters, self._gauges
+            return {
+                "counters": {k: counters[k] for k in sorted(counters)},
+                "gauges": {
+                    k: gauges[k] for k in sorted(gauges)
+                    if math.isfinite(gauges[k])
+                },
+                "histograms": histograms,
             }
-        return {
-            "counters": {k: counters[k] for k in sorted(counters)},
-            "gauges": {
-                k: gauges[k] for k in sorted(gauges)
-                if math.isfinite(gauges[k])
-            },
-            "histograms": histograms,
-        }
 
     # -- cross-process merge -----------------------------------------------
     def export_state(self) -> Dict[str, Any]:
         """Raw mergeable state (counters + histogram buckets)."""
-        counters, hists = self._merged()
-        return {
-            "counters": counters,
-            "histograms": {
-                name: {
-                    "count": h.count,
-                    "total": h.total,
-                    "min": h.min,
-                    "max": h.max,
-                    "buckets": list(h.buckets),
-                }
-                for name, h in hists.items()
-            },
-        }
+        with self._lock:
+            return {
+                "counters": dict(self._counters),
+                "histograms": {
+                    name: {
+                        "count": h.count,
+                        "total": h.total,
+                        "min": h.min,
+                        "max": h.max,
+                        "buckets": list(h.buckets),
+                    }
+                    for name, h in self._hists.items()
+                },
+            }
 
     def merge_state(self, state: Mapping[str, Any]) -> None:
         """Fold a foreign :meth:`export_state` (e.g. from a pool
-        worker) into this registry, attributed to the calling thread."""
-        shard = self._shard()
-        for name, value in state.get("counters", {}).items():
-            shard.counters[name] = shard.counters.get(name, 0.0) + value
-        for name, payload in state.get("histograms", {}).items():
-            hist = shard.hists.get(name)
-            if hist is None:
-                hist = shard.hists[name] = _Hist()
-            hist.count += payload["count"]
-            hist.total += payload["total"]
-            if payload["min"] is not None and (
-                hist.min is None or payload["min"] < hist.min
-            ):
-                hist.min = payload["min"]
-            if payload["max"] is not None and (
-                hist.max is None or payload["max"] > hist.max
-            ):
-                hist.max = payload["max"]
-            hist.buckets = [
-                a + b for a, b in zip(hist.buckets, payload["buckets"])
-            ]
+        worker) into this registry."""
+        with self._lock:
+            for name, value in state.get("counters", {}).items():
+                self._counters[name] = self._counters.get(name, 0.0) + value
+            for name, payload in state.get("histograms", {}).items():
+                hist = self._hists.get(name)
+                if hist is None:
+                    hist = self._hists[name] = _Hist()
+                hist.count += payload["count"]
+                hist.total += payload["total"]
+                if payload["min"] is not None and (
+                    hist.min is None or payload["min"] < hist.min
+                ):
+                    hist.min = payload["min"]
+                if payload["max"] is not None and (
+                    hist.max is None or payload["max"] > hist.max
+                ):
+                    hist.max = payload["max"]
+                hist.buckets = [
+                    a + b for a, b in zip(hist.buckets, payload["buckets"])
+                ]
 
     def reset(self) -> None:
-        """Zero every metric (tests, benchmark passes).
-
-        Shards stay attached to their threads; their contents are
-        cleared in place.
-        """
+        """Zero every metric (tests, benchmark passes)."""
         with self._lock:
-            shards = list(self._shards)
+            self._counters.clear()
+            self._hists.clear()
             self._gauges.clear()
-        for shard in shards:
-            shard.counters.clear()
-            shard.hists.clear()
 
 
 _GLOBAL = MetricsRegistry()

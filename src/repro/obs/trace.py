@@ -128,8 +128,7 @@ class Tracer:
 
     The active-span stack is thread-local, so concurrent threads nest
     their own spans correctly; the buffer itself is shared (appends
-    take a short lock — span *creation* is rare next to metric
-    increments, which stay lock-free).
+    take a short lock).
     """
 
     def __init__(self, capacity: int = 65536):

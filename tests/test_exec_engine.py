@@ -107,6 +107,14 @@ class TestFingerprint:
         with pytest.raises(Unfingerprintable):
             fingerprint(flaky)
 
+    def test_cache_holding_wrapper_is_unfingerprintable(self):
+        # its cache's entries and counts change with every lookup
+        from repro.exec import Unfingerprintable
+
+        wrapper = InstrumentedSystem(_dbms(), eval_cache=EvaluationCache())
+        with pytest.raises(Unfingerprintable):
+            fingerprint(wrapper)
+
 
 class TestEvaluationCache:
     def test_hits_misses_and_stats(self):
@@ -123,11 +131,30 @@ class TestEvaluationCache:
     def test_lru_eviction(self):
         cache = EvaluationCache(max_entries=2)
         system, wl = _dbms(), htap_mixed(0.3)
-        for config in _configs(system, 3):
+        configs = _configs(system, 3)
+        names = ("hits", "misses", "evictions")
+        before = {n: global_metrics().value(f"exec.cache.{n}") for n in names}
+        for config in configs:
             cache.run(system, wl, config)
         stats = cache.stats()
         assert stats["entries"] == 2
         assert stats["evictions"] == 1
+        cache.run(system, wl, configs[2])  # a hit on the newest entry
+        cache.run(system, wl, configs[0])  # evicted: a miss that evicts
+        assert cache.stats() == {
+            "entries": 2, "max_entries": 2, "hits": 1, "misses": 4,
+            "evictions": 2, "hit_rate": 0.2,
+        }
+        # the process-wide exec.cache.* counters move in step
+        assert {
+            n: global_metrics().value(f"exec.cache.{n}") - before[n]
+            for n in names
+        } == {"hits": 1, "misses": 4, "evictions": 2}
+        cache.clear()
+        assert cache.stats() == {
+            "entries": 0, "max_entries": 2, "hits": 0, "misses": 0,
+            "evictions": 0, "hit_rate": 0.0,
+        }
 
     def test_cached_runs_byte_identical_to_cold(self):
         # The cache sits below noise injection: a hit still draws noise

@@ -1,8 +1,11 @@
 """Unit tests for the observability layer (repro.obs)."""
 
+import gc
 import json
 import math
+import sys
 import threading
+import tracemalloc
 
 import pytest
 
@@ -59,12 +62,6 @@ class TestMetricsRegistry:
         # (0.003 and 0.004 share the <=0.005 decade-ladder bucket).
         assert h["p50"] == pytest.approx(0.005)
 
-    def test_timer_observes_elapsed(self):
-        m = MetricsRegistry()
-        with m.timer("t"):
-            pass
-        assert m.snapshot()["histograms"]["t"]["count"] == 1
-
     def test_concurrent_increments_merge_exactly(self):
         m = MetricsRegistry()
         n, per = 8, 5000
@@ -81,6 +78,63 @@ class TestMetricsRegistry:
             t.join()
         assert m.value("c") == n * per
         assert m.snapshot()["histograms"]["h"]["count"] == n * per
+
+    def test_no_write_is_lost_under_fast_thread_switching(self):
+        # a thread switch between a read and the write built from it
+        # (a merge rebuilds the bucket list) would drop a write; a 1 µs
+        # switch interval makes one likely
+        m = MetricsRegistry()
+        n, per = 8, 2000
+        sample = MetricsRegistry()
+        sample.inc("c")
+        sample.observe("h", 0.01)
+        worker = sample.export_state()
+
+        def work():
+            for _ in range(per):
+                m.inc("c")
+                m.observe("h", 0.01)
+                m.merge_state(worker)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(n)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert m.value("c") == 2 * n * per
+        hist = m.export_state()["histograms"]["h"]
+        assert hist["count"] == sum(hist["buckets"]) == 2 * n * per
+
+    def test_exited_threads_leave_nothing_behind(self):
+        # repro serve runs each connection on a new thread: the registry
+        # must not keep anything for a thread once it has exited
+        m = MetricsRegistry()
+        m.inc("c")
+        m.observe("h", 0.01)
+
+        def write_once():
+            m.inc("c")
+            m.observe("h", 0.01)
+
+        tracemalloc.start()
+        try:
+            for _ in range(500):
+                thread = threading.Thread(target=write_once)
+                thread.start()
+                thread.join()
+            gc.collect()
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained < 64 * 1024
+        assert m.value("c") == 501
+        assert m.snapshot()["histograms"]["h"]["count"] == 501
 
     def test_snapshot_is_strict_json(self):
         m = MetricsRegistry()

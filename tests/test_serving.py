@@ -4,10 +4,11 @@ Covers the hardened request path (500 safety net, type-validated
 ``k``/``mode``/bodies, Content-Length enforcement), the admission
 gate (shedding, Retry-After, slots freed by failed requests, shutdown
 that waits for running requests), the write-behind ingest
-queue (group commit, never-ack-a-lost-session, flush-on-shutdown), the
-lock-guarded ``_space_for`` negative cache, and per-family surrogate
-locks (one cold family must not serialize the others).  Also: ingest
-validation (no stored row can break a later recommend), reply latency
+queue (group commit, never-ack-a-lost-session, flush-on-shutdown),
+state kept only for registered system kinds and stored workload
+families, and per-family surrogate locks (one cold family must not
+serialize the others).  Also: ingest validation (no stored row can
+break a later recommend), reply latency
 on a keep-alive connection (no reply waits for a delayed ACK), and the
 append-only fingerprint index (equal to a full rescan, each row read
 once).  A reply that leaves a request body unread closes the connection.
@@ -41,7 +42,7 @@ from repro.kb.serving import (
     RequestExecutor,
     ServingConfig,
 )
-from repro.surrogate import SurrogateStore
+from repro.surrogate import SurrogateStore, family_of
 from repro.systems.dbms import DbmsSimulator, olap_analytics, oltp_orders
 from repro.tuners import RandomSearchTuner
 
@@ -225,11 +226,18 @@ class TestRequestValidation:
             assert status == 400
             assert "error" in body
 
-    def test_non_string_workload_is_400(self, server):
-        status, body, _ = _request(
-            server, "POST", "/recommend", {"workload": 42}
-        )
-        assert status == 400
+    def test_non_string_workload_is_400(self, server, kb):
+        # next to a fingerprint, a non-string workload used to reach
+        # family_of(7) in surrogate mode and get a 500
+        fingerprint = kb.sessions()[0].fingerprint.to_jsonable()
+        for request in (
+            {"workload": 42},
+            {"fingerprint": fingerprint, "workload": 7, "mode": "surrogate",
+             "system_kind": "dbms"},
+        ):
+            status, body, _ = _request(server, "POST", "/recommend", request)
+            assert status == 400
+            assert "workload must be a string" in body["error"]
 
 
 # -- satellite: Content-Length enforcement ------------------------------------
@@ -931,31 +939,47 @@ class TestIngestManyIsolation:
             assert len(kb) == 1
 
 
-# -- satellite: _space_for negative cache + per-family surrogate locks --------
+# -- satellite: state only for registered kinds and stored families ----------
 class TestSpaceCache:
-    def test_unknown_kind_negative_cache_expires(self, kb, monkeypatch):
-        config = ServingConfig(space_negative_ttl_s=0.15)
-        service = RecommendationService(kb, config=config)
-        calls = {"n": 0}
+    def test_a_registry_call_that_raises_is_not_cached(
+        self, kb, monkeypatch
+    ):
         import repro.core.registry as registry
 
+        service = RecommendationService(kb)
         real_make_system = registry.make_system
+        failures = [registry.UnknownName("dbms"), RuntimeError("broken")]
 
         def flaky(kind):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                raise RuntimeError("transient registry failure")
+            if failures:
+                raise failures.pop(0)
             return real_make_system(kind)
 
         monkeypatch.setattr(registry, "make_system", flaky)
-        assert service._space_for("dbms") is None  # failure cached...
-        assert service._space_for("dbms") is None  # ...within the TTL
-        assert calls["n"] == 1
-        time.sleep(0.2)
-        assert service._space_for("dbms") is not None  # retried after TTL
-        # success is cached permanently
-        assert service._space_for("dbms") is not None
-        assert calls["n"] == 2
+        assert service._space_for("dbms") is None  # unknown: not cached
+        with pytest.raises(RuntimeError):  # anything else propagates
+            service._space_for("dbms")
+        assert service._spaces == {}
+        space = service._space_for("dbms")  # the next call succeeds
+        assert space is not None
+        assert service._space_for("dbms") is space  # and is kept
+
+    def test_unknown_kinds_leave_no_entries(self, kb, server):
+        service = RecommendationService(kb)
+        fingerprint = kb.sessions()[0].fingerprint.to_jsonable()
+        for i in range(1000):
+            reply = service.recommend({
+                "fingerprint": fingerprint, "workload": "w",
+                "mode": "surrogate", "system_kind": f"kind-{i}",
+            })
+            assert reply["fallback_reason"] == f"unknown-system-kind:kind-{i}"
+        assert service._spaces == {}
+        status, reply, _ = _request(server, "POST", "/recommend", {
+            "fingerprint": fingerprint, "workload": "w",
+            "mode": "surrogate", "system_kind": "kind-x",
+        })
+        assert status == 200
+        assert reply["fallback_reason"] == "unknown-system-kind:kind-x"
 
     def test_space_for_is_thread_safe(self, kb):
         service = RecommendationService(kb)
@@ -977,6 +1001,41 @@ class _SlowTrainStore(SurrogateStore):
     def get(self, *args, **kwargs):
         time.sleep(self.delay_s)
         return None  # always cold: recommend falls back to similarity
+
+
+class _CountingStore(SurrogateStore):
+    """Registry that records the family of every ``get``."""
+
+    def __init__(self):
+        super().__init__()
+        self.families = []
+
+    def get(self, kb, system_kind, family, *args, **kwargs):
+        self.families.append(family)
+        return super().get(kb, system_kind, family, *args, **kwargs)
+
+
+class TestSurrogateFamilies:
+    def test_unstored_families_make_no_state_and_no_training(self, kb):
+        store = _CountingStore()
+        service = RecommendationService(kb, surrogate_store=store)
+        fingerprint = kb.sessions()[0].fingerprint.to_jsonable()
+        for i in range(1000):
+            reply = service.recommend({
+                "fingerprint": fingerprint, "workload": f"family-{i}",
+                "mode": "surrogate", "system_kind": "dbms",
+            })
+            assert reply["fallback_reason"] == "no-model"
+        assert store.families == []
+        assert service._family_locks == {}
+        assert service._family_trained_at == {}
+        # a stored family still reaches the registry and gets its state
+        service.recommend({"workload": olap_analytics().name,
+                           "mode": "surrogate"})
+        stored = ("dbms", family_of(olap_analytics().name))
+        assert store.families == [stored[1]]
+        assert list(service._family_locks) == [stored]
+        assert list(service._family_trained_at) == [stored]
 
 
 class TestSurrogateConcurrency:
