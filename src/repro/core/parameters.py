@@ -47,6 +47,7 @@ __all__ = [
     "Configuration",
     "ConfigurationBatch",
     "ConfigurationSpace",
+    "identities",
 ]
 
 
@@ -394,9 +395,7 @@ class Configuration(Mapping[str, Any]):
         the bytes that evaluation-cache keys and fidelity distortions
         hash.  Unlike ``==``, it tells ``0`` from ``False``."""
         if self._identity is None:
-            self._identity = "\x1f".join(
-                f"{k}={v!r}" for k, v in sorted(self._values.items())
-            )
+            identities([self])
         return self._identity
 
     def to_array(self) -> np.ndarray:
@@ -409,6 +408,29 @@ class Configuration(Mapping[str, Any]):
     def __repr__(self) -> str:  # pragma: no cover
         body = ", ".join(f"{k}={v!r}" for k, v in sorted(self._values.items()))
         return f"Configuration({body})"
+
+
+def identities(configs: Sequence[Configuration]) -> List[str]:
+    """Each configuration's :meth:`~Configuration.identity`, in order.
+
+    The one formatter of identities.  It builds the missing ones by
+    column: configurations with the same parameter names share their
+    sorted name order, each value gets one ``repr`` and each row one
+    join.  Built identities are kept on their configurations.
+    """
+    missing: Dict[Tuple[str, ...], List[Configuration]] = {}
+    for config in configs:
+        if config._identity is None:
+            missing.setdefault(tuple(config._values), []).append(config)
+    for names, group in missing.items():
+        columns = [
+            [f"{name}={config._values[name]!r}" for config in group]
+            for name in sorted(names)
+        ]
+        rows = map("\x1f".join, zip(*columns)) if columns else [""] * len(group)
+        for config, identity in zip(group, rows):
+            config._identity = identity
+    return [config._identity for config in configs]
 
 
 class ConfigurationBatch(Sequence[Configuration]):

@@ -32,6 +32,7 @@ from repro.exceptions import BudgetExhausted
 from repro.exec.resilience import CircuitBreaker, ExecutionPolicy, enforce_deadline
 from repro.obs.metrics import global_metrics
 from repro.obs.trace import event as obs_event
+from repro.obs.trace import get_tracer
 from repro.obs.trace import span as obs_span
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -188,6 +189,12 @@ class TuningSession:
         consumer's default (0.0), which is the conventional "sample
         missing" value.
         """
+        try:
+            # a NaN or inf anywhere makes the sum non-finite
+            if math.isfinite(sum(measurement.metrics.values())):
+                return measurement
+        except (TypeError, OverflowError):
+            pass
         bad = [
             k for k, v in measurement.metrics.items()
             if not math.isfinite(float(v))
@@ -264,8 +271,9 @@ class TuningSession:
         ``measured`` instead supplies the results of runs made outside
         the session: they are only sanitized and recorded, unbudgeted.
         A batch (``batch_tag`` set) runs in a ``batch`` span with an
-        ``evaluation`` span per member, a single proposal in one
-        ``evaluation`` span, and ``measured`` results in none.
+        ``evaluation`` span per member (opened only under a tracer), a
+        single proposal in one ``evaluation`` span, and ``measured``
+        results in none.
         """
         span_attrs = {} if workload is None else {"workload": workload.name}
         workload = self.workload if workload is None else workload
@@ -292,6 +300,9 @@ class TuningSession:
             else with_fidelity(self.system, fidelity)
         )
         batch = batch_tag is not None
+        # members get spans only under a tracer: an off-path span() is
+        # still a generator to enter and leave
+        member_spans = batch and get_tracer() is not None
         if batch:
             outer_span = obs_span("batch", size=len(configs), tag=batch_tag)
         elif to_run and not external:
@@ -310,7 +321,7 @@ class TuningSession:
                     results.append(self._quarantined(config, label, fidelity))
                     continue
                 member_span = (
-                    obs_span("evaluation", tag=label) if batch
+                    obs_span("evaluation", tag=label) if member_spans
                     else nullcontext(outer)
                 )
                 with member_span as sp:

@@ -193,17 +193,23 @@ class InstrumentedSystem(SystemWrapper):
         # run_batch_vectorized of its own.
         return self.vectorize and self.inner.supports_vectorized()
 
-    def _observe(self, measurement: Measurement) -> Measurement:
-        """Apply measurement noise to one inner result."""
-        if self.noise > 0 and measurement.ok:
-            factor = float(np.exp(self.rng.normal(loc=0.0, scale=self.noise)))
-            measurement = Measurement(
-                runtime_s=measurement.runtime_s * factor,
-                metrics=measurement.metrics,
+    def _observe(self, measurements: List[Measurement]) -> List[Measurement]:
+        """Apply measurement noise to inner results in order: one draw
+        per successful result, all in one ``normal`` call, and none for
+        a failed one."""
+        if self.noise <= 0:
+            return measurements
+        ok = [i for i, m in enumerate(measurements) if m.ok]
+        factors = np.exp(self.rng.normal(0.0, self.noise, size=len(ok)))
+        for i, factor in zip(ok, factors.tolist()):
+            m = measurements[i]
+            measurements[i] = Measurement(
+                runtime_s=m.runtime_s * factor,
+                metrics=m.metrics,
                 failed=False,
-                cost_units=measurement.cost_units,
+                cost_units=m.cost_units,
             )
-        return measurement
+        return measurements
 
     def run(self, workload: Workload, config: Configuration) -> Measurement:
         self.check_workload(workload)
@@ -211,7 +217,7 @@ class InstrumentedSystem(SystemWrapper):
             measurement = self.eval_cache.run(self.inner, workload, config)
         else:
             measurement = self.inner.run(workload, config)
-        return self._observe(measurement)
+        return self._observe([measurement])[0]
 
     def run_batch(
         self, workload: Workload, configs: Sequence[Configuration]
@@ -236,9 +242,7 @@ class InstrumentedSystem(SystemWrapper):
             from repro.exec.cache import Unfingerprintable
 
             try:
-                keys = [
-                    cache.key_for(self.inner, workload, c) for c in configs
-                ]
+                keys = cache.keys_for(self.inner, workload, configs)
             except Unfingerprintable:  # a stateful inner runs serially
                 bulk = False
         if not bulk:
@@ -272,7 +276,7 @@ class InstrumentedSystem(SystemWrapper):
                 cache.store(keys[i], measurement)
         for i in repeats:  # evicted within the batch: reuse the first run
             inner[i] = cache.lookup(keys[i]) or inner[first_miss[keys[i]]]
-        return [self._observe(measurement) for measurement in inner]
+        return self._observe(inner)
 
 
 def _inner_run_task(

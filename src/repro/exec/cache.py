@@ -28,12 +28,12 @@ import dataclasses
 import hashlib
 import os
 from collections import OrderedDict
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.measurement import Measurement
-from repro.core.parameters import Configuration
+from repro.core.parameters import Configuration, identities
 from repro.obs.metrics import global_metrics
 
 __all__ = [
@@ -207,30 +207,51 @@ class EvaluationCache:
     def key_for(
         self, system: Any, workload: Any, config: Configuration
     ) -> Tuple[str, ...]:
-        """Build the (system, workload, config) cache key.
+        """The (system, workload, config) cache key of one configuration
+        (see :meth:`keys_for`)."""
+        return self.keys_for(system, workload, [config])[0]
 
-        Systems that execute under an *execution context* — any wrapper
-        state that changes what a run measures without changing the
-        system's fingerprintable attributes, e.g., a fidelity view
-        scaling the cost surface — append that context to the key, so
-        two contexts of the same (system, workload, config) point can
-        never collide.
+    def keys_for(
+        self, system: Any, workload: Any, configs: Sequence[Configuration]
+    ) -> List[Tuple[str, ...]]:
+        """Build the (system, workload, config) cache key of each config.
+
+        The version, system, workload and context part is built once per
+        call; each configuration adds one sha1 of its identity.  Systems
+        that execute under an *execution context* — any wrapper state
+        that changes what a run measures without changing the system's
+        fingerprintable attributes, e.g., a fidelity view scaling the
+        cost surface — append that context to the key, so two contexts
+        of the same (system, workload, config) point can never collide.
+
+        A system found unfingerprintable is marked so
+        (``_repro_uncacheable``), and later calls raise without walking
+        it again.
 
         Raises:
             Unfingerprintable: the system or workload holds unstable
                 state; the caller must execute for real.
         """
-        config_key = hashlib.sha1(config.identity().encode()).hexdigest()
-        key = (
-            _KEY_VERSION,
-            _memoized_fingerprint(system),
-            _memoized_fingerprint(workload),
-            config_key,
-        )
+        if getattr(system, "_repro_uncacheable", False):
+            raise Unfingerprintable(f"{type(system).__name__} is uncacheable")
+        try:
+            head = (
+                _KEY_VERSION,
+                _memoized_fingerprint(system),
+                _memoized_fingerprint(workload),
+            )
+        except Unfingerprintable:
+            try:
+                system._repro_uncacheable = True
+            except AttributeError:
+                pass
+            raise
         context = getattr(system, "execution_context", None)
-        if callable(context):
-            key = key + tuple(str(part) for part in context())
-        return key
+        tail = tuple(str(part) for part in context()) if callable(context) else ()
+        return [
+            head + (hashlib.sha1(identity.encode()).hexdigest(),) + tail
+            for identity in identities(configs)
+        ]
 
     # -- storage -----------------------------------------------------------
     def lookup(self, key: Tuple[str, ...]) -> Optional[Measurement]:
@@ -265,15 +286,9 @@ class EvaluationCache:
     def run(self, system: Any, workload: Any, config: Configuration) -> Measurement:
         """``system.run`` through the cache; falls back to a real run
         whenever the pair cannot be fingerprinted."""
-        if getattr(system, "_repro_uncacheable", False):
-            return system.run(workload, config)
         try:
             key = self.key_for(system, workload, config)
         except Unfingerprintable:
-            try:
-                system._repro_uncacheable = True
-            except AttributeError:
-                pass
             return system.run(workload, config)
         cached = self.lookup(key)
         if cached is not None:

@@ -8,10 +8,13 @@ and export as JSONL for offline analysis (``python -m repro tune
 --trace out.jsonl``).
 
 Tracing is opt-in and process-global: instrumentation points call the
-module-level :func:`span` / :func:`event` helpers, which are no-ops
+module-level :func:`span` / :func:`event` helpers, which record nothing
 unless a tracer has been installed with :func:`set_tracer` (or the
-:func:`tracing` context manager).  The off path is a single global
-read, so permanent instrumentation costs nothing in normal runs.
+:func:`tracing` context manager).  An off-path :func:`event` is a
+single global read.  An off-path :func:`span` is still a generator to
+enter and leave (about 1.3 µs, against 0.4 µs for a ``nullcontext``,
+on a 2-vCPU x86 VM), so per-member call sites such as a batch's
+evaluation spans check :func:`get_tracer` first.
 
 Cross-process capture: a pool worker cannot share the parent's ring
 buffer, so the :class:`~repro.exec.runner.ParallelRunner` installs a
@@ -319,7 +322,9 @@ def tracing(tracer: Optional[Tracer] = None) -> Iterator[Tracer]:
 @contextmanager
 def span(name: str, **attrs: Any) -> Iterator[Optional[Span]]:
     """Instrumentation-point span: records when a tracer is active,
-    yields ``None`` (and costs one global read) otherwise."""
+    yields ``None`` otherwise.  Off the path it records nothing but is
+    still a generator-based context manager (about 1.3 µs); a
+    per-member call site checks :func:`get_tracer` first."""
     tracer = _ACTIVE
     if tracer is None:
         yield None

@@ -46,6 +46,12 @@ class GeneticTuner(SearchTuner):
             raise ValueError("population must be >= 4")
         if not (0 < elite < population):
             raise ValueError("elite must be in (0, population)")
+        if tournament < 1:
+            raise ValueError("tournament must be >= 1")
+        if mutation_scale < 0:
+            raise ValueError("mutation_scale must be >= 0")
+        if not (0 <= mutation_rate <= 1):
+            raise ValueError("mutation_rate must be in [0, 1]")
         self.population = population
         self.elite = elite
         self.mutation_scale = mutation_scale
@@ -60,14 +66,6 @@ class GeneticTuner(SearchTuner):
         self._pending_elite: List[Tuple[float, np.ndarray]] = []
         self._generation = 0
         self._gen0_asked = False
-
-    def _select(
-        self, rng: np.random.Generator, scored: List[Tuple[float, np.ndarray]]
-    ) -> np.ndarray:
-        """Tournament selection: best of a random subset."""
-        picks = rng.choice(len(scored), size=min(self.tournament, len(scored)), replace=False)
-        best = min(picks, key=lambda i: scored[i][0])
-        return scored[best][1]
 
     def tell(self, state: SearchState, results: List[Observation]) -> None:
         scored = [
@@ -111,23 +109,35 @@ class GeneticTuner(SearchTuner):
             return [
                 Candidate(config, tag=f"gen0-{i}") for i, config in enumerate(sampled)
             ]
-        d = space.dimension
+        d, m = space.dimension, self.population - self.elite
         scored = sorted(self._scored, key=lambda item: item[0])
         self._pending_elite = list(scored[: self.elite])
-        next_pop: List[np.ndarray] = [x for _, x in scored[: self.elite]]
-        while len(next_pop) < self.population:
-            mother = self._select(rng, scored)
-            father = self._select(rng, scored)
-            mask = rng.random(d) < 0.5
-            child = np.where(mask, mother, father)
-            mutate = rng.random(d) < self.mutation_rate
-            child = np.where(
-                mutate,
-                np.clip(child + rng.normal(scale=self.mutation_scale, size=d), 0, 1),
-                child,
-            )
-            next_pop.append(child)
-        children = space.from_arrays_feasible(np.array(next_pop[self.elite:]), rng)
+        # The draws stay per child and in order: two tournaments, the
+        # crossover and mutation uniforms, then the mutation noise.
+        k = min(self.tournament, len(scored))
+        picks = np.empty((m, 2, k), dtype=np.intp)
+        uniforms = np.empty((m, 2 * d))
+        noise = np.empty((m, d))
+        for c in range(m):
+            picks[c, 0] = rng.choice(len(scored), size=k, replace=False)
+            picks[c, 1] = rng.choice(len(scored), size=k, replace=False)
+            uniforms[c] = rng.random(2 * d)
+            noise[c] = rng.normal(scale=self.mutation_scale, size=d)
+        # Each tournament's winner is its first fittest pick in draw
+        # order, not the lowest index: penalized failures tie often, and
+        # which tied pick wins sets the digests.
+        fitness = np.array([f for f, _ in scored])
+        best = fitness[picks].argmin(axis=2)[..., None]
+        parents = np.array([x for _, x in scored])[
+            np.take_along_axis(picks, best, axis=2)[..., 0]
+        ]
+        child = np.where(uniforms[:, :d] < 0.5, parents[:, 0], parents[:, 1])
+        child = np.where(
+            uniforms[:, d:] < self.mutation_rate,
+            np.clip(child + noise, 0, 1),
+            child,
+        )
+        children = space.from_arrays_feasible(child, rng)
         return [
             Candidate(config, tag=f"gen{self._generation}-{i}")
             for i, config in enumerate(children)

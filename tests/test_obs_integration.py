@@ -237,6 +237,17 @@ class TestStrictServiceJson:
         assert "error" in payload
 
 
+class TestBenchObsService:
+    def test_counts_every_metrics_request(self):
+        # the count is read from the process's registry, not from one
+        # client's reply, so thread timing cannot change it
+        from repro.bench.obs import _service_check
+
+        first = _service_check(n_clients=4)
+        second = _service_check(n_clients=4)
+        assert first["metrics_requests"] == second["metrics_requests"] == 4
+
+
 class TestStrictEncoding:
     def test_json_safe_rewrites_nonfinite(self):
         payload = {
